@@ -77,14 +77,13 @@ def _spatial_product(z_table: np.ndarray, y_table: np.ndarray,
     return out.reshape(2 * L * N, 2 * L * N)
 
 
-def assemble(scaled: ScaledParams, spec: BasisSpec, *,
-             check_overlap: bool = True) -> SpectralProblem:
+def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
     """Build the spectral problem for the given scaled parameters and basis.
 
     Raises
     ------
     IllConditionedBasisError
-        If ``check_overlap`` and the smallest overlap eigenvalue falls below
+        If the smallest overlap eigenvalue falls below
         ``OVERLAP_MIN_EIG_FRACTION`` times the largest.
     """
     L, N = spec.L, spec.N
@@ -130,24 +129,20 @@ def assemble(scaled: ScaledParams, spec: BasisSpec, *,
     S[:ms, :ms] = s_spatial
     S[ms:, ms:] = s_spatial
 
-    if check_overlap:
-        s_eigs = np.linalg.eigvalsh(s_spatial)
-        s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
-        if s_min < OVERLAP_MIN_EIG_FRACTION * s_max:
-            raise IllConditionedBasisError(
-                f"overlap matrix numerically singular: min eigenvalue "
-                f"{s_min:.3e} vs norm {s_max:.3e}",
-                min_eigenvalue=s_min,
-            )
-        cond = s_max / s_min
-    else:
-        s_min, cond = float("nan"), float("nan")
+    s_eigs = np.linalg.eigvalsh(s_spatial)
+    s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
+    if s_min < OVERLAP_MIN_EIG_FRACTION * s_max:
+        raise IllConditionedBasisError(
+            f"overlap matrix numerically singular: min eigenvalue "
+            f"{s_min:.3e} vs norm {s_max:.3e}",
+            min_eigenvalue=s_min,
+        )
 
     for arr in (H, S, s_spatial, z_spatial):
         arr.setflags(write=False)
     return SpectralProblem(H=H, S=S, s_spatial=s_spatial, z_spatial=z_spatial,
                            spec=spec, scaled=scaled,
-                           s_min_eig=s_min, s_condition=cond)
+                           s_min_eig=s_min, s_condition=s_max / s_min)
 
 
 def validate(problem: SpectralProblem) -> AssemblyDiagnostics:

@@ -9,21 +9,24 @@ comments).  Each task writes into the output directory:
 * ``<task>_summary.txt``  human-readable run summary
 
 Grids are written either as comma lists (``20,25,30``) or inclusive ranges
-``lo:hi:step``.  Unknown keys are rejected with their line number.  Sweep
-points fan out over a worker pool (``--workers``, config ``workers`` or the
-``HYBRIDQ_WORKERS`` environment variable); failed points are flagged in the
-CSV rather than aborting the run.
+``lo:hi:step``.  The whole config, every grid point included, is validated
+before any point runs: unknown keys, malformed or non-finite numbers, ranges
+longer than ``MAX_GRID_POINTS`` and grid points that are not a valid working
+point raise ``ConfigError``, and ``main`` then exits with status 2 without
+writing a dataset.  Sweep points fan out over a worker pool (``--workers``,
+config ``workers`` or the ``HYBRIDQ_WORKERS`` environment variable); points
+whose solve fails are flagged in the CSV rather than aborting the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,24 @@ _INT_KEYS = ("L", "N", "n_track", "workers")
 _GRID_KEYS = ("mu_grid", "eta_grid", "bsl_grid", "hw0_list", "B0_list",
               "a_grid", "targets")
 _ALL_KEYS = ("task", "out_dir") + _FLOAT_KEYS + _INT_KEYS + _GRID_KEYS
+
+# largest number of points a range grid, or the product grid of one run,
+# may hold; far above any feasible run, it keeps a typo such as a tiny
+# step from building a huge grid
+MAX_GRID_POINTS = 100_000
+
+# PhysicalParams fields each sweep task varies, outer first; a run visits
+# the product of their grids in outer-major order
+_SWEPT = {
+    "sweep-bsl": ("bSLa",),
+    "sweep-w0": ("hw0", "bSLa"),
+    "sweep-B0": ("B0", "bSLa"),
+    "quartic-gap": ("hw0", "a"),
+    "contour-fit": ("hw0", "a"),
+}
+_GRID_OF = {"bSLa": "bsl_grid", "hw0": "hw0_list", "B0": "B0_list",
+            "a": "a_grid"}
+_COLUMN_OF = {"bSLa": "bSLa_T", "hw0": "hw0", "B0": "B0_T"}
 
 
 @dataclass(frozen=True)
@@ -88,9 +109,12 @@ class RunResult:
 
 def _parse_number(text: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"malformed number {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text!r}", line)
+    return value
 
 
 def _parse_grid(text: str, line: int) -> tuple:
@@ -103,7 +127,12 @@ def _parse_grid(text: str, line: int) -> tuple:
         lo, hi, step = (_parse_number(p, line) for p in parts)
         if step <= 0 or hi < lo:
             raise ConfigError("range needs hi >= lo and step > 0", line)
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        # compared as a float: the quotient may be inf or beyond any list
+        count = (hi - lo) / step + 1e-9
+        if count >= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"range has more than {MAX_GRID_POINTS} points", line)
+        n = int(math.floor(count)) + 1
         return tuple(lo + i * step for i in range(n))
     return tuple(_parse_number(p, line) for p in text.split(","))
 
@@ -155,7 +184,6 @@ def _validate_config(raw: dict) -> RunConfig:
             bSLa=raw.get("bSLa", 0.0),
             m_ratio=raw.get("m_ratio", _DEFAULTS["m_ratio"]),
         )
-        scale(physical)  # rejects bSLa > 0 with B0 = 0
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -177,8 +205,12 @@ def _validate_config(raw: dict) -> RunConfig:
         a_grid=raw.get("a_grid", ()),
         targets=raw.get("targets", ()),
     )
-    cfg.spec  # validates eta, mu, L, N
+    try:
+        cfg.spec  # validates eta, mu, L, N
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     _check_grids(cfg)
+    _grid_points(cfg)  # every working point is valid and scales
     return cfg
 
 
@@ -191,25 +223,50 @@ def _require_grid(cfg: RunConfig, name: str) -> None:
 
 
 def _check_grids(cfg: RunConfig) -> None:
-    needed = {
-        "solve": (),
-        "stabilize": (),
-        "sweep-bsl": ("bsl_grid",),
-        "sweep-w0": ("hw0_list", "bsl_grid"),
-        "sweep-B0": ("B0_list", "bsl_grid"),
-        "quartic-gap": ("hw0_list", "a_grid"),
-        "contour-fit": ("hw0_list", "a_grid", "targets"),
-    }[cfg.task]
+    needed = [_GRID_OF[field] for field in _SWEPT.get(cfg.task, ())]
+    if cfg.task == "contour-fit":
+        needed.append("targets")
     for name in needed:
         _require_grid(cfg, name)
     if cfg.task == "stabilize":
         if bool(cfg.mu_grid) == bool(cfg.eta_grid):
             raise ConfigError(
                 "task 'stabilize' requires exactly one of mu_grid, eta_grid")
-        _require_grid(cfg, "mu_grid" if cfg.mu_grid else "eta_grid")
-    if cfg.task in ("sweep-bsl", "sweep-w0") and cfg.bsl_grid:
-        if max(cfg.bsl_grid) > 0 and cfg.physical.B0 == 0:
-            raise ConfigError("bsl_grid reaches bSLa > 0 but B0 = 0")
+        name = "mu_grid" if cfg.mu_grid else "eta_grid"
+        _require_grid(cfg, name)
+        if getattr(cfg, name)[0] <= 0:
+            raise ConfigError(f"{name} values must be positive")
+
+
+def _grid_points(cfg: RunConfig) -> list:
+    """The working points of a run as (swept values, PhysicalParams) pairs.
+
+    Sweep tasks visit the product of their grids, outer-major; ``solve``
+    and ``stabilize`` have the one point ``cfg.physical``.  The barrier
+    length b keeps its ratio to a.  Every point is built and scaled here,
+    so an invalid one raises ConfigError before any point runs.
+    """
+    fields = _SWEPT.get(cfg.task, ())
+    grids = [getattr(cfg, _GRID_OF[field]) for field in fields]
+    n_points = math.prod(len(grid) for grid in grids)
+    if n_points > MAX_GRID_POINTS:
+        raise ConfigError(f"task {cfg.task!r} spans {n_points} grid points;"
+                          f" at most {MAX_GRID_POINTS} are allowed")
+    p = cfg.physical
+    points = []
+    for values in itertools.product(*grids):
+        changes = dict(zip(fields, values))
+        if "a" in changes:
+            changes["b"] = p.b / p.a * changes["a"]
+        try:
+            point = dataclasses.replace(p, **changes)
+            scale(point)
+        except ValueError as exc:
+            where = ", ".join(f"{f} = {v:g}" for f, v in zip(fields, values))
+            raise ConfigError(
+                f"grid point {where}: {exc}" if where else str(exc)) from None
+        points.append((values, point))
+    return points
 
 
 def load_config(path) -> RunConfig:
@@ -257,33 +314,36 @@ def config_from_csv(path) -> RunConfig:
 
 
 # ----------------------------------------------------------------------
-# dataset emission
+# tasks
 # ----------------------------------------------------------------------
 
-def _write_csv(path: Path, columns, rows, cfg: RunConfig, notes=()) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        for note in notes:
-            out.write(f"# {note}\n")
-        for line in serialize_config(cfg).splitlines():
-            out.write(f"# config: {line}\n")
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(
-                v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+@dataclass(frozen=True)
+class _TaskOutput:
+    """What a task runner hands to ``run`` for writing.
+
+    ``rows`` hold floats and strings in ``columns`` order, ``notes`` head
+    the CSV as comments, ``summary`` lines go to the summary file and
+    ``plot`` is the gnuplot script text.
+    """
+
+    columns: list
+    rows: list
+    notes: tuple
+    summary: list
+    plot: str
+    status: int = 0
 
 
-def _plot_script(csv_name: str, png_name: str, xlabel: str, ylabel: str,
-                 plot_expr: str, extra=()) -> str:
+def _plot_script(task: str, xlabel: str, ylabel: str, *commands) -> str:
     lines = [
-        f"# gnuplot script; renders {csv_name}",
+        f"# gnuplot script; renders {task}.csv",
         "set datafile separator ','",
         "set terminal pngcairo size 960,640",
-        f"set output '{png_name}'",
+        f"set output '{task}.png'",
         f"set xlabel '{xlabel}'",
         f"set ylabel '{ylabel}'",
         "set key outside",
-        *extra,
-        f"plot {plot_expr}",
+        *commands,
     ]
     return "\n".join(lines) + "\n"
 
@@ -300,16 +360,9 @@ def _resolve_workers(cfg: RunConfig) -> int:
     return 1
 
 
-def _parallel_map(func, items, workers: int):
-    if workers > 1 and len(items) > 1:
-        with Pool(workers) as pool:
-            return pool.map(func, items)
-    return [func(item) for item in items]
-
-
 def _solve_point(args):
     """Worker: one full assemble+solve, returning plain observables."""
-    index, physical, spec, n_track = args
+    physical, spec, n_track = args
     try:
         scaled = scale(physical)
         problem = assembly.assemble(scaled, spec)
@@ -318,22 +371,21 @@ def _solve_point(args):
         reports = [observables.state_report(sol, j, problem)
                    for j in range(n_obs)]
         return {
-            "index": index,
             "energies": sol.energies.tolist(),
             "z": [r.z_mean for r in reports],
             "sx": [r.sx_mean for r in reports],
             "error": None,
         }
     except Exception as exc:
-        return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def _nan_row(n: int) -> list:
     return [float("nan")] * n
 
 
-def _run_solve(cfg: RunConfig, out: Path, workers: int):
-    res = _solve_point((0, cfg.physical, cfg.spec, cfg.n_track))
+def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
+    res = _solve_point((cfg.physical, cfg.spec, cfg.n_track))
     if res["error"] is not None:
         raise HybridQError(res["error"])
     hw0 = cfg.physical.hw0
@@ -343,10 +395,6 @@ def _run_solve(cfg: RunConfig, out: Path, workers: int):
         z = res["z"][j] if j < len(res["z"]) else float("nan")
         sx = res["sx"][j] if j < len(res["sx"]) else float("nan")
         rows.append([float(j), energy, energy * hw0, z, sx, "ok"])
-    csv = out / "solve.csv"
-    _write_csv(csv, columns, rows, cfg,
-               notes=["columns: index, energy [hw0], energy [meV], "
-                      "<z>/a, <sigma_x>, status"])
     summary = [
         f"lowest {cfg.n_track} states at bSLa = {cfg.physical.bSLa} T",
         f"ground <z>/a = {res['z'][0]:.4f}, <sigma_x> = {res['sx'][0]:.4f}",
@@ -356,12 +404,14 @@ def _run_solve(cfg: RunConfig, out: Path, workers: int):
         summary.insert(
             1, f"qubit gap (E1-E0): {gap:.6e} hw0 = "
                f"{gap * hw0 * 1e3:.4f} ueV")
-    plt = _plot_script("solve.csv", "solve.png", "state index", "E / hw0",
-                       "'solve.csv' using 1:2 with points pt 7 notitle")
-    return [csv], rows, summary, plt
+    plot = _plot_script("solve", "state index", "E / hw0",
+                        "plot 'solve.csv' using 1:2 with points pt 7 notitle")
+    return _TaskOutput(
+        columns, rows, ("columns: index, energy [hw0], energy [meV], "
+                        "<z>/a, <sigma_x>, status",), summary, plot)
 
 
-def _run_stabilize(cfg: RunConfig, out: Path, workers: int):
+def _run_stabilize(cfg: RunConfig, workers: int) -> _TaskOutput:
     parameter = "mu" if cfg.mu_grid else "eta"
     grid = cfg.mu_grid or cfg.eta_grid
     scaled = scale(cfg.physical)
@@ -374,10 +424,6 @@ def _run_stabilize(cfg: RunConfig, out: Path, workers: int):
     for i, value in enumerate(table.grid):
         status = "failed" if i in failed else "ok"
         rows.append([float(value), *table.energies[i].tolist(), status])
-    csv = out / "stabilize.csv"
-    _write_csv(csv, columns, rows, cfg,
-               notes=[f"stabilization of the lowest {cfg.n_track} "
-                      f"eigenvalues vs {parameter}; energies in hw0 units"])
     summary = [f"stabilization parameter: {parameter}",
                f"window tolerance: {table.tolerance:g}"]
     for plateau in table.plateaus:
@@ -390,173 +436,121 @@ def _run_stabilize(cfg: RunConfig, out: Path, workers: int):
     for index, message in table.failures:
         summary.append(f"FAILED {parameter} = {table.grid[index]:g}: "
                        f"{message}")
-    plt = _plot_script(
-        "stabilize.csv", "stabilize.png", parameter, "E / hw0",
-        f"for [i=2:{cfg.n_track + 1}] 'stabilize.csv' "
+    plot = _plot_script(
+        "stabilize", parameter, "E / hw0",
+        f"plot for [i={columns.index('E0_hw0') + 1}:"
+        f"{columns.index(f'E{cfg.n_track - 1}_hw0') + 1}] 'stabilize.csv' "
         "using 1:i with lines lw 1.5 notitle")
-    status = 1 if len(table.failures) == len(grid) else 0
-    return [csv], rows, summary, plt, status
+    return _TaskOutput(
+        columns, rows, (f"stabilization of the lowest {cfg.n_track} "
+                        f"eigenvalues vs {parameter}; energies in hw0 units",),
+        summary, plot, status=int(len(table.failures) == len(grid)))
 
 
-def _sweep_rows(cfg: RunConfig, points, workers: int, lead_names, lead_vals):
-    """Shared fan-out for sweep tasks.  ``points`` are PhysicalParams."""
-    hw0_col = "hw0" in lead_names
-    tasks = [(i, phys, cfg.spec, cfg.n_track)
-             for i, phys in enumerate(points)]
-    results = sorted(_parallel_map(_solve_point, tasks, workers),
-                     key=lambda r: r["index"])
+def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
+    """sweep-bsl, sweep-w0 and sweep-B0: one full solve per point of the
+    outer grid (none, hw0_list or B0_list) times bsl_grid."""
+    fields = _SWEPT[cfg.task]
+    points = _grid_points(cfg)
+    tasks = [(point, cfg.spec, cfg.n_track) for _, point in points]
+    results = solver.parallel_map(_solve_point, tasks, workers)
+    columns = ([_COLUMN_OF[field] for field in fields]
+               + [f"E{j}_hw0" for j in range(cfg.n_track)]
+               + ["gap_hw0", "gap_ueV"]
+               + [f"z{j}" for j in range(4)]
+               + [f"sx{j}" for j in range(4)]
+               + ["status"])
     rows, n_failed = [], 0
-    for res, lead in zip(results, lead_vals):
-        hw0 = lead[lead_names.index("hw0")] if hw0_col else cfg.physical.hw0
+    for (lead, point), res in zip(points, results):
         if res["error"] is not None:
             n_failed += 1
-            rows.append([*lead, *_nan_row(cfg.n_track + 2 + 8),
+            rows.append([*lead, *_nan_row(len(columns) - len(lead) - 1),
                          f"failed: {res['error'].replace(',', ';')}"])
             continue
         energies = res["energies"]
         gap = energies[1] - energies[0]
         z = (res["z"] + _nan_row(4))[:4]
         sx = (res["sx"] + _nan_row(4))[:4]
-        rows.append([*lead, *energies, gap, gap * hw0 * 1e3,
+        rows.append([*lead, *energies, gap, gap * point.hw0 * 1e3,
                      *z, *sx, "ok"])
-    return rows, n_failed
 
+    outer = getattr(cfg, _GRID_OF[fields[0]])
 
-def _sweep_columns(cfg: RunConfig, lead_names):
-    return ([*lead_names]
-            + [f"E{j}_hw0" for j in range(cfg.n_track)]
-            + ["gap_hw0", "gap_ueV"]
-            + [f"z{j}" for j in range(4)]
-            + [f"sx{j}" for j in range(4)]
-            + ["status"])
+    def curves(column: str, title: str) -> str:
+        """One curve of ``column`` against bSLa per outer value."""
+        k = columns.index(column) + 1
+        return "plot " + " , ".join(
+            f"'{cfg.task}.csv' using 2:($1 == {v:g} ? ${k} : NaN) "
+            f"with linespoints title '{title.format(v)}'" for v in outer)
 
-
-def _run_sweep_bsl(cfg: RunConfig, out: Path, workers: int):
-    points = [dataclasses.replace(cfg.physical, bSLa=v)
-              for v in cfg.bsl_grid]
-    rows, n_failed = _sweep_rows(cfg, points, workers, ["bSLa_T"],
-                                 [[v] for v in cfg.bsl_grid])
-    columns = _sweep_columns(cfg, ["bSLa_T"])
-    csv = out / "sweep-bsl.csv"
-    _write_csv(csv, columns, rows, cfg,
-               notes=["spectrum and lowest-state observables vs bSLa"])
-    summary = [f"swept bSLa over {len(points)} points; "
-               f"{n_failed} failed"]
-    plt = _plot_script(
-        "sweep-bsl.csv", "sweep-bsl.png", "b_SL a  [T]", "E / hw0",
-        f"for [i=2:{cfg.n_track + 1}] 'sweep-bsl.csv' "
-        "using 1:i with lines lw 1.5 notitle")
-    status = 1 if n_failed == len(points) else 0
-    return [csv], rows, summary, plt, status
-
-
-def _run_sweep_w0(cfg: RunConfig, out: Path, workers: int):
-    points, lead = [], []
-    for hw0 in cfg.hw0_list:
-        for bsl in cfg.bsl_grid:
-            points.append(dataclasses.replace(cfg.physical, hw0=hw0,
-                                              bSLa=bsl))
-            lead.append([hw0, bsl])
-    rows, n_failed = _sweep_rows(cfg, points, workers, ["hw0", "bSLa_T"],
-                                 lead)
-    columns = _sweep_columns(cfg, ["hw0", "bSLa_T"])
-    csv = out / "sweep-w0.csv"
-    _write_csv(csv, columns, rows, cfg,
-               notes=["qubit metrics vs bSLa for several dot energies hw0"])
-    summary = [f"swept {len(cfg.hw0_list)} hw0 values x "
-               f"{len(cfg.bsl_grid)} bSLa points; {n_failed} failed"]
-    gap_col = 2 + cfg.n_track + 1
-    sx_col = gap_col + 2 + 4
-    plt = _plot_script(
-        "sweep-w0.csv", "sweep-w0.png", "b_SL a  [T]", "qubit metrics",
-        " , ".join(
-            f"'sweep-w0.csv' using 2:($1 == {hw0:g} ? ${gap_col} : NaN) "
-            f"with linespoints title 'gap, hw0={hw0:g} meV'"
-            for hw0 in cfg.hw0_list),
-        extra=["set multiplot layout 2,1",
-               "set ylabel 'gap / hw0'"]) \
-        + "set ylabel '<sigma_x> ground'\nplot " + " , ".join(
-            f"'sweep-w0.csv' using 2:($1 == {hw0:g} ? ${sx_col} : NaN) "
-            f"with linespoints title 'hw0={hw0:g} meV'"
-            for hw0 in cfg.hw0_list) + "\nunset multiplot\n"
-    status = 1 if n_failed == len(points) else 0
-    return [csv], rows, summary, plt, status
-
-
-def _run_sweep_b0(cfg: RunConfig, out: Path, workers: int):
-    points, lead = [], []
-    for b0 in cfg.B0_list:
-        for bsl in cfg.bsl_grid:
-            points.append(dataclasses.replace(cfg.physical, B0=b0,
-                                              bSLa=bsl))
-            lead.append([b0, bsl])
-    rows, n_failed = _sweep_rows(cfg, points, workers, ["B0_T", "bSLa_T"],
-                                 lead)
-    columns = _sweep_columns(cfg, ["B0_T", "bSLa_T"])
-    csv = out / "sweep-B0.csv"
-    _write_csv(csv, columns, rows, cfg,
-               notes=["ground-state <sigma_x> vs bSLa for several B0"])
-    summary = [f"swept {len(cfg.B0_list)} B0 values x "
-               f"{len(cfg.bsl_grid)} bSLa points; {n_failed} failed"]
-    sx_col = 2 + cfg.n_track + 2 + 4 + 1
-    plt = _plot_script(
-        "sweep-B0.csv", "sweep-B0.png", "b_SL a  [T]", "<sigma_x> ground",
-        " , ".join(
-            f"'sweep-B0.csv' using 2:($1 == {b0:g} ? ${sx_col} : NaN) "
-            f"with linespoints title 'B0={b0:g} T'"
-            for b0 in cfg.B0_list))
-    status = 1 if n_failed == len(points) else 0
-    return [csv], rows, summary, plt, status
+    if cfg.task == "sweep-bsl":
+        note = "spectrum and lowest-state observables vs bSLa"
+        summary = f"swept bSLa over {len(points)} points"
+        plot = _plot_script(
+            cfg.task, "b_SL a  [T]", "E / hw0",
+            f"plot for [i={columns.index('E0_hw0') + 1}:"
+            f"{columns.index(f'E{cfg.n_track - 1}_hw0') + 1}] "
+            "'sweep-bsl.csv' using 1:i with lines lw 1.5 notitle")
+    else:
+        summary = (f"swept {len(outer)} {fields[0]} values x "
+                   f"{len(cfg.bsl_grid)} bSLa points")
+        if cfg.task == "sweep-w0":
+            note = "qubit metrics vs bSLa for several dot energies hw0"
+            plot = _plot_script(
+                cfg.task, "b_SL a  [T]", "qubit metrics",
+                "set multiplot layout 2,1", "set ylabel 'gap / hw0'",
+                curves("gap_hw0", "gap, hw0={:g} meV"),
+                "set ylabel '<sigma_x> ground'",
+                curves("sx0", "hw0={:g} meV"), "unset multiplot")
+        else:
+            note = "ground-state <sigma_x> vs bSLa for several B0"
+            plot = _plot_script(cfg.task, "b_SL a  [T]", "<sigma_x> ground",
+                                curves("sx0", "B0={:g} T"))
+    return _TaskOutput(columns, rows, (note,),
+                       [f"{summary}; {n_failed} failed"], plot,
+                       status=int(n_failed == len(points)))
 
 
 def _quartic_point(args):
-    index, hw0, a, b, gamma, n_basis, m_ratio = args
+    hw0, a, b, gamma, n_basis, m_ratio = args
     try:
         levels = quartic1d.solve_1d(hw0, a, b=b, gamma=gamma,
                                     n_basis=n_basis, n_lowest=2,
                                     m_ratio=m_ratio)
-        return index, float(levels[1] - levels[0]), None
+        return float(levels[1] - levels[0]), None
     except Exception as exc:
-        return index, float("nan"), f"{type(exc).__name__}: {exc}"
+        return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-def _tabulate_gaps(cfg: RunConfig, workers: int):
-    p = cfg.physical
-    b_over_a = p.b / p.a
-    tasks = []
-    for i, hw0 in enumerate(cfg.hw0_list):
-        for j, a in enumerate(cfg.a_grid):
-            tasks.append((i * len(cfg.a_grid) + j, hw0, a, b_over_a * a,
-                          p.gamma, cfg.N, p.m_ratio))
-    results = sorted(_parallel_map(_quartic_point, tasks, workers))
-    gaps = np.full((len(cfg.hw0_list), len(cfg.a_grid)), np.nan)
-    failures = []
-    for index, gap, err in results:
-        i, j = divmod(index, len(cfg.a_grid))
-        gaps[i, j] = gap
-        if err is not None:
-            failures.append((cfg.hw0_list[i], cfg.a_grid[j], err))
-    return gaps, failures
-
-
-def _run_quartic_gap(cfg: RunConfig, out: Path, workers: int):
-    gaps, failures = _tabulate_gaps(cfg, workers)
+def _gap_surface(cfg: RunConfig, workers: int):
+    """The 1D gap surface over hw0_list x a_grid, with its failed points
+    as (hw0, a, message)."""
+    points = _grid_points(cfg)
+    tasks = [(p.hw0, p.a, p.b, p.gamma, cfg.N, p.m_ratio)
+             for _, p in points]
+    results = solver.parallel_map(_quartic_point, tasks, workers)
+    gaps = np.array([gap for gap, _ in results]).reshape(
+        len(cfg.hw0_list), len(cfg.a_grid))
+    failures = [(*values, err) for (values, _), (_, err)
+                in zip(points, results) if err is not None]
     surface = quartic1d.GapSurface(
         hw0_values=np.asarray(cfg.hw0_list),
         a_values=np.asarray(cfg.a_grid), gaps=gaps,
         gamma=cfg.physical.gamma, b_over_a=cfg.physical.b / cfg.physical.a,
         regimes=tuple(quartic1d.classify_regimes(cfg.a_grid, row)
                       for row in gaps))
+    return surface, failures
+
+
+def _run_quartic_gap(cfg: RunConfig, workers: int) -> _TaskOutput:
+    surface, failures = _gap_surface(cfg, workers)
     columns = ["a_nm"] + [f"gap_hw0_{w:g}meV" for w in cfg.hw0_list] \
         + ["status"]
     rows = []
     failed_a = {a for (_, a, _) in failures}
     for j, a in enumerate(cfg.a_grid):
         status = "failed" if a in failed_a else "ok"
-        rows.append([float(a), *gaps[:, j].tolist(), status])
-    csv = out / "quartic-gap.csv"
-    _write_csv(csv, columns, rows, cfg,
-               notes=["scaled 1D gap (E1-E0)/hw0 vs well half-separation a"])
+        rows.append([float(a), *surface.gaps[:, j].tolist(), status])
     summary = []
     names = ("algebraic", "exponential", "floor")
     for i, hw0 in enumerate(cfg.hw0_list):
@@ -571,24 +565,19 @@ def _run_quartic_gap(cfg: RunConfig, out: Path, workers: int):
                                                  "no regime identified"))
     for hw0, a, err in failures:
         summary.append(f"FAILED hw0={hw0:g} a={a:g}: {err}")
-    plt = _plot_script(
-        "quartic-gap.csv", "quartic-gap.png", "a  [nm]",
-        "(E1-E0) / hw0",
-        " , ".join(
+    plot = _plot_script(
+        "quartic-gap", "a  [nm]", "(E1-E0) / hw0", "set logscale y",
+        "plot " + " , ".join(
             f"'quartic-gap.csv' using 1:{i + 2} with lines "
-            f"title 'hw0={w:g} meV'" for i, w in enumerate(cfg.hw0_list)),
-        extra=["set logscale y"])
-    status = 1 if failures and len(failures) == gaps.size else 0
-    return [csv], rows, summary, plt, status
+            f"title 'hw0={w:g} meV'" for i, w in enumerate(cfg.hw0_list)))
+    return _TaskOutput(
+        columns, rows,
+        ("scaled 1D gap (E1-E0)/hw0 vs well half-separation a",),
+        summary, plot, status=int(len(failures) == surface.gaps.size))
 
 
-def _run_contour_fit(cfg: RunConfig, out: Path, workers: int):
-    gaps, failures = _tabulate_gaps(cfg, workers)
-    surface = quartic1d.GapSurface(
-        hw0_values=np.asarray(cfg.hw0_list),
-        a_values=np.asarray(cfg.a_grid), gaps=gaps,
-        gamma=cfg.physical.gamma, b_over_a=cfg.physical.b / cfg.physical.a,
-        regimes=())
+def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
+    surface, _ = _gap_surface(cfg, workers)
     columns = ["target_gap", "hw0_meV", "a_nm", "status"]
     rows, summary = [], []
     n_ok = 0
@@ -608,26 +597,23 @@ def _run_contour_fit(cfg: RunConfig, out: Path, workers: int):
             f"target {target:g}: a = {fit.amplitude:.4f} * hw0^"
             f"{fit.exponent:+.4f} (R^2 = {fit.r_squared:.6f}; "
             f"{len(fit.skipped_hw0)} hw0 column(s) skipped)")
-    csv = out / "contour-fit.csv"
-    _write_csv(csv, columns, rows, cfg,
-               notes=["iso-gap contours a(hw0) extracted from the "
-                      "tabulated 1D gap surface"])
-    plt = _plot_script(
-        "contour-fit.csv", "contour-fit.png", "hw0  [meV]", "a  [nm]",
-        " , ".join(
+    plot = _plot_script(
+        "contour-fit", "hw0  [meV]", "a  [nm]", "set logscale xy",
+        "plot " + " , ".join(
             f"'contour-fit.csv' using ($1 == {t:g} ? $2 : NaN):3 "
-            f"with linespoints title 'gap = {t:g}'" for t in cfg.targets),
-        extra=["set logscale xy"])
-    status = 0 if n_ok else 1
-    return [csv], rows, summary, plt, status
+            f"with linespoints title 'gap = {t:g}'" for t in cfg.targets))
+    return _TaskOutput(
+        columns, rows, ("iso-gap contours a(hw0) extracted from the "
+                        "tabulated 1D gap surface",),
+        summary, plot, status=int(n_ok == 0))
 
 
 _RUNNERS = {
     "solve": _run_solve,
     "stabilize": _run_stabilize,
-    "sweep-bsl": _run_sweep_bsl,
-    "sweep-w0": _run_sweep_w0,
-    "sweep-B0": _run_sweep_b0,
+    "sweep-bsl": _run_sweep,
+    "sweep-w0": _run_sweep,
+    "sweep-B0": _run_sweep,
     "quartic-gap": _run_quartic_gap,
     "contour-fit": _run_contour_fit,
 }
@@ -637,28 +623,32 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute a configured task; emit CSV, plot script and summary."""
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    workers = _resolve_workers(cfg)
+    result = _RUNNERS[cfg.task](cfg, _resolve_workers(cfg))
+    config_lines = serialize_config(cfg).splitlines()
 
-    result = _RUNNERS[cfg.task](cfg, out, workers)
-    if len(result) == 4:
-        files, _rows, summary, plt_text = result
-        status = 0
-    else:
-        files, _rows, summary, plt_text, status = result
-
+    csv_path = out / f"{cfg.task}.csv"
+    with open(csv_path, "w", encoding="utf-8") as handle:
+        for note in result.notes:
+            handle.write(f"# {note}\n")
+        for line in config_lines:
+            handle.write(f"# config: {line}\n")
+        handle.write(",".join(result.columns) + "\n")
+        for row in result.rows:
+            handle.write(",".join(
+                v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
     plt_path = out / f"{cfg.task}.plt"
-    plt_path.write_text(plt_text, encoding="utf-8")
+    plt_path.write_text(result.plot, encoding="utf-8")
     summary_path = out / f"{cfg.task}_summary.txt"
     with open(summary_path, "w", encoding="utf-8") as handle:
         handle.write(f"hybridq run: task {cfg.task}\n")
         handle.write("\nconfiguration:\n")
-        for line in serialize_config(cfg).splitlines():
+        for line in config_lines:
             handle.write(f"  {line}\n")
         handle.write("\nresults:\n")
-        for line in summary:
+        for line in result.summary:
             handle.write(f"  {line}\n")
-    files = [*files, plt_path, summary_path]
-    return RunResult(status=status, files=tuple(files))
+    return RunResult(status=result.status,
+                     files=(csv_path, plt_path, summary_path))
 
 
 # ----------------------------------------------------------------------

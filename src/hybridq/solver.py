@@ -156,14 +156,24 @@ def _order_ties(vals: np.ndarray, vecs: np.ndarray,
         i = j
 
 
-def _stabilize_point(args) -> tuple[int, list | None, str | None]:
-    index, scaled, spec, n_track = args
+def parallel_map(func, items, workers: int) -> list:
+    """``[func(item) for item in items]``, fanned out over a pool of
+    ``workers`` processes when there is more than one of each.  Results
+    keep the order of ``items``."""
+    if workers > 1 and len(items) > 1:
+        with Pool(workers) as pool:
+            return pool.map(func, items)
+    return [func(item) for item in items]
+
+
+def _stabilize_point(args) -> tuple[list | None, str | None]:
+    scaled, spec, n_track = args
     try:
         problem = assembly.assemble(scaled, spec)
         sol = solve(problem, n_track)
-        return index, sol.energies.tolist(), None
+        return sol.energies.tolist(), None
     except Exception as exc:  # recorded, not fatal
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _widest_plateau(grid: np.ndarray, values: np.ndarray, level: int,
@@ -212,17 +222,12 @@ def stabilize(scaled: ScaledParams, spec: BasisSpec, parameter: str,
     if np.any(grid <= 0):
         raise ValueError("grid values must be positive")
 
-    tasks = [(i, scaled, dataclasses.replace(spec, **{parameter: float(v)}),
-              n_track) for i, v in enumerate(grid)]
-    if workers > 1:
-        with Pool(workers) as pool:
-            results = pool.map(_stabilize_point, tasks)
-    else:
-        results = [_stabilize_point(t) for t in tasks]
-
+    tasks = [(scaled, dataclasses.replace(spec, **{parameter: float(v)}),
+              n_track) for v in grid]
     energies = np.full((len(grid), n_track), np.nan)
     failures = []
-    for index, vals, err in sorted(results):
+    results = parallel_map(_stabilize_point, tasks, workers)
+    for index, (vals, err) in enumerate(results):
         if err is None:
             energies[index] = vals
         else:

@@ -1,5 +1,11 @@
 """Config parsing, round-trips, dataset emission and determinism."""
 
+import dataclasses
+import glob
+import itertools
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -61,10 +67,36 @@ def test_unknown_key_rejected_with_line_number():
     assert err.value.line == 4
 
 
-def test_malformed_number_rejected():
+@pytest.mark.parametrize("text, line", [
+    ("task = solve\nhw0 = thirty\na = 30\n", 2),
+    ("task = solve\nhw0 = nan\na = 30\n", 2),
+    (MINIMAL + "B0 = inf\n", 4),
+    (MINIMAL + "L = inf\n", 4),
+    (MINIMAL + "L = nan\n", 4),
+    (MINIMAL + "L = 2.5\n", 4),
+    (MINIMAL + "B0 = 0.5\nbsl_grid = 0:inf:1\n", 5),
+], ids=["word", "nan", "inf", "int-inf", "int-nan", "int-fraction",
+        "range-inf"])
+def test_malformed_number_rejected(text, line):
     with pytest.raises(hq.ConfigError) as err:
-        _load("task = solve\nhw0 = thirty\na = 30\n")
-    assert err.value.line == 2
+        _load(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1e308:1e-308"])
+def test_huge_range_rejected(grid):
+    with pytest.raises(hq.ConfigError) as err:
+        _load(f"task = sweep-bsl\nhw0 = 30\na = 30\nB0 = 0.5\n"
+              f"bsl_grid = {grid}\n")
+    assert err.value.line == 5
+    assert str(cli.MAX_GRID_POINTS) in str(err.value)
+
+
+def test_huge_product_grid_rejected():
+    text = ("task = quartic-gap\nhw0 = 30\na = 30\n"
+            "hw0_list = 1:400:1\na_grid = 1:400:1\n")
+    with pytest.raises(hq.ConfigError, match="160000 grid points"):
+        _load(text)
 
 
 def test_duplicate_key_rejected():
@@ -143,7 +175,6 @@ def test_run_solve_emits_parseable_dataset(tmp_path):
 def test_run_sweep_deterministic_across_workers(tmp_path):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     cfg = _load(SMALL_SWEEP)
-    import dataclasses
     r1 = cli.run(dataclasses.replace(cfg, out_dir=str(out1), workers=1))
     r2 = cli.run(dataclasses.replace(cfg, out_dir=str(out2), workers=2))
     assert r1.status == r2.status == 0
@@ -208,3 +239,82 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
         cli.run(cfg)
     monkeypatch.setenv("HYBRIDQ_WORKERS", "1")
     assert cli.run(cfg).status == 0
+
+
+@pytest.mark.parametrize("task, outer, outer_values, bsl_values", [
+    ("sweep-w0", "hw0", (20.0, 30.0), (0.0, 1.0)),
+    ("sweep-B0", "B0_T", (0.5, 1.0), (0.5, 1.0)),
+])
+def test_run_outer_sweep(tmp_path, task, outer, outer_values, bsl_values):
+    grid = "hw0_list" if outer == "hw0" else "B0_list"
+    cfg = _load(f"task = {task}\nhw0 = 30\na = 30\ngamma = -1e-3\n"
+                "B0 = 0.5\nL = 3\nN = 3\nn_track = 4\nworkers = 1\n"
+                f"{grid} = {','.join(map(str, outer_values))}\n"
+                f"bsl_grid = {','.join(map(str, bsl_values))}\n"
+                f"out_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    csv = tmp_path / f"{task}.csv"
+    names, rows = _read_csv(csv)
+    assert names[:2] == [outer, "bSLa_T"]
+    assert all(row[-1] == "ok" for row in rows)
+    # outer-major: the outer value changes slowest
+    assert [(float(r[0]), float(r[1])) for r in rows] \
+        == list(itertools.product(outer_values, bsl_values))
+    gap, gap_uev = names.index("gap_hw0"), names.index("gap_ueV")
+    for row in rows:
+        hw0 = float(row[0]) if outer == "hw0" else 30.0
+        assert float(row[gap_uev]) == float(row[gap]) * hw0 * 1e3
+    # every $k of the plot script names the gap or the ground-state spin
+    plot = (tmp_path / f"{task}.plt").read_text()
+    referenced = {names[int(k) - 1] for k in re.findall(r"\$(\d+)", plot)}
+    assert referenced - {outer} == (
+        {"gap_hw0", "sx0"} if task == "sweep-w0" else {"sx0"})
+    assert cli.config_from_csv(csv) == cfg
+
+
+SMALL_2D = "hw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\nn_track = 2\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep", f"task = sweep-B0\n{SMALL_2D}B0_list = 0,0.5\n"
+              "bsl_grid = 0.5,1\n", "B0 = 0, bSLa = 0.5: bSLa > 0 requires"),
+    ("sweep", f"task = sweep-w0\n{SMALL_2D}hw0_list = -5,30\n"
+              "bsl_grid = 0,1\n", "hw0 = -5, bSLa = 0: hw0, a, b"),
+    ("quartic", "task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
+                "hw0_list = -5,30\na_grid = 20,30\n",
+     "hw0 = -5, a = 20: hw0, a, b"),
+    ("stabilize", f"task = stabilize\n{SMALL_2D}mu_grid = -1,0.5\n",
+     "mu_grid values must be positive"),
+    ("solve", "task = solve\nhw0 = nan\na = 30\n", "non-finite"),
+    ("solve", "task = solve\nhw0 = 30\na = 30\nL = inf\n",
+     "non-finite"),
+    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0:1:1e-300\n",
+     "more than"),
+], ids=["B0-zero-with-gradient", "sweep-negative-hw0",
+        "quartic-negative-hw0", "stabilize-negative-mu", "nan", "L-inf",
+        "huge-range"])
+def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, command,
+                                                text, message):
+    config = tmp_path / "cfg.txt"
+    config.write_text(text)
+    code = cli.main([command, "--config", str(config), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_config_loads(path):
+    cfg = cli.load_config(path)
+    commands = [name for name, tasks in cli._SUBCOMMAND_TASKS.items()
+                if cfg.task in tasks]
+    assert len(commands) == 1
+
+
+def test_every_task_has_a_shipped_config():
+    assert {cli.load_config(path).task for path in CONFIGS} == set(cli.TASKS)
