@@ -1,8 +1,8 @@
-"""Assembly of the M x M Hamiltonian and overlap matrices.
+"""Assembly of the spectral problem from Kronecker factors.
 
 Every term of the scaled Hamiltonian factorizes as (z-factor) x (y-factor)
-x (spin-factor), so the full matrices are built from precomputed 1D element
-tables.  In units of hw0 the spin-independent part is
+x (spin-factor): a 2N x 2N z-table, an L x L y-table and a 2 x 2 spin
+matrix.  In units of hw0 the spin-independent part is
 
     H0 = -(r_a/2) (d2/dz'2 + d2/dy'2)
          + ab_ratio/(8 r_a) (z'^2-1)^2 - gamma z'
@@ -12,14 +12,26 @@ tables.  In units of hw0 the spin-independent part is
 and the spin blocks follow [[H0+H2, H1], [H1, H0-H2]] with
 H1 = -r_c beta z' (the sigma_x coupling) and H2 = -(r_c/2) S (the sigma_z
 Zeeman shift, which in a nonorthogonal basis carries the overlap pattern).
+The overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
 
-Hermiticity is exact by construction: every 1D table is mirrored from its
-upper triangle, and the assembled matrix is mirrored once more.
+``assemble`` keeps the factor tables and checks the 2N x 2N z-overlap.
+``orthonormal_hamiltonian`` turns the tables into one real symmetric
+standard problem: the z-basis is orthonormalized through the eigenpairs of
+S_z (Loewdin canonical orthogonalization), and the gauge phi_k -> i^k phi_k
+makes the y-factors real, mapping the only complex term to a real symmetric
+one.  ``to_basis`` maps its eigenvectors back to the flat (s, p, k, n)
+ordering of the original complex gauge.
+
+The dense M x M matrices ``H`` and ``S`` (M = 4LN) are built only when
+asked for, as the reference for diagnostics and tests.  Their Hermiticity
+is exact by construction: every 1D table is mirrored from its upper
+triangle, and the assembled matrix is mirrored once more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,29 +44,81 @@ from .model import ScaledParams
 # numerically non-positive-definite
 OVERLAP_MIN_EIG_FRACTION = 1e-12
 
+# operator kinds the Hamiltonian is built from
+Z_TABLE_KINDS = ("1", "z", "z2", "z4", "quartic", "dz2")
+Y_TABLE_KINDS = ("1", "y2", "dy", "dy2")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
 
 @dataclass(frozen=True)
 class SpectralProblem:
-    """Assembled generalized eigenproblem H c = E S c.
+    """Generalized eigenproblem H c = E S c, held as its factor tables.
 
-    ``H`` is Hermitian (complex when the slanting field couples orbit and
-    spin), ``S`` real symmetric positive definite and block diagonal in spin.
-    ``s_spatial`` and ``z_spatial`` are the per-spin-block overlap and
-    z'-moment matrices kept for observables; all arrays are read-only.
+    ``z_tables`` maps the kinds of ``Z_TABLE_KINDS`` to 2N x 2N z-tables,
+    ``y_tables`` the kinds of ``Y_TABLE_KINDS`` to L x L y-tables; the
+    y "1" table is the identity.  Everything else is derived on first
+    access and cached: the eigenpairs of the z-overlap, the per-spin-block
+    overlap and z'-moment matrices ``s_spatial`` and ``z_spatial`` used by
+    the observables, and the dense ``H`` (Hermitian, complex when the
+    slanting field couples orbit and spin) and ``S`` (real symmetric,
+    block diagonal in spin).  All arrays are read-only.
     """
 
-    H: np.ndarray
-    S: np.ndarray
-    s_spatial: np.ndarray
-    z_spatial: np.ndarray
+    z_tables: dict
+    y_tables: dict
     spec: BasisSpec
     scaled: ScaledParams
-    s_min_eig: float
-    s_condition: float
 
     @property
     def size(self) -> int:
-        return self.H.shape[0]
+        return self.spec.size
+
+    @cached_property
+    def overlap_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of the z-overlap S_z.
+
+        The spectrum of the full overlap is this one, L times over.
+        """
+        vals, vecs = np.linalg.eigh(self.z_tables["1"])
+        return _read_only(vals), _read_only(vecs)
+
+    @property
+    def s_min_eig(self) -> float:
+        return float(self.overlap_eigh[0][0])
+
+    @property
+    def s_condition(self) -> float:
+        vals = self.overlap_eigh[0]
+        return float(vals[-1] / vals[0])
+
+    @cached_property
+    def s_spatial(self) -> np.ndarray:
+        return _read_only(self._spatial("1", "1"))
+
+    @cached_property
+    def z_spatial(self) -> np.ndarray:
+        return _read_only(self._spatial("z", "1"))
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return _read_only(_dense_hamiltonian(self))
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        ms = self.s_spatial.shape[0]
+        S = np.zeros((2 * ms, 2 * ms))
+        S[:ms, :ms] = self.s_spatial
+        S[ms:, ms:] = self.s_spatial
+        return _read_only(S)
+
+    def _spatial(self, z_kind: str, y_kind: str) -> np.ndarray:
+        return _spatial_product(self.z_tables[z_kind],
+                                self.y_tables[y_kind],
+                                self.spec.L, self.spec.N)
 
 
 @dataclass(frozen=True)
@@ -83,53 +147,22 @@ def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
     Raises
     ------
     IllConditionedBasisError
-        If the smallest overlap eigenvalue falls below
-        ``OVERLAP_MIN_EIG_FRACTION`` times the largest.
+        If the z-overlap fails ``check_overlap``.
     """
-    L, N = spec.L, spec.N
-    r_a, r_c, beta = scaled.r_a, scaled.r_c, scaled.beta
+    problem = SpectralProblem(
+        z_tables={k: basis_mod.z_element_table(k, spec)
+                  for k in Z_TABLE_KINDS},
+        y_tables={k: basis_mod.y_element_table(k, spec)
+                  for k in Y_TABLE_KINDS},
+        spec=spec, scaled=scaled)
+    check_overlap(problem)
+    return problem
 
-    tz = {k: basis_mod.z_element_table(k, spec)
-          for k in ("1", "z", "z2", "z4", "quartic", "dz2")}
-    ty = {k: basis_mod.y_element_table(k, spec)
-          for k in ("1", "y2", "dy", "dy2")}
 
-    s_spatial = _spatial_product(tz["1"], ty["1"], L, N)
-    z_spatial = _spatial_product(tz["z"], ty["1"], L, N)
-
-    h0 = -(0.5 * r_a) * (_spatial_product(tz["dz2"], ty["1"], L, N)
-                         + _spatial_product(tz["1"], ty["dy2"], L, N))
-    h0 += (scaled.ab_ratio / (8.0 * r_a)) * \
-        _spatial_product(tz["quartic"], ty["1"], L, N)
-    h0 -= scaled.gamma * z_spatial
-    if r_c > 0:
-        h0 = h0 + (r_c * r_c / (8.0 * r_a)) * \
-            _spatial_product(tz["1"], ty["y2"], L, N)
-        if beta > 0:
-            h0 = h0 + (r_c * r_c * beta * beta / (2.0 * r_a)) * \
-                _spatial_product(tz["z4"], ty["1"], L, N)
-            # -i r_c beta z'^2 d/dy': symmetric (z) x antisymmetric (y),
-            # the only imaginary contribution
-            h0 = h0 - 1j * r_c * beta * \
-                _spatial_product(tz["z2"], ty["dy"], L, N)
-
-    h1 = -(r_c * beta) * z_spatial      # sigma_x coupling
-    h2 = -(0.5 * r_c) * s_spatial       # sigma_z shift
-
-    ms = 2 * L * N
-    H = np.zeros((2 * ms, 2 * ms), dtype=h0.dtype)
-    H[:ms, :ms] = h0 + h2
-    H[ms:, ms:] = h0 - h2
-    H[:ms, ms:] = h1
-    H[ms:, :ms] = h1
-    # mirror the upper triangle so H = H^dagger holds exactly
-    H = np.triu(H) + np.triu(H, 1).conj().T
-
-    S = np.zeros((2 * ms, 2 * ms))
-    S[:ms, :ms] = s_spatial
-    S[ms:, ms:] = s_spatial
-
-    s_eigs = np.linalg.eigvalsh(s_spatial)
+def check_overlap(problem: SpectralProblem) -> None:
+    """Raise IllConditionedBasisError if the smallest z-overlap eigenvalue
+    falls below ``OVERLAP_MIN_EIG_FRACTION`` times the largest."""
+    s_eigs = problem.overlap_eigh[0]
     s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
     if s_min < OVERLAP_MIN_EIG_FRACTION * s_max:
         raise IllConditionedBasisError(
@@ -138,11 +171,103 @@ def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
             min_eigenvalue=s_min,
         )
 
-    for arr in (H, S, s_spatial, z_spatial):
-        arr.setflags(write=False)
-    return SpectralProblem(H=H, S=S, s_spatial=s_spatial, z_spatial=z_spatial,
-                           spec=spec, scaled=scaled,
-                           s_min_eig=s_min, s_condition=s_max / s_min)
+
+def _dense_hamiltonian(problem: SpectralProblem) -> np.ndarray:
+    """The M x M Hamiltonian in the flat (s, p, k, n) ordering."""
+    r_a, r_c = problem.scaled.r_a, problem.scaled.r_c
+    beta = problem.scaled.beta
+    product = problem._spatial
+    z_spatial = problem.z_spatial
+
+    h0 = -(0.5 * r_a) * (product("dz2", "1") + product("1", "dy2"))
+    h0 += (problem.scaled.ab_ratio / (8.0 * r_a)) * product("quartic", "1")
+    h0 -= problem.scaled.gamma * z_spatial
+    if r_c > 0:
+        h0 = h0 + (r_c * r_c / (8.0 * r_a)) * product("1", "y2")
+        if beta > 0:
+            h0 = h0 + (r_c * r_c * beta * beta / (2.0 * r_a)) * \
+                product("z4", "1")
+            # -i r_c beta z'^2 d/dy': symmetric (z) x antisymmetric (y),
+            # the only imaginary contribution
+            h0 = h0 - 1j * r_c * beta * product("z2", "dy")
+
+    h1 = -(r_c * beta) * z_spatial      # sigma_x coupling
+    h2 = -(0.5 * r_c) * problem.s_spatial       # sigma_z shift
+
+    ms = 2 * problem.spec.L * problem.spec.N
+    H = np.zeros((2 * ms, 2 * ms), dtype=h0.dtype)
+    H[:ms, :ms] = h0 + h2
+    H[ms:, ms:] = h0 - h2
+    H[:ms, ms:] = h1
+    H[ms:, :ms] = h1
+    # mirror the upper triangle so H = H^dagger holds exactly
+    return np.triu(H) + np.triu(H, 1).conj().T
+
+
+def y_gauge(L: int) -> np.ndarray:
+    """Phases i^k of the real y-gauge phi_k -> i^k phi_k, exact in every
+    component."""
+    return np.array([(1, 1j, -1, -1j)[k % 4] for k in range(L)])
+
+
+def gauged_y_table(table: np.ndarray, unit: complex = 1) -> np.ndarray:
+    """``unit`` times an L x L y-table in the gauge phi_k -> i^k phi_k.
+
+    Even-offset tables keep real entries; ``unit = -1j`` makes the
+    antisymmetric d/dy' table real symmetric.  Every product is by 0 or
+    +-1, so the imaginary part of either is exactly zero.
+    """
+    phase = y_gauge(table.shape[0])
+    return unit * (phase.conj()[:, None] * table * phase)
+
+
+def orthonormal_hamiltonian(problem: SpectralProblem,
+                            transform: np.ndarray) -> np.ndarray:
+    """Real symmetric Hamiltonian in an orthonormal basis.
+
+    ``transform`` (2N x r) orthonormalizes the z-basis, X^T S_z X = I.
+    The basis is spin x (X-directions) x (gauged y-ladder), ordered
+    (s, j, k) with k fastest, so every term is one ``np.kron`` of factors.
+    """
+    r_a, r_c = problem.scaled.r_a, problem.scaled.r_c
+    beta = problem.scaled.beta
+    tz, ty = problem.z_tables, problem.y_tables
+
+    def z(kind: str) -> np.ndarray:
+        t = transform.T @ tz[kind] @ transform
+        return np.triu(t) + np.triu(t, 1).T
+
+    def y(kind: str, unit: complex = 1) -> np.ndarray:
+        return gauged_y_table(ty[kind], unit).real
+
+    z_moment = z("z")
+    z_part = (-(0.5 * r_a) * z("dz2")
+              + (problem.scaled.ab_ratio / (8.0 * r_a)) * z("quartic")
+              - problem.scaled.gamma * z_moment)
+    y_part = -(0.5 * r_a) * y("dy2")
+    if r_c > 0:
+        y_part += (r_c * r_c / (8.0 * r_a)) * y("y2")
+        if beta > 0:
+            z_part += (r_c * r_c * beta * beta / (2.0 * r_a)) * z("z4")
+    eye_z, eye_y = np.eye(len(z_part)), np.eye(len(y_part))
+    h0 = np.kron(z_part, eye_y) + np.kron(eye_z, y_part)
+    if r_c > 0 and beta > 0:
+        h0 += (r_c * beta) * np.kron(z("z2"), y("dy", -1j))
+
+    h1 = -(r_c * beta) * np.kron(z_moment, eye_y)
+    h2 = -(0.5 * r_c) * np.eye(len(h0))
+    return np.block([[h0 + h2, h1], [h1, h0 - h2]])
+
+
+def to_basis(problem: SpectralProblem, transform: np.ndarray,
+             vectors: np.ndarray) -> np.ndarray:
+    """Columns of ``orthonormal_hamiltonian`` coordinates as coefficients
+    in the flat (s, p, k, n) ordering of the original complex gauge."""
+    L, N = problem.spec.L, problem.spec.N
+    count = vectors.shape[1]
+    c = transform @ vectors.reshape(2, transform.shape[1], L * count)
+    c = c.reshape(2, 2, N, L, count) * y_gauge(L)[:, None]
+    return c.transpose(0, 1, 3, 2, 4).reshape(4 * L * N, count)
 
 
 def validate(problem: SpectralProblem) -> AssemblyDiagnostics:

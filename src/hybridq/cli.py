@@ -10,12 +10,15 @@ comments).  Each task writes into the output directory:
 
 Grids are written either as comma lists (``20,25,30``) or inclusive ranges
 ``lo:hi:step``.  The whole config, every grid point included, is validated
-before any point runs: unknown keys, malformed or non-finite numbers, ranges
-longer than ``MAX_GRID_POINTS`` and grid points that are not a valid working
-point raise ``ConfigError``, and ``main`` then exits with status 2 without
-writing a dataset.  Sweep points fan out over a worker pool (``--workers``,
-config ``workers`` or the ``HYBRIDQ_WORKERS`` environment variable); points
-whose solve fails are flagged in the CSV rather than aborting the run.
+before any point runs, command-line overrides included: unknown keys,
+malformed or non-finite numbers, ranges longer than ``MAX_GRID_POINTS``, a
+basis larger than ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold
+and grid points that are not a valid working point raise ``ConfigError``,
+and ``main`` then exits with status 2 without writing a dataset.  Sweep
+points fan out over a worker pool (``--workers``, config ``workers`` or the
+``HYBRIDQ_WORKERS`` environment variable).  A point whose solve fails with
+a ``solver.POINT_ERRORS`` exception is flagged in the CSV rather than
+aborting the run; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ _ALL_KEYS = ("task", "out_dir") + _FLOAT_KEYS + _INT_KEYS + _GRID_KEYS
 # may hold; far above any feasible run, it keeps a typo such as a tiny
 # step from building a huge grid
 MAX_GRID_POINTS = 100_000
+
+# largest variational basis a run may ask for: 4LN for the 2D tasks, 2N
+# for the 1D tasks; one dense real matrix of this size takes 512 MB
+MAX_BASIS_SIZE = 8000
+
+# tasks that solve the 1D problem in 2N z-functions alone
+_TASKS_1D = ("quartic-gap", "contour-fit")
 
 # PhysicalParams fields each sweep task varies, outer first; a run visits
 # the product of their grids in outer-major order
@@ -139,6 +149,11 @@ def _parse_grid(text: str, line: int) -> tuple:
 
 def parse_config_lines(lines) -> RunConfig:
     """Parse config text lines into a validated RunConfig."""
+    return _validate_config(_parse_raw(lines))
+
+
+def _parse_raw(lines) -> dict:
+    """Config text lines as a dict of typed values, not yet validated."""
     raw: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -164,7 +179,7 @@ def parse_config_lines(lines) -> RunConfig:
             raw[key] = int(num)
         else:
             raw[key] = _parse_number(value, lineno)
-    return _validate_config(raw)
+    return raw
 
 
 def _validate_config(raw: dict) -> RunConfig:
@@ -209,9 +224,28 @@ def _validate_config(raw: dict) -> RunConfig:
         cfg.spec  # validates eta, mu, L, N
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _check_sizes(cfg)
     _check_grids(cfg)
     _grid_points(cfg)  # every working point is valid and scales
     return cfg
+
+
+def _check_sizes(cfg: RunConfig) -> None:
+    """The basis fits ``MAX_BASIS_SIZE`` and a 2D task tracks between one
+    (two for a sweep, which reports the gap) and all 4LN levels."""
+    if cfg.task in _TASKS_1D:
+        size, what = 2 * cfg.N, "2N"
+    else:
+        size, what = cfg.spec.size, "4LN"
+    if size > MAX_BASIS_SIZE:
+        raise ConfigError(f"basis size {what} = {size} exceeds "
+                          f"{MAX_BASIS_SIZE}")
+    if cfg.task in _TASKS_1D:
+        return
+    lowest = 2 if cfg.task in _SWEPT else 1
+    if not lowest <= cfg.n_track <= size:
+        raise ConfigError(f"task {cfg.task!r} needs n_track between "
+                          f"{lowest} and 4LN = {size}, not {cfg.n_track}")
 
 
 def _require_grid(cfg: RunConfig, name: str) -> None:
@@ -269,10 +303,16 @@ def _grid_points(cfg: RunConfig) -> list:
     return points
 
 
-def load_config(path) -> RunConfig:
-    """Load and validate a run configuration file."""
+def load_config(path, overrides: dict | None = None) -> RunConfig:
+    """Load and validate a run configuration file.
+
+    ``overrides`` maps config keys to typed values that replace the file's
+    before the whole config is validated.
+    """
     with open(path, encoding="utf-8") as handle:
-        return parse_config_lines(handle)
+        raw = _parse_raw(handle)
+    raw.update(overrides or {})
+    return _validate_config(raw)
 
 
 def _fmt(value) -> str:
@@ -376,7 +416,7 @@ def _solve_point(args):
             "sx": [r.sx_mean for r in reports],
             "error": None,
         }
-    except Exception as exc:
+    except solver.POINT_ERRORS as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -518,7 +558,7 @@ def _quartic_point(args):
                                     n_basis=n_basis, n_lowest=2,
                                     m_ratio=m_ratio)
         return float(levels[1] - levels[0]), None
-    except Exception as exc:
+    except solver.POINT_ERRORS as exc:
         return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
@@ -683,22 +723,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: value for key, value in (("out_dir", args.out),
+                                               ("workers", args.workers),
+                                               ("n_track", args.track))
+                 if value is not None}
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, overrides)
         allowed = _SUBCOMMAND_TASKS[args.command]
         if cfg.task not in allowed:
             raise ConfigError(
                 f"config task {cfg.task!r} does not match subcommand "
                 f"{args.command!r} (expected one of {allowed})")
-        updates = {}
-        if args.out is not None:
-            updates["out_dir"] = args.out
-        if args.workers is not None:
-            updates["workers"] = args.workers
-        if args.track is not None:
-            updates["n_track"] = args.track
-        if updates:
-            cfg = dataclasses.replace(cfg, **updates)
         result = run(cfg)
     except (HybridQError, OSError) as exc:
         print(f"hybridq: error: {exc}", file=sys.stderr)

@@ -56,6 +56,11 @@ def _split(problem: SpectralProblem, c: np.ndarray):
     return c[:ms], c[ms:]
 
 
+def _real_form(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Re(x^dagger a y) for a real matrix ``a``, in real arithmetic."""
+    return x.real @ a @ y.real + x.imag @ a @ y.imag
+
+
 def state_report(sol: EigenSolution, j: int,
                  problem: SpectralProblem) -> StateReport:
     """Observables of eigenstate ``j`` of a solved problem."""
@@ -63,9 +68,9 @@ def state_report(sol: EigenSolution, j: int,
         raise IndexError("state index outside the computed set")
     up, dn = _split(problem, sol.coefficients[:, j])
     s, z = problem.s_spatial, problem.z_spatial
-    z_mean = (up.conj() @ z @ up + dn.conj() @ z @ dn).real
-    sx_mean = 2.0 * (up.conj() @ s @ dn).real
-    norm = (up.conj() @ s @ up + dn.conj() @ s @ dn).real
+    z_mean = _real_form(z, up, up) + _real_form(z, dn, dn)
+    sx_mean = 2.0 * _real_form(s, up, dn)
+    norm = _real_form(s, up, up) + _real_form(s, dn, dn)
     return StateReport(index=j, energy=float(sol.energies[j]),
                        z_mean=float(z_mean), sx_mean=float(sx_mean),
                        norm_check=float(norm))

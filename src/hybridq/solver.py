@@ -1,10 +1,15 @@
 """Generalized eigensolver and stabilization sweeps.
 
-``solve`` reduces H c = E S c by the Cholesky factorization of the overlap
-matrix (LAPACK *gvd drivers via scipy) and returns S-orthonormal
-eigenvectors with ascending eigenvalues.  ``stabilize`` re-assembles and
-re-solves over a grid of one nonlinear variational parameter and summarizes
-per-level plateaus, the practical convergence check of the Ritz method.
+``solve`` reduces H c = E S c to one real symmetric standard problem: the
+z-basis is orthonormalized through the eigenpairs of the 2N x 2N z-overlap
+(canonical orthogonalization), the y-basis is made real by a gauge, and the
+matrix is built from Kronecker factors (``assembly.orthonormal_hamiltonian``).
+LAPACK computes only the requested lowest eigenpairs, which are mapped back
+to S-orthonormal eigenvectors of the original basis with ascending
+eigenvalues.  ``_canonical_solve`` is the same reduction for a dense pair
+(H, S), used by the 1D solver.  ``stabilize`` re-assembles and re-solves
+over a grid of one nonlinear variational parameter and summarizes per-level
+plateaus, the practical convergence check of the Ritz method.
 """
 
 from __future__ import annotations
@@ -19,16 +24,21 @@ import scipy.linalg
 from . import assembly
 from .assembly import SpectralProblem
 from .basis import BasisSpec
-from .errors import IllConditionedBasisError
+from .errors import HybridQError, IllConditionedBasisError
 from .model import ScaledParams
 
 # eigenvalues closer than this (units hw0) count as an exact tie and are
 # ordered by ascending <z'> so that "ground = deeper well" is deterministic
 TIE_THRESHOLD = 1e-12
 
-# relative overlap-eigenvalue cutoff of the canonical-orthogonalization
-# fallback used when the Cholesky route breaks down
+# relative overlap-eigenvalue cutoff below which canonical orthogonalization
+# drops a direction: in the dense 1D solve, and in ``solve(fallback=True)``
+# on a z-overlap that fails ``assembly.check_overlap``
 CANONICAL_DROP_FRACTION = 1e-10
+
+# errors that mark one grid point as failed; any other exception is a bug
+# and propagates
+POINT_ERRORS = (HybridQError, scipy.linalg.LinAlgError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -87,16 +97,23 @@ class StabilizationTable:
         return float(np.ptp(vals) / np.max(np.abs(vals)))
 
 
-def _canonical_solve(H: np.ndarray, S: np.ndarray):
-    """Fallback: diagonalize S, drop near-null directions, solve reduced."""
-    s_vals, s_vecs = scipy.linalg.eigh(S)
-    keep = s_vals > CANONICAL_DROP_FRACTION * s_vals[-1]
+def _orthonormalizer(s_vals: np.ndarray, s_vecs: np.ndarray,
+                     drop_fraction: float) -> np.ndarray:
+    """X = U s^(-1/2) over the overlap eigendirections above
+    ``drop_fraction`` times the largest eigenvalue, so X^T S X = I."""
+    keep = s_vals > drop_fraction * s_vals[-1]
     if not np.any(keep):
         raise IllConditionedBasisError(
             "overlap matrix has no usable eigendirections",
             min_eigenvalue=float(s_vals[0]),
         )
-    transform = s_vecs[:, keep] / np.sqrt(s_vals[keep])
+    return s_vecs[:, keep] / np.sqrt(s_vals[keep])
+
+
+def _canonical_solve(H: np.ndarray, S: np.ndarray):
+    """Dense solve: diagonalize S, drop near-null directions, solve reduced."""
+    s_vals, s_vecs = scipy.linalg.eigh(S)
+    transform = _orthonormalizer(s_vals, s_vecs, CANONICAL_DROP_FRACTION)
     h_red = transform.conj().T @ H @ transform
     h_red = 0.5 * (h_red + h_red.conj().T)
     vals, vecs = scipy.linalg.eigh(h_red)
@@ -108,26 +125,32 @@ def solve(problem: SpectralProblem, n_lowest: int, *,
     """Solve H c = E S c for the ``n_lowest`` eigenpairs.
 
     Eigenvalues ascend; exact ties are broken by ascending <z'> of the
-    eigenvector.  With ``fallback`` enabled a Cholesky breakdown triggers
-    canonical orthogonalization instead of raising.
+    eigenvector.  Every z-overlap direction is kept when the z-overlap
+    passes ``assembly.check_overlap``.  Otherwise, with ``fallback`` on, the
+    directions below ``CANONICAL_DROP_FRACTION`` of the largest are dropped
+    and the problem is solved in the regular subspace, which may hold fewer
+    than ``n_lowest`` states.
 
     Raises
     ------
     IllConditionedBasisError
-        On Cholesky breakdown when ``fallback`` is off.
+        If the z-overlap fails ``assembly.check_overlap`` and ``fallback``
+        is off.
     """
     if not 1 <= n_lowest <= problem.size:
         raise ValueError("n_lowest must be between 1 and the basis size")
     try:
-        vals, vecs = scipy.linalg.eigh(problem.H, problem.S, driver="gvd")
-    except scipy.linalg.LinAlgError as exc:
+        assembly.check_overlap(problem)
+        drop_fraction = 0.0
+    except IllConditionedBasisError:
         if not fallback:
-            raise IllConditionedBasisError(
-                f"Cholesky reduction failed: {exc}") from exc
-        vals, vecs = _canonical_solve(problem.H, problem.S)
-
-    vals = vals[:n_lowest].copy()
-    vecs = vecs[:, :n_lowest].copy()
+            raise
+        drop_fraction = CANONICAL_DROP_FRACTION
+    transform = _orthonormalizer(*problem.overlap_eigh, drop_fraction)
+    h = assembly.orthonormal_hamiltonian(problem, transform)
+    count = min(n_lowest, len(h))
+    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, count - 1])
+    vecs = assembly.to_basis(problem, transform, vecs)
     _order_ties(vals, vecs, problem)
     return EigenSolution(energies=vals, coefficients=vecs,
                          spec=problem.spec, scaled=problem.scaled,
@@ -172,7 +195,7 @@ def _stabilize_point(args) -> tuple[list | None, str | None]:
         problem = assembly.assemble(scaled, spec)
         sol = solve(problem, n_track)
         return sol.energies.tolist(), None
-    except Exception as exc:  # recorded, not fatal
+    except POINT_ERRORS as exc:  # recorded, not fatal
         return None, f"{type(exc).__name__}: {exc}"
 
 

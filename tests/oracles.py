@@ -5,8 +5,9 @@ Nothing here shares code with the implementation paths it checks:
 * ``quad_element_z`` / ``quad_element_y``: 200-point Gauss-Hermite
   quadrature of the basis-function integrals, evaluating Hermite
   polynomials pointwise (no ladder algebra, no overlap recurrences).
-  The weighted sums are accumulated in extended precision so the oracle
-  itself stays accurate to ~1e-13 on the largest elements.
+  Nodes, weights, normalization and the weighted sums are all in extended
+  precision so the oracle itself stays accurate to ~1e-13 on the largest
+  elements.
 * ``fd_levels_1d``: dense finite-difference spectrum of the 1D quartic
   well on a uniform grid, Richardson-extrapolated.
 * ``fd_levels_2d``: sparse finite-difference spectrum of the full scaled
@@ -23,9 +24,36 @@ import scipy.sparse.linalg
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh_tridiagonal
 
-_NODES, _WEIGHTS = hermgauss(200)
-_NODES_LD = _NODES.astype(np.longdouble)
-_WEIGHTS_LD = _WEIGHTS.astype(np.longdouble)
+
+
+def _orthonormal_hermite(n: int, x: np.ndarray):
+    """p_{n-1}(x), p_n(x) and sum_{k<n} p_k(x)^2 of the Hermite polynomials
+    orthonormal under exp(-x^2), by their three-term recurrence."""
+    p_prev = np.zeros_like(x)
+    p = np.full_like(x, np.longdouble(math.pi) ** np.longdouble(-0.25))
+    total = np.zeros_like(x)
+    for k in range(n):
+        total += p * p
+        p, p_prev = (np.sqrt(np.longdouble(2) / (k + 1)) * x * p
+                     - np.sqrt(np.longdouble(k) / (k + 1)) * p_prev), p
+    return p_prev, p, total
+
+
+def _gauss_hermite(n: int):
+    """Gauss-Hermite nodes and weights in extended precision.
+
+    numpy's float64 rule is refined by Newton steps on p_n, and the weights
+    are 1 / sum_{k<n} p_k^2 at the refined nodes; the float64 weights alone
+    are off by up to ~1e-13 relative, which shows on the largest elements.
+    """
+    x = hermgauss(n)[0].astype(np.longdouble)
+    for _ in range(4):
+        p_nm1, p_n, _ = _orthonormal_hermite(n, x)
+        x = x - p_n / (np.sqrt(np.longdouble(2 * n)) * p_nm1)
+    return x, 1 / _orthonormal_hermite(n, x)[2]
+
+
+_NODES_LD, _WEIGHTS_LD = _gauss_hermite(200)
 
 
 def _hermite_values(n: int, x: np.ndarray) -> np.ndarray:
@@ -62,9 +90,12 @@ _Z_POLY = {
 }
 
 
-def _log_norm(n: int, eta: float) -> float:
-    return 0.5 * (math.log(eta) - 0.5 * math.log(math.pi)
-                  - n * math.log(2.0) - math.lgamma(n + 1))
+def _norm(n: int, eta: float) -> np.longdouble:
+    """(eta / (sqrt(pi) 2^n n!))^(1/2) in extended precision; 2^n n! is an
+    exact integer, so no float64 log-sum rounding enters the oracle."""
+    return np.sqrt(np.longdouble(eta) / (np.sqrt(np.longdouble(math.pi))
+                                         * np.longdouble(2 ** n
+                                                         * math.factorial(n))))
 
 
 def _quad_single_center(kind: str, n: int, c_bra: float, m: int,
@@ -85,9 +116,9 @@ def _quad_single_center(kind: str, n: int, c_bra: float, m: int,
             * _ket_polynomial(2, m, x_ket)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    prefactor = math.exp(_log_norm(n, eta) + _log_norm(m, eta)
-                         - float(half_shift) ** 2) / eta
-    return prefactor * float(_WEIGHTS_LD @ poly)
+    prefactor = _norm(n, eta) * _norm(m, eta) \
+        * np.exp(-np.longdouble(half_shift) ** 2) / np.longdouble(eta)
+    return float(prefactor * (_WEIGHTS_LD @ poly))
 
 
 def quad_element_z(kind: str, n: int, p: int, m: int, q: int,

@@ -42,7 +42,9 @@ def test_validate_reports_clean(small_problem):
 def test_validate_flags_corruption(small_problem):
     H = small_problem.H.copy()
     H[3, 7] += 1e-3
-    corrupted = dataclasses.replace(small_problem, H=H)
+    # a fresh copy of the problem whose dense H is the corrupted one
+    corrupted = dataclasses.replace(small_problem)
+    object.__setattr__(corrupted, "H", H)
     diag = hq.validate(corrupted)
     assert diag.hermiticity_residual >= 1e-3
 

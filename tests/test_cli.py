@@ -290,9 +290,15 @@ SMALL_2D = "hw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\nn_track = 2\n"
      "non-finite"),
     ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0:1:1e-300\n",
      "more than"),
+    ("sweep", "task = sweep-bsl\nhw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\n"
+              "n_track = 1\nbsl_grid = 0.5,1\n", "n_track between 2 and"),
+    ("solve", "task = solve\nhw0 = 30\na = 30\nL = 1e300\n",
+     "basis size 4LN"),
+    ("quartic", "task = quartic-gap\nhw0 = 30\na = 30\nN = 4001\n"
+                "hw0_list = 20,30\na_grid = 20,30\n", "basis size 2N = 8002"),
 ], ids=["B0-zero-with-gradient", "sweep-negative-hw0",
         "quartic-negative-hw0", "stabilize-negative-mu", "nan", "L-inf",
-        "huge-range"])
+        "huge-range", "sweep-track-one", "L-huge", "quartic-N-huge"])
 def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, command,
                                                 text, message):
     config = tmp_path / "cfg.txt"
@@ -302,6 +308,58 @@ def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, command,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, text, extra, message", [
+    ("solve", MINIMAL + "L = 2\nN = 2\n", ["--track", "0"],
+     "n_track between 1 and"),
+    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n",
+     ["--track", "1000"], "4LN = 16, not 1000"),
+    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n",
+     ["--track", "1"], "n_track between 2 and"),
+], ids=["solve-track-zero", "sweep-track-too-many", "sweep-track-one"])
+def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, command,
+                                                  text, extra, message):
+    config = tmp_path / "cfg.txt"
+    config.write_text(text)
+    code = cli.main([command, "--config", str(config), "--out",
+                     str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overrides_reach_the_run(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out),
+                     "--workers", "1", "--track", "3"]) == 0
+    cfg = cli.config_from_csv(out / "sweep-bsl.csv")
+    assert (cfg.n_track, cfg.workers, cfg.out_dir) == (3, 1, str(out))
+
+
+@pytest.mark.parametrize("task, target", [
+    ("sweep", "hybridq.solver.solve"),
+    ("stabilize", "hybridq.solver.solve"),
+    ("quartic", "hybridq.quartic1d.solve_1d"),
+])
+def test_programming_error_is_not_a_failed_point(tmp_path, monkeypatch,
+                                                 task, target):
+    def broken(*args, **kwargs):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(target, broken)
+    text = {
+        "sweep": f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n",
+        "stabilize": f"task = stabilize\n{SMALL_2D}mu_grid = 0.5,0.6\n",
+        "quartic": "task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
+                   "hw0_list = 20,30\na_grid = 20,30\n",
+    }[task]
+    cfg = _load(text + f"workers = 1\nout_dir = {tmp_path}\n")
+    with pytest.raises(TypeError, match="broken"):
+        cli.run(cfg)
+    assert not list(tmp_path.glob("*.csv"))
 
 
 CONFIGS = sorted(glob.glob(os.path.join(

@@ -1,0 +1,73 @@
+"""The real Kronecker-factor solve against the dense generalized reference.
+
+``solve`` never builds the dense matrices; these tests build them and check
+that the fast path returns the same eigenpairs as
+``scipy.linalg.eigh(H, S)``, in the original basis and gauge.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import hybridq as hq
+from hybridq import assembly, solver
+from conftest import small_spec
+
+BASE = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=1.5)
+
+# the three branches of the Hamiltonian: no Zeeman field (real, spin
+# degenerate), Zeeman field without gradient (real, spin split) and the
+# slanting field (complex) with either tilt
+PHYSICS = {
+    "B0-zero": dataclasses.replace(BASE, B0=0.0, bSLa=0.0),
+    "no-gradient": dataclasses.replace(BASE, bSLa=0.0),
+    "gradient-tilt-minus": BASE,
+    "gradient-tilt-plus": dataclasses.replace(BASE, gamma=1e-3),
+}
+SPECS = [(1, 1), (1, 4), (3, 1), (3, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("L, N", SPECS, ids=[f"L{L}N{N}" for L, N in SPECS])
+@pytest.mark.parametrize("physics", PHYSICS, ids=list(PHYSICS))
+def test_fast_solve_matches_dense_reference(physics, L, N):
+    problem = hq.assemble(hq.scale(PHYSICS[physics]), small_spec(L=L, N=N))
+    sol = hq.solve(problem, problem.size)
+    reference = scipy.linalg.eigh(problem.H, problem.S, eigvals_only=True)
+    np.testing.assert_allclose(sol.energies, reference, rtol=1e-12, atol=0)
+
+    C, E = sol.coefficients, sol.energies
+    SC = problem.S @ C
+    gram = C.conj().T @ SC
+    assert np.max(np.abs(gram - np.eye(problem.size))) <= 1e-10
+    residual = np.linalg.norm(problem.H @ C - SC * E, axis=0) \
+        / np.linalg.norm(SC, axis=0)
+    assert residual.max() <= 1e-10 * np.abs(E).max()
+
+
+@pytest.mark.parametrize("physics", PHYSICS, ids=list(PHYSICS))
+def test_gauge_makes_the_problem_exactly_real(physics):
+    spec = small_spec(L=5, N=3)
+    problem = hq.assemble(hq.scale(PHYSICS[physics]), spec)
+    # phi_k -> i^k phi_k on the dense H: flat index (s, p, k, n)
+    phase = np.tile(np.repeat(assembly.y_gauge(spec.L), spec.N), 4)
+    gauged = phase.conj()[:, None] * problem.H * phase
+    assert np.all(gauged.imag == 0.0)
+    for kind in assembly.Y_TABLE_KINDS:
+        unit = -1j if kind == "dy" else 1
+        table = assembly.gauged_y_table(problem.y_tables[kind], unit)
+        assert np.all(table.imag == 0.0)
+    transform = solver._orthonormalizer(*problem.overlap_eigh, 0.0)
+    h = assembly.orthonormal_hamiltonian(problem, transform)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, h.T)
+
+
+def test_solve_and_observables_leave_dense_matrices_unbuilt():
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    sol = hq.solve(problem, 6)
+    for j in range(4):
+        hq.state_report(sol, j, problem)
+    assert "H" not in vars(problem)
+    assert "S" not in vars(problem)

@@ -7,30 +7,38 @@ import pytest
 import scipy.linalg
 
 import hybridq as hq
-from hybridq import solver
+from hybridq import assembly, basis, solver
 from conftest import FIG4_PHYSICAL, FIG4_SPEC, small_spec
 
 PHYS = FIG4_PHYSICAL
 
 
-def _identity_problem(H: np.ndarray) -> hq.SpectralProblem:
-    """Wrap a plain Hermitian matrix as a SpectralProblem with S = 1."""
-    n = H.shape[0]
-    ms = n // 2
-    eye = np.eye(ms)
-    return hq.SpectralProblem(H=H, S=np.eye(n), s_spatial=eye,
-                              z_spatial=eye, spec=small_spec(L=1, N=ms // 2),
-                              scaled=hq.scale(PHYS), s_min_eig=1.0,
-                              s_condition=1.0)
+def _table_problem(z_tables: dict, L: int = 2) -> hq.SpectralProblem:
+    """A SpectralProblem built by hand from z-tables, with the oscillator
+    y-tables of an L-function ladder."""
+    spec = small_spec(L=L, N=len(z_tables["1"]) // 2)
+    return hq.SpectralProblem(
+        z_tables=z_tables,
+        y_tables={k: basis.y_element_table(k, spec)
+                  for k in assembly.Y_TABLE_KINDS},
+        spec=spec, scaled=hq.scale(PHYS))
+
+
+def _random_z_tables(rng, size: int, overlap: np.ndarray) -> dict:
+    """Random symmetric z-tables around the given z-overlap."""
+    tables = {"1": overlap}
+    for kind in assembly.Z_TABLE_KINDS[1:]:
+        t = rng.standard_normal((size, size))
+        tables[kind] = t + t.T
+    return tables
 
 
 def test_identity_overlap_reduces_to_standard_problem():
     rng = np.random.default_rng(0)
-    H = rng.standard_normal((8, 8))
-    H = H + H.T
-    problem = _identity_problem(H)
-    sol = hq.solve(problem, 8)
-    np.testing.assert_allclose(sol.energies, np.linalg.eigvalsh(H),
+    problem = _table_problem(_random_z_tables(rng, 4, np.eye(4)))
+    assert np.array_equal(problem.S, np.eye(problem.size))
+    sol = hq.solve(problem, problem.size)
+    np.testing.assert_allclose(sol.energies, np.linalg.eigvalsh(problem.H),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -95,39 +103,39 @@ def test_spin_decoupling_at_zero_gradient():
 
 
 def test_tie_breaking_orders_by_position():
-    # one exactly degenerate pair built by hand; <z'> decides the order:
-    # basis states 1 (up, spatial 1, <z> = -0.7) and 2 (down, spatial 0,
-    # <z> = +0.7) share the eigenvalue 2
+    # one exactly degenerate pair; <z'> decides the order: basis states 1
+    # (up, spatial 1, <z> = -0.7) and 2 (down, spatial 0, <z> = +0.7)
+    # share the eigenvalue 2 and arrive in the wrong order
     problem = hq.SpectralProblem(
-        H=np.diag([1.0, 2.0, 2.0, 3.0]), S=np.eye(4),
-        s_spatial=np.eye(2), z_spatial=np.diag([0.7, -0.7]),
-        spec=small_spec(L=1, N=1), scaled=hq.scale(PHYS),
-        s_min_eig=1.0, s_condition=1.0)
-    sol = hq.solve(problem, 4)
+        z_tables={"1": np.eye(2), "z": np.diag([0.7, -0.7])},
+        y_tables={"1": np.eye(1)}, spec=small_spec(L=1, N=1),
+        scaled=hq.scale(PHYS))
+    vals = np.array([1.0, 2.0, 2.0, 3.0])
+    vecs = np.eye(4)[:, [0, 2, 1, 3]]
+    solver._order_ties(vals, vecs, problem)
     ms = 2
     z_means = []
     for j in (1, 2):
-        c = sol.coefficients[:, j]
+        c = vecs[:, j]
         up, dn = c[:ms], c[ms:]
         z_means.append((up.conj() @ problem.z_spatial @ up
                         + dn.conj() @ problem.z_spatial @ dn).real)
     assert z_means[0] == pytest.approx(-0.7, abs=1e-12)
     assert z_means[1] == pytest.approx(+0.7, abs=1e-12)
+    np.testing.assert_array_equal(vals, [1.0, 2.0, 2.0, 3.0])
 
 
-def test_cholesky_breakdown_raises_and_fallback_recovers():
+def test_indefinite_overlap_raises_and_fallback_recovers():
     rng = np.random.default_rng(1)
-    H = rng.standard_normal((6, 6))
-    H = H + H.T
-    S = np.eye(6)
-    S[5, 5] = -1e-18  # indefinite: Cholesky must fail
-    base = _identity_problem(np.zeros((6, 6)))
-    problem = dataclasses.replace(base, H=H, S=S)
+    overlap = np.diag([1.0, 1.0, 1.0, -1e-18])  # indefinite z-overlap
+    problem = _table_problem(_random_z_tables(rng, 4, overlap), L=1)
     with pytest.raises(hq.IllConditionedBasisError):
         hq.solve(problem, 3)
     sol = hq.solve(problem, 3, fallback=True)
-    # the fallback solves in the regular 5-dimensional subspace
-    reference = np.linalg.eigvalsh(H[:5, :5])
+    # the fallback solves in the regular subspace: both spin copies of
+    # the first three z-functions (p = +1 with n = 0, 1 and p = -1, n = 0)
+    keep = [0, 1, 2, 4, 5, 6]
+    reference = np.linalg.eigvalsh(problem.H[np.ix_(keep, keep)])
     np.testing.assert_allclose(sol.energies, reference[:3], rtol=1e-10)
 
 
