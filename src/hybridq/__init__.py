@@ -7,7 +7,7 @@ Hermite-Gaussian well-pair basis.
 
 from .assembly import AssemblyDiagnostics, SpectralProblem, assemble, validate
 from .basis import (BasisIndex, BasisSpec, basis_indices, cross_overlap,
-                    hermite, normalization, op_element_y, op_element_z)
+                    normalization, op_element_y, op_element_z)
 from .errors import (ConfigError, DegenerateBasisError, HybridQError,
                      IllConditionedBasisError)
 from .model import PhysicalParams, ScaledParams, potential, scale
@@ -27,7 +27,7 @@ __all__ = [
     "PhysicalParams", "Plateau", "QubitReport", "ScaledParams",
     "SpectralProblem", "StabilizationTable", "StateReport", "assemble",
     "basis_indices", "classify_regimes", "contour_fit", "cross_overlap",
-    "crossing_scan", "gap_surface", "hermite", "normalization",
+    "crossing_scan", "gap_surface", "normalization",
     "op_element_y", "op_element_z", "potential", "qubit_report", "scale",
     "solve", "solve_1d", "stabilize", "state_report", "validate",
 ]

@@ -15,6 +15,8 @@ Zeeman shift, which in a nonorthogonal basis carries the overlap pattern).
 The overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
 
 ``assemble`` keeps the factor tables and checks the 2N x 2N z-overlap.
+``z_hamiltonian`` combines z-tables into the z-part of H0, which is also
+the whole 1D problem of ``quartic1d.solve_1d``.
 ``orthonormal_hamiltonian`` turns the tables into one real symmetric
 standard problem: the z-basis is orthonormalized through the eigenpairs of
 S_z (Loewdin canonical orthogonalization), and the gauge phi_k -> i^k phi_k
@@ -127,8 +129,6 @@ class AssemblyDiagnostics:
 
     hermiticity_residual: float      # max |H - H^dagger|
     overlap_asymmetry: float         # max |S - S^T|
-    overlap_min_eig: float
-    overlap_condition: float
     spin_block_residual: float       # max |H - rebuild from its spin blocks|
 
 
@@ -221,6 +221,16 @@ def gauged_y_table(table: np.ndarray, unit: complex = 1) -> np.ndarray:
     return unit * (phase.conj()[:, None] * table * phase)
 
 
+def z_hamiltonian(scaled: ScaledParams, dz2: np.ndarray,
+                  quartic: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The 1D double-well Hamiltonian -(r_a/2) d2/dz'2
+    + ab_ratio/(8 r_a) (z'^2-1)^2 - gamma z' from its z-tables in one
+    basis: the z-part of H0 and the whole 1D problem."""
+    r_a = scaled.r_a
+    return (-(0.5 * r_a) * dz2 + (scaled.ab_ratio / (8.0 * r_a)) * quartic
+            - scaled.gamma * z)
+
+
 def orthonormal_hamiltonian(problem: SpectralProblem,
                             transform: np.ndarray) -> np.ndarray:
     """Real symmetric Hamiltonian in an orthonormal basis.
@@ -241,9 +251,7 @@ def orthonormal_hamiltonian(problem: SpectralProblem,
         return gauged_y_table(ty[kind], unit).real
 
     z_moment = z("z")
-    z_part = (-(0.5 * r_a) * z("dz2")
-              + (problem.scaled.ab_ratio / (8.0 * r_a)) * z("quartic")
-              - problem.scaled.gamma * z_moment)
+    z_part = z_hamiltonian(problem.scaled, z("dz2"), z("quartic"), z_moment)
     y_part = -(0.5 * r_a) * y("dy2")
     if r_c > 0:
         y_part += (r_c * r_c / (8.0 * r_a)) * y("y2")
@@ -271,18 +279,15 @@ def to_basis(problem: SpectralProblem, transform: np.ndarray,
 
 
 def validate(problem: SpectralProblem) -> AssemblyDiagnostics:
-    """Integrity diagnostics: Hermiticity, overlap conditioning, block shape.
+    """Integrity diagnostics: Hermiticity, overlap symmetry, block shape.
 
     All residuals are zero (to machine precision) for a fresh assembly; a
-    corrupted entry shows up as a nonzero residual.  Report-only.
+    corrupted entry shows up as a nonzero residual.  Report-only; the
+    overlap conditioning is ``problem.s_min_eig`` and ``s_condition``.
     """
     H, S = problem.H, problem.S
     herm = float(np.max(np.abs(H - H.conj().T)))
     s_asym = float(np.max(np.abs(S - S.T)))
-
-    s_eigs = np.linalg.eigvalsh(problem.s_spatial)
-    s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
-    cond = s_max / s_min if s_min > 0 else float("inf")
 
     ms = problem.size // 2
     ul, lr = H[:ms, :ms], H[ms:, ms:]
@@ -298,7 +303,5 @@ def validate(problem: SpectralProblem) -> AssemblyDiagnostics:
     return AssemblyDiagnostics(
         hermiticity_residual=herm,
         overlap_asymmetry=s_asym,
-        overlap_min_eig=s_min,
-        overlap_condition=cond,
         spin_block_residual=block,
     )

@@ -114,23 +114,6 @@ def basis_indices(spec: BasisSpec):
                     yield BasisIndex(k=k, n=n, p=p, s=s)
 
 
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
-
-    Accepts scalars or numpy arrays.
-    """
-    if n < 0:
-        raise ValueError("Hermite order must be non-negative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for j in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * j * h_prev, h
-    return h if h.ndim else float(h)
-
-
 # ----------------------------------------------------------------------
 # Ladder-operator machinery in the dimensionless oscillator basis u_n(w),
 # u_n orthonormal, w the oscillator's own coordinate.
@@ -150,7 +133,8 @@ def _ladder_derivative(size: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
-    """Displaced-oscillator overlap table, exact up to one final rounding.
+    """Overlaps X[n, m] = <u_n(w), u_m(w + delta)> of displaced oscillators,
+    exact up to one final rounding; cached, so the array is read-only.
 
     Writing X[n, m] = exp(-delta^2/4) Q[n, m] / sqrt(2^(n+m) n! m!), the
     ladder recurrences reduce to the division-free form
@@ -194,20 +178,6 @@ def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
             X[n, m] = float(q / root) * pref
     X.setflags(write=False)
     return X
-
-
-def displaced_overlap_table(delta: float, size: int) -> np.ndarray:
-    """Overlaps X[n, m] = <u_n(w), u_m(w + delta)> of displaced oscillators.
-
-    Derived from X[0, 0] = exp(-delta^2/4) by the two-term recurrences
-
-        X[0, m+1] = delta X[0, m] / sqrt(2(m+1))
-        X[n+1, m] = (sqrt(2m) X[n, m-1] - delta X[n, m]) / sqrt(2(n+1))
-
-    (ladder algebra plus integration by parts).  All entries stay in [-1, 1].
-    Returns a fresh writable array.
-    """
-    return _displaced_overlap_cached(delta, size).copy()
 
 
 def _z_operator(kind: str, eta: float, center: float, size: int) -> np.ndarray:

@@ -389,15 +389,18 @@ def _plot_script(task: str, xlabel: str, ylabel: str, *commands) -> str:
 
 
 def _resolve_workers(cfg: RunConfig) -> int:
-    if cfg.workers is not None:
-        return max(1, cfg.workers)
-    env = os.environ.get("HYBRIDQ_WORKERS")
-    if env is not None:
+    """Worker count from the config (or ``--workers``), else from
+    ``HYBRIDQ_WORKERS``, else 1; a value below 1 is a ``ConfigError``."""
+    workers = cfg.workers
+    if workers is None:
+        env = os.environ.get("HYBRIDQ_WORKERS", "1")
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ConfigError(f"HYBRIDQ_WORKERS={env!r} is not an integer")
-    return 1
+    if workers < 1:
+        raise ConfigError(f"worker count {workers} must be at least 1")
+    return workers
 
 
 def _solve_point(args):
@@ -661,9 +664,10 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute a configured task; emit CSV, plot script and summary."""
+    workers = _resolve_workers(cfg)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    result = _RUNNERS[cfg.task](cfg, _resolve_workers(cfg))
+    result = _RUNNERS[cfg.task](cfg, workers)
     config_lines = serialize_config(cfg).splitlines()
 
     csv_path = out / f"{cfg.task}.csv"

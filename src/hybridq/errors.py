@@ -18,11 +18,9 @@ class DegenerateBasisError(HybridQError):
 class IllConditionedBasisError(HybridQError):
     """The overlap matrix is numerically singular or indefinite.
 
-    Raised by ``assemble`` when the smallest z-overlap eigenvalue falls
-    below its relative floor, and by ``solve`` on such an overlap unless
-    ``fallback`` drops its near-null directions.  Carries the offending
-    smallest eigenvalue so callers can decide whether that fallback is
-    worthwhile.
+    Raised by ``assemble`` and ``solve`` when the smallest z-overlap
+    eigenvalue falls below its relative floor.  Carries the offending
+    smallest eigenvalue.
     """
 
     def __init__(self, message: str, min_eigenvalue: float | None = None):

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import basis as basis_mod
+from .assembly import z_hamiltonian
 from .basis import BasisSpec
 from .model import PhysicalParams, scale
 from .solver import _canonical_solve
@@ -71,7 +71,10 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
     """Lowest eigenvalues (units hw0) of the 1D double well.
 
     ``eta`` defaults to a / ell0 = 1/sqrt(r_a), the inverse single-well
-    oscillator length in scaled units.
+    oscillator length in scaled units.  The solve is the canonical
+    orthogonalization of ``solver._canonical_solve``: where the wells merge
+    and the two well ladders become redundant, the near-null overlap
+    directions are dropped and the levels come from the regular subspace.
     """
     params = PhysicalParams(hw0=hw0, a=a, b=b, gamma=gamma, m_ratio=m_ratio)
     scaled = scale(params)
@@ -79,20 +82,10 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
         eta = 1.0 / math.sqrt(scaled.r_a)
     spec = BasisSpec(eta=eta, mu=1.0, L=1, N=n_basis)
 
-    overlap = basis_mod.z_element_table("1", spec)
-    h = (-(0.5 * scaled.r_a) * basis_mod.z_element_table("dz2", spec)
-         + scaled.ab_ratio / (8.0 * scaled.r_a)
-         * basis_mod.z_element_table("quartic", spec))
-    if gamma != 0.0:
-        h = h - gamma * basis_mod.z_element_table("z", spec)
-    s_vals = np.linalg.eigvalsh(overlap)
-    if s_vals[0] < 1e-10 * s_vals[-1]:
-        # merged-well regime: the two well ladders become redundant, so
-        # solve in the regular canonical subspace instead of by Cholesky
-        vals, _ = _canonical_solve(h, overlap)
-    else:
-        vals = scipy.linalg.eigh(h, overlap, eigvals_only=True)
-    return vals[:n_lowest]
+    table = basis_mod.z_element_table
+    h = z_hamiltonian(scaled, table("dz2", spec), table("quartic", spec),
+                      table("z", spec))
+    return _canonical_solve(h, table("1", spec))[:n_lowest]
 
 
 def classify_regimes(a_values, gaps) -> CurveRegimes:

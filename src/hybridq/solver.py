@@ -6,8 +6,11 @@ z-basis is orthonormalized through the eigenpairs of the 2N x 2N z-overlap
 matrix is built from Kronecker factors (``assembly.orthonormal_hamiltonian``).
 LAPACK computes only the requested lowest eigenpairs, which are mapped back
 to S-orthonormal eigenvectors of the original basis with ascending
-eigenvalues.  ``_canonical_solve`` is the same reduction for a dense pair
-(H, S), used by the 1D solver.  ``stabilize`` re-assembles and re-solves
+eigenvalues.  ``solve`` keeps every z-direction, because the overlap has
+passed ``assembly.check_overlap``.  ``_canonical_solve`` is the same
+reduction for the 1D problem, whose z-overlap becomes redundant when the
+wells merge: it drops the near-null directions and returns the eigenvalues
+of the regular subspace.  ``stabilize`` re-assembles and re-solves
 over a grid of one nonlinear variational parameter and summarizes per-level
 plateaus, the practical convergence check of the Ritz method.
 """
@@ -24,16 +27,15 @@ import scipy.linalg
 from . import assembly
 from .assembly import SpectralProblem
 from .basis import BasisSpec
-from .errors import HybridQError, IllConditionedBasisError
+from .errors import HybridQError
 from .model import ScaledParams
 
 # eigenvalues closer than this (units hw0) count as an exact tie and are
 # ordered by ascending <z'> so that "ground = deeper well" is deterministic
 TIE_THRESHOLD = 1e-12
 
-# relative overlap-eigenvalue cutoff below which canonical orthogonalization
-# drops a direction: in the dense 1D solve, and in ``solve(fallback=True)``
-# on a z-overlap that fails ``assembly.check_overlap``
+# relative overlap-eigenvalue cutoff below which ``_canonical_solve`` drops
+# a direction
 CANONICAL_DROP_FRACTION = 1e-10
 
 # errors that mark one grid point as failed; any other exception is a bug
@@ -97,59 +99,39 @@ class StabilizationTable:
         return float(np.ptp(vals) / np.max(np.abs(vals)))
 
 
-def _orthonormalizer(s_vals: np.ndarray, s_vecs: np.ndarray,
-                     drop_fraction: float) -> np.ndarray:
-    """X = U s^(-1/2) over the overlap eigendirections above
-    ``drop_fraction`` times the largest eigenvalue, so X^T S X = I."""
-    keep = s_vals > drop_fraction * s_vals[-1]
-    if not np.any(keep):
-        raise IllConditionedBasisError(
-            "overlap matrix has no usable eigendirections",
-            min_eigenvalue=float(s_vals[0]),
-        )
-    return s_vecs[:, keep] / np.sqrt(s_vals[keep])
+def _canonical_solve(H: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of H c = E S c in the regular subspace of S.
 
-
-def _canonical_solve(H: np.ndarray, S: np.ndarray):
-    """Dense solve: diagonalize S, drop near-null directions, solve reduced."""
+    Canonical orthogonalization X = U s^(-1/2) over the eigendirections of S
+    above ``CANONICAL_DROP_FRACTION`` times its largest eigenvalue, so that
+    X^T S X = I, then one standard eigensolve of X^T H X.
+    """
     s_vals, s_vecs = scipy.linalg.eigh(S)
-    transform = _orthonormalizer(s_vals, s_vecs, CANONICAL_DROP_FRACTION)
+    keep = s_vals > CANONICAL_DROP_FRACTION * s_vals[-1]
+    transform = s_vecs[:, keep] / np.sqrt(s_vals[keep])
     h_red = transform.conj().T @ H @ transform
     h_red = 0.5 * (h_red + h_red.conj().T)
-    vals, vecs = scipy.linalg.eigh(h_red)
-    return vals, transform @ vecs
+    return scipy.linalg.eigh(h_red, eigvals_only=True)
 
 
-def solve(problem: SpectralProblem, n_lowest: int, *,
-          fallback: bool = False) -> EigenSolution:
+def solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
     """Solve H c = E S c for the ``n_lowest`` eigenpairs.
 
     Eigenvalues ascend; exact ties are broken by ascending <z'> of the
-    eigenvector.  Every z-overlap direction is kept when the z-overlap
-    passes ``assembly.check_overlap``.  Otherwise, with ``fallback`` on, the
-    directions below ``CANONICAL_DROP_FRACTION`` of the largest are dropped
-    and the problem is solved in the regular subspace, which may hold fewer
-    than ``n_lowest`` states.
+    eigenvector.  Every z-overlap direction is kept.
 
     Raises
     ------
     IllConditionedBasisError
-        If the z-overlap fails ``assembly.check_overlap`` and ``fallback``
-        is off.
+        If the z-overlap fails ``assembly.check_overlap``.
     """
     if not 1 <= n_lowest <= problem.size:
         raise ValueError("n_lowest must be between 1 and the basis size")
-    try:
-        assembly.check_overlap(problem)
-        drop_fraction = 0.0
-    except IllConditionedBasisError:
-        if not fallback:
-            raise
-        drop_fraction = CANONICAL_DROP_FRACTION
-    transform = _orthonormalizer(*problem.overlap_eigh, drop_fraction)
+    assembly.check_overlap(problem)
+    s_vals, s_vecs = problem.overlap_eigh
+    transform = s_vecs / np.sqrt(s_vals)
     h = assembly.orthonormal_hamiltonian(problem, transform)
-    count = min(n_lowest, len(h))
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, count - 1])
+    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, n_lowest - 1])
     vecs = assembly.to_basis(problem, transform, vecs)
     _order_ties(vals, vecs, problem)
     return EigenSolution(energies=vals, coefficients=vecs,
@@ -181,10 +163,10 @@ def _order_ties(vals: np.ndarray, vecs: np.ndarray,
 
 def parallel_map(func, items, workers: int) -> list:
     """``[func(item) for item in items]``, fanned out over a pool of
-    ``workers`` processes when there is more than one of each.  Results
-    keep the order of ``items``."""
+    ``min(workers, len(items))`` processes when that is more than one.
+    Results keep the order of ``items``."""
     if workers > 1 and len(items) > 1:
-        with Pool(workers) as pool:
+        with Pool(min(workers, len(items))) as pool:
             return pool.map(func, items)
     return [func(item) for item in items]
 

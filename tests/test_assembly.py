@@ -35,8 +35,8 @@ def test_validate_reports_clean(small_problem):
     assert diag.hermiticity_residual == 0.0
     assert diag.overlap_asymmetry == 0.0
     assert diag.spin_block_residual < 1e-12
-    assert np.isfinite(diag.overlap_condition)
-    assert diag.overlap_min_eig > 0
+    assert small_problem.s_min_eig > 0
+    assert np.isfinite(small_problem.s_condition)
 
 
 def test_validate_flags_corruption(small_problem):

@@ -16,27 +16,6 @@ import oracles
 ORACLE_TOL = 1e-12
 
 
-def test_hermite_base_cases():
-    assert hq.hermite(0, 1.7) == 1.0
-    assert hq.hermite(1, 0.7) == pytest.approx(1.4, rel=1e-15)
-    # H_3(x) = 8x^3 - 12x
-    assert hq.hermite(3, 2.0) == pytest.approx(40.0, rel=1e-15)
-
-
-def test_hermite_matches_numpy():
-    x = np.linspace(-3, 3, 31)
-    for n in range(0, 15):
-        coeffs = np.zeros(n + 1)
-        coeffs[n] = 1.0
-        ref = np.polynomial.hermite.hermval(x, coeffs)
-        np.testing.assert_allclose(hq.hermite(n, x), ref, rtol=1e-10)
-
-
-def test_hermite_rejects_negative_order():
-    with pytest.raises(ValueError):
-        hq.hermite(-1, 0.0)
-
-
 def test_cross_overlap_ground_state():
     spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=3)
     assert hq.cross_overlap(0, 0, spec) == pytest.approx(math.exp(-16.0),
@@ -49,7 +28,7 @@ def test_cross_overlap_vanishes_for_distant_wells():
 
 
 def test_overlap_table_identity_at_zero_displacement():
-    table = basis.displaced_overlap_table(0.0, 8)
+    table = basis._displaced_overlap_cached(0.0, 8)
     np.testing.assert_array_equal(table, np.eye(8))
 
 

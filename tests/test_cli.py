@@ -241,6 +241,16 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     assert cli.run(cfg).status == 0
 
 
+@pytest.mark.parametrize("env", ["abc", "0", "-3"])
+def test_bad_worker_env_writes_nothing(tmp_path, monkeypatch, env):
+    monkeypatch.setenv("HYBRIDQ_WORKERS", env)
+    out = tmp_path / "out"
+    cfg = _load(MINIMAL + f"L = 2\nN = 2\nout_dir = {out}\n")
+    with pytest.raises(hq.ConfigError):
+        cli.run(cfg)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task, outer, outer_values, bsl_values", [
     ("sweep-w0", "hw0", (20.0, 30.0), (0.0, 1.0)),
     ("sweep-B0", "B0_T", (0.5, 1.0), (0.5, 1.0)),
@@ -296,9 +306,12 @@ SMALL_2D = "hw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\nn_track = 2\n"
      "basis size 4LN"),
     ("quartic", "task = quartic-gap\nhw0 = 30\na = 30\nN = 4001\n"
                 "hw0_list = 20,30\na_grid = 20,30\n", "basis size 2N = 8002"),
+    ("solve", "task = solve\nhw0 = 30\na = 30\nL = 2\nN = 2\nworkers = 0\n",
+     "worker count 0 must be at least 1"),
 ], ids=["B0-zero-with-gradient", "sweep-negative-hw0",
         "quartic-negative-hw0", "stabilize-negative-mu", "nan", "L-inf",
-        "huge-range", "sweep-track-one", "L-huge", "quartic-N-huge"])
+        "huge-range", "sweep-track-one", "L-huge", "quartic-N-huge",
+        "workers-zero"])
 def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, command,
                                                 text, message):
     config = tmp_path / "cfg.txt"
@@ -317,7 +330,10 @@ def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, command,
      ["--track", "1000"], "4LN = 16, not 1000"),
     ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n",
      ["--track", "1"], "n_track between 2 and"),
-], ids=["solve-track-zero", "sweep-track-too-many", "sweep-track-one"])
+    ("solve", MINIMAL + "L = 2\nN = 2\n", ["--workers", "-3"],
+     "worker count -3 must be at least 1"),
+], ids=["solve-track-zero", "sweep-track-too-many", "sweep-track-one",
+        "workers-negative"])
 def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, command,
                                                   text, extra, message):
     config = tmp_path / "cfg.txt"

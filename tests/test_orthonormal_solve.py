@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import hybridq as hq
-from hybridq import assembly, solver
+from hybridq import assembly
 from conftest import small_spec
 
 BASE = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=1.5)
@@ -58,7 +58,8 @@ def test_gauge_makes_the_problem_exactly_real(physics):
         unit = -1j if kind == "dy" else 1
         table = assembly.gauged_y_table(problem.y_tables[kind], unit)
         assert np.all(table.imag == 0.0)
-    transform = solver._orthonormalizer(*problem.overlap_eigh, 0.0)
+    s_vals, s_vecs = problem.overlap_eigh
+    transform = s_vecs / np.sqrt(s_vals)
     h = assembly.orthonormal_hamiltonian(problem, transform)
     assert h.dtype == np.float64
     assert np.array_equal(h, h.T)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hybridq as hq
+from hybridq import basis, solver
 import oracles
 
 
@@ -132,3 +134,40 @@ def test_contour_fit_reports_unreachable_columns():
 def test_contour_fit_rejects_nonpositive_target():
     with pytest.raises(ValueError):
         hq.contour_fit(_step_surface(7.0, 1e-3), -1.0)
+
+
+def _quartic_tables(hw0: float, a: float, n_basis: int):
+    """Dense 1D Hamiltonian and overlap of ``solve_1d``, written out here
+    independently of the program's assembly."""
+    scaled = hq.scale(hq.PhysicalParams(hw0=hw0, a=a, gamma=-1e-3))
+    spec = hq.BasisSpec(eta=1.0 / np.sqrt(scaled.r_a), mu=1.0, L=1,
+                        N=n_basis)
+    t = {kind: basis.z_element_table(kind, spec)
+         for kind in ("1", "dz2", "quartic", "z")}
+    h = (-0.5 * scaled.r_a * t["dz2"]
+         + scaled.ab_ratio / (8.0 * scaled.r_a) * t["quartic"]
+         + 1e-3 * t["z"])
+    return h, t["1"]
+
+
+# (hw0, a) at N = 22 in each class of the relative smallest z-overlap
+# eigenvalue: below the 2D assembly floor (merged wells, directions
+# dropped), between the floor and the drop cutoff (directions dropped),
+# and above the cutoff (every direction kept)
+OVERLAP_CLASSES = [(30.0, 20.0, 0.0, 1e-12), (30.0, 33.0, 1e-12, 1e-10),
+                   (30.0, 45.0, 1e-10, 1.0)]
+
+
+@pytest.mark.parametrize("hw0, a, lo, hi", OVERLAP_CLASSES,
+                         ids=["merged", "between", "regular"])
+def test_solve_1d_matches_generalized_reference(hw0, a, lo, hi):
+    h, S = _quartic_tables(hw0, a, 22)
+    s_vals, s_vecs = np.linalg.eigh(S)
+    assert lo <= s_vals[0] / s_vals[-1] < hi
+    kept = s_vecs[:, s_vals > solver.CANONICAL_DROP_FRACTION * s_vals[-1]]
+    reference = scipy.linalg.eigh(kept.T @ h @ kept, kept.T @ S @ kept,
+                                  eigvals_only=True)
+    # the default six lowest levels; the top of a redundant basis's
+    # spectrum is not reproducible to 1e-12 between two reductions
+    levels = hq.solve_1d(hw0, a, gamma=-1e-3, n_basis=22)
+    np.testing.assert_allclose(levels, reference[:6], rtol=1e-12, atol=0)

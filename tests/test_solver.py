@@ -125,18 +125,38 @@ def test_tie_breaking_orders_by_position():
     np.testing.assert_array_equal(vals, [1.0, 2.0, 2.0, 3.0])
 
 
-def test_indefinite_overlap_raises_and_fallback_recovers():
+def test_indefinite_overlap_raises():
     rng = np.random.default_rng(1)
     overlap = np.diag([1.0, 1.0, 1.0, -1e-18])  # indefinite z-overlap
     problem = _table_problem(_random_z_tables(rng, 4, overlap), L=1)
     with pytest.raises(hq.IllConditionedBasisError):
         hq.solve(problem, 3)
-    sol = hq.solve(problem, 3, fallback=True)
-    # the fallback solves in the regular subspace: both spin copies of
-    # the first three z-functions (p = +1 with n = 0, 1 and p = -1, n = 0)
-    keep = [0, 1, 2, 4, 5, 6]
-    reference = np.linalg.eigvalsh(problem.H[np.ix_(keep, keep)])
-    np.testing.assert_allclose(sol.energies, reference[:3], rtol=1e-10)
+
+
+def test_pool_never_larger_than_the_work(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in-process: no worker is started."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(solver, "Pool", SerialPool)
+    assert solver.parallel_map(abs, [-1, -2], 8) == [1, 2]
+    assert solver.parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert solver.parallel_map(abs, [-1], 4) == [1]
+    assert solver.parallel_map(abs, [-1, -2], 1) == [1, 2]
+    assert sizes == [2, 2]
 
 
 def test_plateau_scan_constant_level():
