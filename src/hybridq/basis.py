@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -131,6 +130,24 @@ def _ladder_derivative(size: int) -> np.ndarray:
     return np.diag(d, 1) - np.diag(d, -1)
 
 
+@lru_cache(maxsize=8)
+def _norm_roots(size: int) -> tuple[tuple[int, ...], ...]:
+    """R[n][m] = floor(2^53 sqrt(2^(n+m) n! m!)) for n, m < size.
+
+    The oscillator norms with 53 fractional bits, as integers.  They do not
+    depend on the displacement, so they are cached by size; R is symmetric.
+    """
+    fact = [1]
+    for j in range(1, size):
+        fact.append(fact[-1] * j)
+    roots = [[0] * size for _ in range(size)]
+    for n in range(size):
+        for m in range(n, size):
+            roots[n][m] = roots[m][n] = math.isqrt(
+                (fact[n] * fact[m]) << (n + m + 106))
+    return tuple(map(tuple, roots))
+
+
 @lru_cache(maxsize=64)
 def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
     """Overlaps X[n, m] = <u_n(w), u_m(w + delta)> of displaced oscillators,
@@ -139,43 +156,44 @@ def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
     Writing X[n, m] = exp(-delta^2/4) Q[n, m] / sqrt(2^(n+m) n! m!), the
     ladder recurrences reduce to the division-free form
 
-        Q[0, m] = delta^m,   Q[n+1, m] = 2m Q[n, m-1] - delta Q[n, m],
+        Q[0, m] = delta^m,   Q[n+1, m] = 2m Q[n, m-1] - delta Q[n, m].
 
-    which is evaluated in exact rational arithmetic (delta is a dyadic
-    rational as a float).  The naive float recurrence cancels catastrophically
-    for well-separated centers; this version has no rounding until each entry
-    is converted once at the end.
+    The naive float recurrence cancels catastrophically for well-separated
+    centers, so it is run in exact integer arithmetic instead.  As a float,
+    delta = num / 2^s is a dyadic rational, and P[n, m] = 2^(s(n+m)) Q[n, m]
+    is an integer:
+
+        P[0, m] = num^m,   P[n+1, m] = 2m 4^s P[n, m-1] - num P[n, m].
+
+    Each entry is then one correctly rounded integer division,
+    P 2^53 / (R[n][m] 2^(s(n+m))), with R from ``_norm_roots``, times the
+    float exp(-delta^2/4).  Q(-delta) is the transpose of Q(delta) and R is
+    symmetric, so a negative delta returns the transposed view of the
+    |delta| table: X(-delta) = X(delta).T holds bit for bit.
     """
-    X = np.zeros((size, size))
     arg = -0.25 * delta * delta
     if arg < -350.0:
         # every kept entry is below ~1e-100; the wells are fully decoupled
+        X = np.zeros((size, size))
         X.setflags(write=False)
         return X
-    d = Fraction(delta)
-    q_rows = [[Fraction(1)] + [Fraction(0)] * (size - 1)]
-    for m in range(size - 1):
-        q_rows[0][m + 1] = d * q_rows[0][m]
-    for n in range(size - 1):
-        prev = q_rows[n]
-        row = [-d * prev[0]] + [
-            2 * m * prev[m - 1] - d * prev[m] for m in range(1, size)
-        ]
-        q_rows.append(row)
-
+    if delta < 0:
+        return _displaced_overlap_cached(-delta, size).T
+    num, den = delta.as_integer_ratio()
+    s = den.bit_length() - 1
+    roots = _norm_roots(size)
     pref = math.exp(arg)
-    fact = [1]
-    for j in range(1, size):
-        fact.append(fact[-1] * j)
+    X = np.zeros((size, size))
+    row = [num ** m for m in range(size)]
     for n in range(size):
-        for m in range(size):
-            q = q_rows[n][m]
-            if q == 0:
-                continue
-            norm_sq = (1 << (n + m)) * fact[n] * fact[m]
-            # sqrt as a dyadic rational with 53 extra bits: correctly rounded
-            root = Fraction(math.isqrt(norm_sq << 106), 1 << 53)
-            X[n, m] = float(q / root) * pref
+        if n:
+            row = [-num * row[0]] + [
+                ((m * row[m - 1]) << (2 * s + 1)) - num * row[m]
+                for m in range(1, size)
+            ]
+        for m, p in enumerate(row):
+            if p:
+                X[n, m] = ((p << 53) / (roots[n][m] << (s * (n + m)))) * pref
     X.setflags(write=False)
     return X
 

@@ -143,7 +143,7 @@ def _order_ties(vals: np.ndarray, vecs: np.ndarray,
                 problem: SpectralProblem) -> None:
     """Reorder exactly degenerate eigenpairs by ascending <z'> in place."""
     i = 0
-    ms = problem.s_spatial.shape[0]
+    ms = 2 * problem.spec.L * problem.spec.N
     while i < len(vals) - 1:
         j = i + 1
         while j < len(vals) and vals[j] - vals[i] < TIE_THRESHOLD:

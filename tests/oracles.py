@@ -8,6 +8,10 @@ Nothing here shares code with the implementation paths it checks:
   Nodes, weights, normalization and the weighted sums are all in extended
   precision so the oracle itself stays accurate to ~1e-13 on the largest
   elements.
+* ``fraction_displaced_overlap``: the displaced-oscillator overlap table in
+  ``fractions.Fraction`` arithmetic, the reference for the integer
+  recurrence of ``basis._displaced_overlap_cached``; both round each entry
+  once, so they must agree bit for bit.
 * ``fd_levels_1d``: dense finite-difference spectrum of the 1D quartic
   well on a uniform grid, Richardson-extrapolated.
 * ``fd_levels_2d``: sparse finite-difference spectrum of the full scaled
@@ -17,6 +21,7 @@ Nothing here shares code with the implementation paths it checks:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -24,6 +29,53 @@ import scipy.sparse.linalg
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh_tridiagonal
 
+
+def fraction_displaced_overlap(delta: float, size: int) -> np.ndarray:
+    """Overlaps X[n, m] = <u_n(w), u_m(w + delta)> of displaced oscillators,
+    exact up to one final rounding; the array is read-only.
+
+    Writing X[n, m] = exp(-delta^2/4) Q[n, m] / sqrt(2^(n+m) n! m!), the
+    ladder recurrences reduce to the division-free form
+
+        Q[0, m] = delta^m,   Q[n+1, m] = 2m Q[n, m-1] - delta Q[n, m],
+
+    which is evaluated in exact rational arithmetic (delta is a dyadic
+    rational as a float).  The naive float recurrence cancels catastrophically
+    for well-separated centers; this version has no rounding until each entry
+    is converted once at the end.
+    """
+    X = np.zeros((size, size))
+    arg = -0.25 * delta * delta
+    if arg < -350.0:
+        # every kept entry is below ~1e-100; the wells are fully decoupled
+        X.setflags(write=False)
+        return X
+    d = Fraction(delta)
+    q_rows = [[Fraction(1)] + [Fraction(0)] * (size - 1)]
+    for m in range(size - 1):
+        q_rows[0][m + 1] = d * q_rows[0][m]
+    for n in range(size - 1):
+        prev = q_rows[n]
+        row = [-d * prev[0]] + [
+            2 * m * prev[m - 1] - d * prev[m] for m in range(1, size)
+        ]
+        q_rows.append(row)
+
+    pref = math.exp(arg)
+    fact = [1]
+    for j in range(1, size):
+        fact.append(fact[-1] * j)
+    for n in range(size):
+        for m in range(size):
+            q = q_rows[n][m]
+            if q == 0:
+                continue
+            norm_sq = (1 << (n + m)) * fact[n] * fact[m]
+            # sqrt as a dyadic rational with 53 extra bits: correctly rounded
+            root = Fraction(math.isqrt(norm_sq << 106), 1 << 53)
+            X[n, m] = float(q / root) * pref
+    X.setflags(write=False)
+    return X
 
 
 def _orthonormal_hermite(n: int, x: np.ndarray):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridq as hq
@@ -30,6 +30,39 @@ def test_cross_overlap_vanishes_for_distant_wells():
 def test_overlap_table_identity_at_zero_displacement():
     table = basis._displaced_overlap_cached(0.0, 8)
     np.testing.assert_array_equal(table, np.eye(8))
+
+
+# delta = 2 eta of the shipped quartic-gap point hw0 = 30 meV, a = 30 nm
+SHIPPED_DELTA = 2.0 / math.sqrt(
+    hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3)).r_a)
+
+
+def _assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@given(delta=st.floats(-40.0, 40.0, allow_subnormal=True),
+       size=st.integers(1, 30))
+@example(delta=0.0, size=8)
+@example(delta=-0.0, size=8)
+@example(delta=5e-324, size=30)
+@example(delta=37.5, size=30)
+@example(delta=-37.5, size=30)
+@example(delta=SHIPPED_DELTA, size=30)
+@example(delta=-SHIPPED_DELTA, size=30)
+@settings(max_examples=60, deadline=None)
+def test_overlap_table_matches_rational_reference(delta, size):
+    table = basis._displaced_overlap_cached(delta, size)
+    _assert_bitwise_equal(table, oracles.fraction_displaced_overlap(delta,
+                                                                    size))
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("delta", [1e-3, 2.75, SHIPPED_DELTA, 37.4])
+def test_overlap_table_reversed_displacement_is_transpose(delta):
+    _assert_bitwise_equal(basis._displaced_overlap_cached(-delta, 30),
+                          basis._displaced_overlap_cached(delta, 30).T)
 
 
 def test_normalization_limits():

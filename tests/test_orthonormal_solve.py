@@ -72,3 +72,9 @@ def test_solve_and_observables_leave_dense_matrices_unbuilt():
         hq.state_report(sol, j, problem)
     assert "H" not in vars(problem)
     assert "S" not in vars(problem)
+
+
+def test_solve_leaves_spatial_overlap_unbuilt():
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    hq.solve(problem, 6)
+    assert "s_spatial" not in vars(problem)
