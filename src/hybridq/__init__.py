@@ -5,9 +5,8 @@ constant-gradient transverse field, solved by the Ritz method in a
 Hermite-Gaussian well-pair basis.
 """
 
-from .assembly import AssemblyDiagnostics, SpectralProblem, assemble, validate
-from .basis import (BasisIndex, BasisSpec, basis_indices, cross_overlap,
-                    normalization, op_element_y, op_element_z)
+from .assembly import SpectralProblem, assemble
+from .basis import BasisSpec, cross_overlap, normalization
 from .errors import (ConfigError, DegenerateBasisError, HybridQError,
                      IllConditionedBasisError)
 from .model import PhysicalParams, ScaledParams, potential, scale
@@ -21,13 +20,12 @@ from .solver import (EigenSolution, Plateau, StabilizationTable, solve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyDiagnostics", "AvoidedCrossing", "BasisIndex", "BasisSpec",
-    "ConfigError", "ContourFit", "DegenerateBasisError", "EigenSolution",
-    "GapSurface", "HybridQError", "IllConditionedBasisError",
-    "PhysicalParams", "Plateau", "QubitReport", "ScaledParams",
-    "SpectralProblem", "StabilizationTable", "StateReport", "assemble",
-    "basis_indices", "classify_regimes", "contour_fit", "cross_overlap",
-    "crossing_scan", "gap_surface", "normalization",
-    "op_element_y", "op_element_z", "potential", "qubit_report", "scale",
-    "solve", "solve_1d", "stabilize", "state_report", "validate",
+    "AvoidedCrossing", "BasisSpec", "ConfigError", "ContourFit",
+    "DegenerateBasisError", "EigenSolution", "GapSurface", "HybridQError",
+    "IllConditionedBasisError", "PhysicalParams", "Plateau", "QubitReport",
+    "ScaledParams", "SpectralProblem", "StabilizationTable", "StateReport",
+    "assemble", "classify_regimes", "contour_fit", "cross_overlap",
+    "crossing_scan", "gap_surface", "normalization", "potential",
+    "qubit_report", "scale", "solve", "solve_1d", "stabilize",
+    "state_report",
 ]

@@ -24,10 +24,14 @@ makes the y-factors real, mapping the only complex term to a real symmetric
 one.  ``to_basis`` maps its eigenvectors back to the flat (s, p, k, n)
 ordering of the original complex gauge.
 
-The dense M x M matrices ``H`` and ``S`` (M = 4LN) are built only when
-asked for, as the reference for diagnostics and tests.  Their Hermiticity
-is exact by construction: every 1D table is mirrored from its upper
-triangle, and the assembled matrix is mirrored once more.
+``spin_block_forms`` evaluates expectation values of z-operators, such as
+<z'> and <sigma_x>, from one z-table and a coefficient column.
+
+The dense M x M matrices ``H`` and ``S`` (M = 4LN) and the 2LN x 2LN
+per-spin-block ``s_spatial`` and ``z_spatial`` are built only on request,
+by tests and the traced benchmark, as the dense reference.  The
+Hermiticity of ``H`` is exact by construction: every 1D table is mirrored
+from its upper triangle, and the assembled matrix is mirrored once more.
 """
 
 from __future__ import annotations
@@ -46,10 +50,6 @@ from .model import ScaledParams
 # numerically non-positive-definite
 OVERLAP_MIN_EIG_FRACTION = 1e-12
 
-# operator kinds the Hamiltonian is built from
-Z_TABLE_KINDS = ("1", "z", "z2", "z4", "quartic", "dz2")
-Y_TABLE_KINDS = ("1", "y2", "dy", "dy2")
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -60,14 +60,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class SpectralProblem:
     """Generalized eigenproblem H c = E S c, held as its factor tables.
 
-    ``z_tables`` maps the kinds of ``Z_TABLE_KINDS`` to 2N x 2N z-tables,
-    ``y_tables`` the kinds of ``Y_TABLE_KINDS`` to L x L y-tables; the
+    ``z_tables`` maps the kinds of ``basis.Z_KINDS`` to 2N x 2N z-tables,
+    ``y_tables`` the kinds of ``basis.Y_KINDS`` to L x L y-tables; the
     y "1" table is the identity.  Everything else is derived on first
-    access and cached: the eigenpairs of the z-overlap, the per-spin-block
-    overlap and z'-moment matrices ``s_spatial`` and ``z_spatial`` used by
-    the observables, and the dense ``H`` (Hermitian, complex when the
-    slanting field couples orbit and spin) and ``S`` (real symmetric,
-    block diagonal in spin).  All arrays are read-only.
+    access and cached: the eigenpairs of the z-overlap, and the dense
+    reference, which only tests and the traced benchmark ask for.  That is
+    the per-spin-block overlap and z'-moment matrices ``s_spatial`` and
+    ``z_spatial``, the dense ``H`` (Hermitian, complex when the slanting
+    field couples orbit and spin) and ``S`` (real symmetric, block diagonal
+    in spin).  All arrays are read-only.
     """
 
     z_tables: dict
@@ -123,15 +124,6 @@ class SpectralProblem:
                                 self.spec.L, self.spec.N)
 
 
-@dataclass(frozen=True)
-class AssemblyDiagnostics:
-    """Report-only integrity numbers for an assembled problem."""
-
-    hermiticity_residual: float      # max |H - H^dagger|
-    overlap_asymmetry: float         # max |S - S^T|
-    spin_block_residual: float       # max |H - rebuild from its spin blocks|
-
-
 def _spatial_product(z_table: np.ndarray, y_table: np.ndarray,
                      L: int, N: int) -> np.ndarray:
     """Combine a (2N x 2N) z-table and an (L x L) y-table into the
@@ -151,9 +143,9 @@ def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
     """
     problem = SpectralProblem(
         z_tables={k: basis_mod.z_element_table(k, spec)
-                  for k in Z_TABLE_KINDS},
+                  for k in basis_mod.Z_KINDS},
         y_tables={k: basis_mod.y_element_table(k, spec)
-                  for k in Y_TABLE_KINDS},
+                  for k in basis_mod.Y_KINDS},
         spec=spec, scaled=scaled)
     check_overlap(problem)
     return problem
@@ -278,30 +270,17 @@ def to_basis(problem: SpectralProblem, transform: np.ndarray,
     return c.transpose(0, 1, 3, 2, 4).reshape(4 * L * N, count)
 
 
-def validate(problem: SpectralProblem) -> AssemblyDiagnostics:
-    """Integrity diagnostics: Hermiticity, overlap symmetry, block shape.
+def spin_block_forms(problem: SpectralProblem, c: np.ndarray,
+                     z_kind: str) -> np.ndarray:
+    """2 x 2 matrix Re <c_a| T (x) I_y |c_b> over the spin blocks a, b of
+    one flat (s, p, k, n) coefficient column ``c``, with T the z-table of
+    ``z_kind``.
 
-    All residuals are zero (to machine precision) for a fresh assembly; a
-    corrupted entry shows up as a nonzero residual.  Report-only; the
-    overlap conditioning is ``problem.s_min_eig`` and ``s_condition``.
+    The y-ladder is orthonormal, so a z-operator needs no y-table: with
+    each spin block reshaped to C_s (2N x L, z rows, y columns), the form
+    is Re vdot(C_a, T C_b).
     """
-    H, S = problem.H, problem.S
-    herm = float(np.max(np.abs(H - H.conj().T)))
-    s_asym = float(np.max(np.abs(S - S.T)))
-
-    ms = problem.size // 2
-    ul, lr = H[:ms, :ms], H[ms:, ms:]
-    ur, ll = H[:ms, ms:], H[ms:, :ms]
-    h0 = 0.5 * (ul + lr)
-    h2 = 0.5 * (ul - lr)
-    h1 = 0.5 * (ur + ll)
-    rebuilt = np.block([[h0 + h2, h1], [h1, h0 - h2]])
-    block = float(np.max(np.abs(H - rebuilt)))
-    # off-diagonal spin blocks must be equal (sigma_x structure)
-    block = max(block, float(np.max(np.abs(ur - ll))))
-
-    return AssemblyDiagnostics(
-        hermiticity_residual=herm,
-        overlap_asymmetry=s_asym,
-        spin_block_residual=block,
-    )
+    L, N = problem.spec.L, problem.spec.N
+    C = c.reshape(2, 2, L, N).transpose(0, 1, 3, 2).reshape(2, 2 * N, L)
+    TC = problem.z_tables[z_kind] @ C
+    return np.tensordot(C.conj(), TC, axes=([1, 2], [1, 2])).real

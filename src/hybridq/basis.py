@@ -13,7 +13,10 @@ The spatial basis is a product of harmonic-oscillator-like functions:
   are unit-normalized shifted oscillator functions, n = 0..N-1.
 
 Each spatial function carries one of the two eigenstates of sigma_z, for a
-total dimension M = 4*L*N.
+total dimension M = 4*L*N.  The flat ordering is lexicographic in
+(s, p, k, n), with +1 preceding -1 for the spin s and the parity p: the
+flat index is ``np.ravel_multi_index((s_idx, p_idx, k, n), (2, 2, L, N))``
+with label index 0 for +1 and 1 for -1.
 
 All 1D integrals are evaluated in closed form.  Operators (powers of the
 coordinate, derivatives, the quartic well shape) are band matrices in the
@@ -33,13 +36,15 @@ import numpy as np
 
 from .errors import DegenerateBasisError
 
-# Supported 1D operator kinds.  The z kinds act on the double-well direction,
-# the y kinds on the transverse oscillator direction.
-Z_KINDS = ("1", "z", "z2", "z4", "dz", "dz2", "quartic", "zquartic")
+# The 1D operator kinds the Hamiltonian is built from.  The z kinds act on
+# the double-well direction, the y kinds on the transverse oscillator
+# direction.
+Z_KINDS = ("1", "z", "z2", "z4", "quartic", "dz2")
 Y_KINDS = ("1", "y2", "dy", "dy2")
 
-# Band growth of the widest z operator is 5 (z*(z^2-1)^2); intermediate matrix
-# products need a little extra headroom so truncation never touches kept rows.
+# Band growth of the widest z operator is 4 (z^4 and (z^2-1)^2); intermediate
+# matrix products need a little extra headroom so truncation never touches
+# kept rows.
 _PAD = 8
 
 
@@ -62,55 +67,6 @@ class BasisSpec:
     def size(self) -> int:
         """Total basis dimension M = 4*L*N."""
         return 4 * self.L * self.N
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """One basis function: y index k, z index n, well parity p, spin s.
-
-    ``p`` and ``s`` take the values +1/-1; ``s`` labels the sigma_z
-    eigenstate.  The flattened ordering is lexicographic in (s, p, k, n)
-    with +1 preceding -1 for both labels.
-    """
-
-    k: int
-    n: int
-    p: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if self.p not in (+1, -1) or self.s not in (+1, -1):
-            raise ValueError("p and s must be +1 or -1")
-        if self.k < 0 or self.n < 0:
-            raise ValueError("k and n must be non-negative")
-
-    def flatten(self, spec: BasisSpec) -> int:
-        if self.k >= spec.L or self.n >= spec.N:
-            raise ValueError("index outside the basis")
-        s_idx = 0 if self.s == +1 else 1
-        p_idx = 0 if self.p == +1 else 1
-        return ((s_idx * 2 + p_idx) * spec.L + self.k) * spec.N + self.n
-
-    @classmethod
-    def from_flat(cls, i: int, spec: BasisSpec) -> "BasisIndex":
-        if not 0 <= i < spec.size:
-            raise ValueError("flat index outside the basis")
-        n = i % spec.N
-        i //= spec.N
-        k = i % spec.L
-        i //= spec.L
-        p = +1 if i % 2 == 0 else -1
-        s = +1 if i // 2 == 0 else -1
-        return cls(k=k, n=n, p=p, s=s)
-
-
-def basis_indices(spec: BasisSpec):
-    """All basis labels in flattened order."""
-    for s in (+1, -1):
-        for p in (+1, -1):
-            for k in range(spec.L):
-                for n in range(spec.N):
-                    yield BasisIndex(k=k, n=n, p=p, s=s)
 
 
 # ----------------------------------------------------------------------
@@ -211,17 +167,12 @@ def _z_operator(kind: str, eta: float, center: float, size: int) -> np.ndarray:
     if kind == "z4":
         z2 = z @ z
         return z2 @ z2
-    if kind == "dz":
-        return eta * _ladder_derivative(size)
     if kind == "dz2":
         d = eta * _ladder_derivative(size)
         return d @ d
     if kind == "quartic":
         q = z @ z - eye
         return q @ q
-    if kind == "zquartic":
-        q = z @ z - eye
-        return z @ q @ q
     raise ValueError(f"unsupported z operator kind: {kind!r}")
 
 
@@ -288,9 +239,9 @@ def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
     """Full 2N x 2N table of <psi_n^p| kind |psi_m^q> over the z' basis.
 
     Row/column ordering is p-major: index = (0 if p = +1 else 1)*N + n.
-    Symmetric kinds are mirrored from the upper triangle so the table is
-    exactly symmetric; 'dz' is mirrored antisymmetric.  The returned array
-    is read-only (cached).
+    Every kind is symmetric; the table is mirrored from its upper triangle
+    so that it is exactly symmetric.  The returned array is read-only
+    (cached).
     """
     if kind not in Z_KINDS:
         raise ValueError(f"unsupported z operator kind: {kind!r}")
@@ -311,10 +262,7 @@ def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
             table[i * N:(i + 1) * N, j * N:(j + 1) * N] = \
                 np.outer(c[i], c[j]) * block
 
-    if kind == "dz":
-        table = np.triu(table, 1) - np.triu(table, 1).T
-    else:
-        table = np.triu(table) + np.triu(table, 1).T
+    table = np.triu(table) + np.triu(table, 1).T
     table.setflags(write=False)
     return table
 
@@ -332,28 +280,3 @@ def y_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
         table = np.triu(table) + np.triu(table, 1).T
     table.setflags(write=False)
     return table
-
-
-def op_element_z(kind: str, bra: tuple[int, int], ket: tuple[int, int],
-                 spec: BasisSpec) -> float:
-    """Exact 1D integral <psi_n^p| kind |psi_m^q> over z'.
-
-    ``bra`` and ``ket`` are (n, p) pairs with p = +1/-1.
-    """
-    n, p = bra
-    m, q = ket
-    if not (0 <= n < spec.N and 0 <= m < spec.N):
-        raise ValueError("index outside the basis")
-    if p not in (+1, -1) or q not in (+1, -1):
-        raise ValueError("parity label must be +1 or -1")
-    table = z_element_table(kind, spec)
-    i = (0 if p == +1 else 1) * spec.N + n
-    j = (0 if q == +1 else 1) * spec.N + m
-    return float(table[i, j])
-
-
-def op_element_y(kind: str, bra: int, ket: int, spec: BasisSpec) -> float:
-    """Exact oscillator matrix element <phi_k| kind |phi_l> over y'."""
-    if not (0 <= bra < spec.L and 0 <= ket < spec.L):
-        raise ValueError("index outside the basis")
-    return float(y_element_table(kind, spec)[bra, ket])

@@ -429,29 +429,30 @@ def _nan_row(n: int) -> list:
 
 def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
     res = _solve_point((cfg.physical, cfg.spec, cfg.n_track))
-    if res["error"] is not None:
-        raise HybridQError(res["error"])
     hw0 = cfg.physical.hw0
     columns = ["state", "E_hw0", "E_meV", "z_over_a", "sigma_x", "status"]
+    summary = [f"lowest {cfg.n_track} states at bSLa = {cfg.physical.bSLa} T"]
+    plot = _plot_script("solve", "state index", "E / hw0",
+                        "plot 'solve.csv' using 1:2 with points pt 7 notitle")
+    notes = ("columns: index, energy [hw0], energy [meV], <z>/a, "
+             "<sigma_x>, status",)
+    if res["error"] is not None:
+        rows = [[*_nan_row(len(columns) - 1),
+                 f"failed: {res['error'].replace(',', ';')}"]]
+        summary.append(f"FAILED: {res['error']}")
+        return _TaskOutput(columns, rows, notes, summary, plot, status=1)
     rows = []
     for j, energy in enumerate(res["energies"]):
         z = res["z"][j] if j < len(res["z"]) else float("nan")
         sx = res["sx"][j] if j < len(res["sx"]) else float("nan")
         rows.append([float(j), energy, energy * hw0, z, sx, "ok"])
-    summary = [
-        f"lowest {cfg.n_track} states at bSLa = {cfg.physical.bSLa} T",
-        f"ground <z>/a = {res['z'][0]:.4f}, <sigma_x> = {res['sx'][0]:.4f}",
-    ]
     if cfg.n_track >= 2:
         gap = res["energies"][1] - res["energies"][0]
-        summary.insert(
-            1, f"qubit gap (E1-E0): {gap:.6e} hw0 = "
-               f"{gap * hw0 * 1e3:.4f} ueV")
-    plot = _plot_script("solve", "state index", "E / hw0",
-                        "plot 'solve.csv' using 1:2 with points pt 7 notitle")
-    return _TaskOutput(
-        columns, rows, ("columns: index, energy [hw0], energy [meV], "
-                        "<z>/a, <sigma_x>, status",), summary, plot)
+        summary.append(f"qubit gap (E1-E0): {gap:.6e} hw0 = "
+                       f"{gap * hw0 * 1e3:.4f} ueV")
+    summary.append(f"ground <z>/a = {res['z'][0]:.4f}, "
+                   f"<sigma_x> = {res['sx'][0]:.4f}")
+    return _TaskOutput(columns, rows, notes, summary, plot)
 
 
 def _run_stabilize(cfg: RunConfig, workers: int) -> _TaskOutput:

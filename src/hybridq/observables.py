@@ -2,8 +2,11 @@
 
 All expectation values are generalized: for an S-normalized coefficient
 vector c, <A> = c^dagger A c with A expressed in the nonorthogonal basis.
-The position moment uses the z'-moment matrix per spin block; <sigma_x>
-comes from the overlap pattern between the two spin blocks.
+The operators act on z' alone and the y-ladder is orthonormal, so every
+value comes from one 2N x 2N z-table (``assembly.spin_block_forms``):
+<z'> from the z'-moment table within each spin block, <sigma_x> from the
+z-overlap table between the two spin blocks, and the norm check from the
+z-overlap table within each block.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import assembly
 from .assembly import SpectralProblem
 from .solver import EigenSolution
 
@@ -51,29 +55,18 @@ class AvoidedCrossing:
     gap: float
 
 
-def _split(problem: SpectralProblem, c: np.ndarray):
-    ms = problem.s_spatial.shape[0]
-    return c[:ms], c[ms:]
-
-
-def _real_form(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Re(x^dagger a y) for a real matrix ``a``, in real arithmetic."""
-    return x.real @ a @ y.real + x.imag @ a @ y.imag
-
-
 def state_report(sol: EigenSolution, j: int,
                  problem: SpectralProblem) -> StateReport:
     """Observables of eigenstate ``j`` of a solved problem."""
     if not 0 <= j < sol.n_states:
         raise IndexError("state index outside the computed set")
-    up, dn = _split(problem, sol.coefficients[:, j])
-    s, z = problem.s_spatial, problem.z_spatial
-    z_mean = _real_form(z, up, up) + _real_form(z, dn, dn)
-    sx_mean = 2.0 * _real_form(s, up, dn)
-    norm = _real_form(s, up, up) + _real_form(s, dn, dn)
+    c = sol.coefficients[:, j]
+    z = assembly.spin_block_forms(problem, c, "z")
+    s = assembly.spin_block_forms(problem, c, "1")
     return StateReport(index=j, energy=float(sol.energies[j]),
-                       z_mean=float(z_mean), sx_mean=float(sx_mean),
-                       norm_check=float(norm))
+                       z_mean=float(np.trace(z)),
+                       sx_mean=float(2.0 * s[0, 1]),
+                       norm_check=float(np.trace(s)))
 
 
 def qubit_report(sol: EigenSolution, problem: SpectralProblem,
@@ -120,6 +113,8 @@ def crossing_scan(xs, energies, z_means) -> list[AvoidedCrossing]:
         raise ValueError("need at least three sweep points")
     if energies.shape != z_means.shape or energies.shape[0] != len(xs):
         raise ValueError("energies and z_means must be (P, K) with P = len(xs)")
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("xs must be strictly increasing")
 
     found = []
     for lev in range(energies.shape[1] - 1):

@@ -143,18 +143,14 @@ def _order_ties(vals: np.ndarray, vecs: np.ndarray,
                 problem: SpectralProblem) -> None:
     """Reorder exactly degenerate eigenpairs by ascending <z'> in place."""
     i = 0
-    ms = 2 * problem.spec.L * problem.spec.N
     while i < len(vals) - 1:
         j = i + 1
         while j < len(vals) and vals[j] - vals[i] < TIE_THRESHOLD:
             j += 1
         if j - i > 1:
-            z_mean = np.empty(j - i)
-            for t in range(i, j):
-                c = vecs[:, t]
-                up, dn = c[:ms], c[ms:]
-                z_mean[t - i] = (up.conj() @ problem.z_spatial @ up
-                                 + dn.conj() @ problem.z_spatial @ dn).real
+            z_mean = [np.trace(assembly.spin_block_forms(problem,
+                                                         vecs[:, t], "z"))
+                      for t in range(i, j)]
             order = np.argsort(z_mean, kind="stable")
             vecs[:, i:j] = vecs[:, i + order]
             vals[i:j] = vals[i + order]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hybridq as hq
+from hybridq import basis
 
 # the paper's working configuration (Figs. 2, 4, 5)
 FIG4_PHYSICAL = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5,
@@ -27,6 +28,15 @@ WORKERS = 2
 
 def small_spec(L=6, N=6, eta=4.0, mu=0.7) -> hq.BasisSpec:
     return hq.BasisSpec(eta=eta, mu=mu, L=L, N=N)
+
+
+def z_element(kind: str, n: int, p: int, m: int, q: int,
+              spec: hq.BasisSpec) -> float:
+    """<psi_n^p| kind |psi_m^q> read from the 2N x 2N z-table, whose rows
+    and columns are p-major: (0 if p = +1 else 1) * N + n."""
+    row = (0 if p == +1 else 1) * spec.N + n
+    col = (0 if q == +1 else 1) * spec.N + m
+    return float(basis.z_element_table(kind, spec)[row, col])
 
 
 def observables_of(physical: hq.PhysicalParams, spec: hq.BasisSpec,

@@ -12,6 +12,10 @@ Nothing here shares code with the implementation paths it checks:
   ``fractions.Fraction`` arithmetic, the reference for the integer
   recurrence of ``basis._displaced_overlap_cached``; both round each entry
   once, so they must agree bit for bit.
+* ``dense_state_observables``: <z'>, <sigma_x> and the norm check of one
+  eigenstate from the dense per-spin-block matrices ``s_spatial`` and
+  ``z_spatial``, the reference for ``observables.state_report``, which
+  reads the 2N x 2N z-tables instead.
 * ``fd_levels_1d``: dense finite-difference spectrum of the 1D quartic
   well on a uniform grid, Richardson-extrapolated.
 * ``fd_levels_2d``: sparse finite-difference spectrum of the full scaled
@@ -138,7 +142,6 @@ _Z_POLY = {
     "z2": lambda z: z * z,
     "z4": lambda z: z ** 4,
     "quartic": lambda z: (z * z - 1.0) ** 2,
-    "zquartic": lambda z: z * (z * z - 1.0) ** 2,
 }
 
 
@@ -192,6 +195,31 @@ def quad_element_y(kind: str, k: int, l: int, mu: float) -> float:
     """Quadrature value of <phi_k| kind |phi_l> over y'."""
     z_kind = {"1": "1", "y2": "z2", "dy": "dz", "dy2": "dz2"}[kind]
     return _quad_single_center(z_kind, k, 0.0, l, 0.0, mu)
+
+
+# ----------------------------------------------------------------------
+# dense expectation values
+# ----------------------------------------------------------------------
+
+def _split(problem, c: np.ndarray):
+    ms = problem.s_spatial.shape[0]
+    return c[:ms], c[ms:]
+
+
+def _real_form(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Re(x^dagger a y) for a real matrix ``a``, in real arithmetic."""
+    return x.real @ a @ y.real + x.imag @ a @ y.imag
+
+
+def dense_state_observables(sol, j: int, problem) -> tuple[float, ...]:
+    """(<z'>, <sigma_x>, <state|S|state>) of eigenstate ``j`` from the
+    dense 2LN x 2LN spin-block matrices ``s_spatial`` and ``z_spatial``."""
+    up, dn = _split(problem, sol.coefficients[:, j])
+    s, z = problem.s_spatial, problem.z_spatial
+    z_mean = _real_form(z, up, up) + _real_form(z, dn, dn)
+    sx_mean = 2.0 * _real_form(s, up, dn)
+    norm = _real_form(s, up, up) + _real_form(s, dn, dn)
+    return float(z_mean), float(sx_mean), float(norm)
 
 
 # ----------------------------------------------------------------------

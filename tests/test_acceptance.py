@@ -12,7 +12,8 @@ import pytest
 
 import hybridq as hq
 from hybridq import basis
-from conftest import FIG4_PHYSICAL, FIG4_SPEC, W0_VALUES, small_spec
+from conftest import (FIG4_PHYSICAL, FIG4_SPEC, W0_VALUES, small_spec,
+                      z_element)
 
 import oracles
 
@@ -184,7 +185,7 @@ def test_criterion_6_quadrature_oracle_z():
         p, q = int(rng.choice([1, -1])), int(rng.choice([1, -1]))
         eta = float(rng.uniform(1.0, 8.0))
         spec = hq.BasisSpec(eta=eta, mu=0.7, L=2, N=13)
-        got = hq.op_element_z(kind, (n, p), (m, q), spec)
+        got = z_element(kind, n, p, m, q, spec)
         want = oracles.quad_element_z(kind, n, p, m, q, eta)
         worst = max(worst, abs(got - want))
     ok = worst <= 1e-12
@@ -201,7 +202,7 @@ def test_criterion_6_quadrature_oracle_y():
         k, l = map(int, rng.integers(0, 13, 2))
         mu = float(rng.uniform(0.3, 2.0))
         spec = hq.BasisSpec(eta=4.0, mu=mu, L=13, N=2)
-        got = hq.op_element_y(kind, k, l, spec)
+        got = float(basis.y_element_table(kind, spec)[k, l])
         want = oracles.quad_element_y(kind, k, l, mu)
         worst = max(worst, abs(got - want))
     ok = worst <= 1e-12
@@ -244,9 +245,13 @@ def test_criterion_6_2d_finite_difference():
 def test_criterion_7_structural_properties(fig4_problem, fig4_solution):
     failures = []
 
-    diag = hq.validate(fig4_problem)
-    if diag.hermiticity_residual != 0.0:
+    H = fig4_problem.H
+    if np.max(np.abs(H - H.conj().T)) != 0.0:
         failures.append("hermiticity")
+    ms = fig4_problem.size // 2
+    # the two off-diagonal spin blocks are equal (sigma_x structure)
+    if np.max(np.abs(H[:ms, ms:] - H[ms:, :ms])) >= 1e-12:
+        failures.append("spin-block structure")
     if not (fig4_problem.s_min_eig > 0
             and np.isfinite(fig4_problem.s_condition)):
         failures.append("overlap positivity")
@@ -295,7 +300,7 @@ def test_criterion_7_structural_properties(fig4_problem, fig4_solution):
 
     ok = not failures
     assert _report(ok, "criterion 7",
-                   "hermiticity 0, S condition "
+                   "hermiticity 0, equal sigma_x spin blocks, S condition "
                    f"{fig4_problem.s_condition:.2e} logged, orthonormality/"
                    "residual <= 1e-10, monotonicity, spin decoupling, "
                    "tilt mirror" + ("" if ok else f"; FAILED: {failures}"))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hybridq as hq
-from conftest import small_spec
+from hybridq import basis
+from conftest import small_spec, z_element
 
 PHYS = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=2.0)
 
@@ -31,22 +32,13 @@ def test_hermiticity_exact(small_problem):
 
 
 def test_validate_reports_clean(small_problem):
-    diag = hq.validate(small_problem)
-    assert diag.hermiticity_residual == 0.0
-    assert diag.overlap_asymmetry == 0.0
-    assert diag.spin_block_residual < 1e-12
+    # the two off-diagonal spin blocks of H are equal (sigma_x structure);
+    # the exact symmetry of H and S is test_hermiticity_exact
+    H = small_problem.H
+    ms = small_problem.size // 2
+    assert np.max(np.abs(H[:ms, ms:] - H[ms:, :ms])) < 1e-12
     assert small_problem.s_min_eig > 0
     assert np.isfinite(small_problem.s_condition)
-
-
-def test_validate_flags_corruption(small_problem):
-    H = small_problem.H.copy()
-    H[3, 7] += 1e-3
-    # a fresh copy of the problem whose dense H is the corrupted one
-    corrupted = dataclasses.replace(small_problem)
-    object.__setattr__(corrupted, "H", H)
-    diag = hq.validate(corrupted)
-    assert diag.hermiticity_residual >= 1e-3
 
 
 def test_imaginary_part_only_from_slanting_field():
@@ -69,18 +61,13 @@ def test_spin_blocks_decouple_without_gradient():
 def test_overlap_blockdiagonal_in_spin_and_parity_pattern():
     spec = small_spec(L=3, N=4)
     problem = hq.assemble(hq.scale(PHYS), spec)
-    indices = list(hq.basis_indices(spec))
+    # flat index i is (s, p, k, n) in lexicographic order
+    labels = np.unravel_index(np.arange(spec.size), (2, 2, spec.L, spec.N))
+    s, p, k, n = (np.equal.outer(x, x) for x in labels)
     S = problem.S
-    for a in indices:
-        ia = a.flatten(spec)
-        for b in indices:
-            ib = b.flatten(spec)
-            if a.s != b.s:
-                assert S[ia, ib] == 0.0
-            if a.s == b.s and a.p != b.p and a.n == b.n:
-                assert S[ia, ib] == 0.0
-            if a.k != b.k:
-                assert S[ia, ib] == 0.0
+    assert np.all(S[~s] == 0.0)
+    assert np.all(S[s & ~p & n] == 0.0)
+    assert np.all(S[~k] == 0.0)
 
 
 def test_spectra_mirror_under_tilt_sign_flip():
@@ -102,46 +89,47 @@ def test_overlap_condition_is_checked():
 
 
 def test_spatial_factorization_against_elements():
-    # a few H entries recomputed from first principles via op_element_*
+    # a few H entries recomputed from first principles via the 1D tables
     spec = small_spec(L=2, N=3)
     scaled = hq.scale(PHYS)
     problem = hq.assemble(scaled, spec)
     r_a, r_c, beta = scaled.r_a, scaled.r_c, scaled.beta
 
-    def h_entry(bra: hq.BasisIndex, ket: hq.BasisIndex) -> complex:
+    def label(i: int) -> tuple[int, int, int, int]:
+        """(s, p, k, n) of flat index i, with s and p as +1/-1."""
+        s, p, k, n = np.unravel_index(i, (2, 2, spec.L, spec.N))
+        return 1 - 2 * int(s), 1 - 2 * int(p), int(k), int(n)
+
+    def y(kind: str, k: int, l: int) -> float:
+        return float(basis.y_element_table(kind, spec)[k, l])
+
+    def h_entry(ia: int, ib: int) -> complex:
+        s_a, p_a, k_a, n_a = label(ia)
+        s_b, p_b, k_b, n_b = label(ib)
+
+        def z(kind: str) -> float:
+            return z_element(kind, n_a, p_a, n_b, p_b, spec)
+
         value = 0.0 + 0.0j
-        if bra.s == ket.s:
-            zz = (bra.n, bra.p), (ket.n, ket.p)
-            y_pair = (bra.k, ket.k)
-            delta_y = float(bra.k == ket.k)
-            z_overlap = hq.op_element_z("1", *zz, spec)
-            value += -0.5 * r_a * (
-                hq.op_element_z("dz2", *zz, spec) * delta_y
-                + z_overlap * hq.op_element_y("dy2", *y_pair, spec))
-            value += (scaled.ab_ratio / (8 * r_a)) \
-                * hq.op_element_z("quartic", *zz, spec) * delta_y
-            value += -scaled.gamma * hq.op_element_z("z", *zz, spec) \
-                * delta_y
-            value += (r_c ** 2 / (8 * r_a)) * z_overlap \
-                * hq.op_element_y("y2", *y_pair, spec)
-            value += (r_c ** 2 * beta ** 2 / (2 * r_a)) \
-                * hq.op_element_z("z4", *zz, spec) * delta_y
-            value += -1j * r_c * beta \
-                * hq.op_element_z("z2", *zz, spec) \
-                * hq.op_element_y("dy", *y_pair, spec)
-            value += -0.5 * r_c * bra.s * z_overlap * delta_y
+        delta_y = float(k_a == k_b)
+        if s_a == s_b:
+            z_overlap = z("1")
+            value += -0.5 * r_a * (z("dz2") * delta_y
+                                   + z_overlap * y("dy2", k_a, k_b))
+            value += (scaled.ab_ratio / (8 * r_a)) * z("quartic") * delta_y
+            value += -scaled.gamma * z("z") * delta_y
+            value += (r_c ** 2 / (8 * r_a)) * z_overlap * y("y2", k_a, k_b)
+            value += (r_c ** 2 * beta ** 2 / (2 * r_a)) * z("z4") * delta_y
+            value += -1j * r_c * beta * z("z2") * y("dy", k_a, k_b)
+            value += -0.5 * r_c * s_a * z_overlap * delta_y
         else:
-            value += -r_c * beta * hq.op_element_z(
-                "z", (bra.n, bra.p), (ket.n, ket.p), spec) \
-                * float(bra.k == ket.k)
+            value += -r_c * beta * z("z") * delta_y
         return value
 
     rng = np.random.default_rng(3)
-    indices = list(hq.basis_indices(spec))
     for _ in range(40):
-        bra, ket = rng.choice(indices), rng.choice(indices)
-        ia, ib = bra.flatten(spec), ket.flatten(spec)
-        assert problem.H[ia, ib] == pytest.approx(h_entry(bra, ket),
+        ia, ib = int(rng.choice(spec.size)), int(rng.choice(spec.size))
+        assert problem.H[ia, ib] == pytest.approx(h_entry(ia, ib),
                                                   rel=1e-12, abs=1e-14)
 
 

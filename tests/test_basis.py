@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import hybridq as hq
 from hybridq import basis
+from conftest import z_element
 
 import oracles
 
@@ -65,6 +66,16 @@ def test_overlap_table_reversed_displacement_is_transpose(delta):
                           basis._displaced_overlap_cached(delta, 30).T)
 
 
+def test_degenerate_basis_raises():
+    # exp(-eta^2) rounds to 1: the odd combination of the two well
+    # functions vanishes and has no normalization
+    spec = hq.BasisSpec(eta=1e-9, mu=0.7, L=2, N=3)
+    with pytest.raises(hq.DegenerateBasisError):
+        hq.normalization(0, -1, spec)
+    with pytest.raises(hq.DegenerateBasisError):
+        hq.assemble(hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0)), spec)
+
+
 def test_normalization_limits():
     spec = hq.BasisSpec(eta=12.0, mu=0.7, L=2, N=3)
     # negligible cross overlap: C -> 1/sqrt(2)
@@ -79,14 +90,14 @@ def test_normalization_limits():
 def test_even_odd_combinations_are_orthogonal():
     spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=12)
     for n in range(spec.N):
-        assert hq.op_element_z("1", (n, +1), (n, -1), spec) == 0.0
+        assert z_element("1", n, +1, n, -1, spec) == 0.0
 
 
 def test_same_parity_normalized():
     spec = hq.BasisSpec(eta=3.0, mu=0.7, L=2, N=8)
     for p in (+1, -1):
         for n in range(spec.N):
-            assert hq.op_element_z("1", (n, p), (n, p), spec) \
+            assert z_element("1", n, p, n, p, spec) \
                 == pytest.approx(1.0, abs=1e-14)
 
 
@@ -95,25 +106,26 @@ def test_parity_kills_odd_moment():
     spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=6)
     for n in range(spec.N):
         for p in (+1, -1):
-            assert abs(hq.op_element_z("z", (n, p), (n, p), spec)) < 1e-13
+            assert abs(z_element("z", n, p, n, p, spec)) < 1e-13
 
 
 def test_y_element_examples():
     spec = hq.BasisSpec(eta=4.0, mu=0.7, L=8, N=2)
-    assert hq.op_element_y("y2", 0, 0, spec) == pytest.approx(
+    assert basis.y_element_table("y2", spec)[0, 0] == pytest.approx(
         1.0 / (2.0 * 0.7 ** 2), rel=1e-14)
-    assert hq.op_element_y("dy", 0, 0, spec) == 0.0
+    assert basis.y_element_table("dy", spec)[0, 0] == 0.0
+    dy2 = basis.y_element_table("dy2", spec)
     for k in range(spec.L):
-        assert -hq.op_element_y("dy2", k, k, spec) == pytest.approx(
-            0.7 ** 2 * (k + 0.5), rel=1e-13)
+        assert -dy2[k, k] == pytest.approx(0.7 ** 2 * (k + 0.5), rel=1e-13)
 
 
 def test_unsupported_kind_rejected():
     spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=2)
+    for kind in ("z3", "dz", "zquartic"):
+        with pytest.raises(ValueError):
+            basis.z_element_table(kind, spec)
     with pytest.raises(ValueError):
-        hq.op_element_z("z3", (0, 1), (0, 1), spec)
-    with pytest.raises(ValueError):
-        hq.op_element_y("y", 0, 0, spec)
+        basis.y_element_table("y", spec)
 
 
 def test_z_elements_match_quadrature_spot_checks():
@@ -123,7 +135,7 @@ def test_z_elements_match_quadrature_spot_checks():
         kind = str(rng.choice(basis.Z_KINDS))
         n, m = map(int, rng.integers(0, spec.N, 2))
         p, q = int(rng.choice([1, -1])), int(rng.choice([1, -1]))
-        got = hq.op_element_z(kind, (n, p), (m, q), spec)
+        got = z_element(kind, n, p, m, q, spec)
         want = oracles.quad_element_z(kind, n, p, m, q, spec.eta)
         assert got == pytest.approx(want, abs=ORACLE_TOL)
 
@@ -137,7 +149,7 @@ def test_z_elements_match_quadrature_spot_checks():
 @settings(max_examples=60, deadline=None)
 def test_z_elements_match_quadrature_property(eta, n, m, p, q, kind):
     spec = hq.BasisSpec(eta=eta, mu=0.7, L=2, N=13)
-    got = hq.op_element_z(kind, (n, p), (m, q), spec)
+    got = z_element(kind, n, p, m, q, spec)
     want = oracles.quad_element_z(kind, n, p, m, q, eta)
     assert got == pytest.approx(want, abs=ORACLE_TOL)
 
@@ -150,7 +162,7 @@ def test_z_elements_match_quadrature_property(eta, n, m, p, q, kind):
 @settings(max_examples=40, deadline=None)
 def test_y_elements_match_quadrature_property(mu, k, l, kind):
     spec = hq.BasisSpec(eta=4.0, mu=mu, L=13, N=2)
-    got = hq.op_element_y(kind, k, l, spec)
+    got = float(basis.y_element_table(kind, spec)[k, l])
     want = oracles.quad_element_y(kind, k, l, mu)
     assert got == pytest.approx(want, abs=ORACLE_TOL)
 
@@ -169,33 +181,13 @@ def test_table_symmetries_exact():
     spec = hq.BasisSpec(eta=3.0, mu=0.9, L=6, N=8)
     for kind in basis.Z_KINDS:
         table = basis.z_element_table(kind, spec)
-        if kind == "dz":
-            np.testing.assert_array_equal(table, -table.T)
-        else:
-            np.testing.assert_array_equal(table, table.T)
+        np.testing.assert_array_equal(table, table.T)
     for kind in basis.Y_KINDS:
         table = basis.y_element_table(kind, spec)
         if kind == "dy":
             np.testing.assert_array_equal(table, -table.T)
         else:
             np.testing.assert_array_equal(table, table.T)
-
-
-def test_basis_index_flattening_is_a_bijection():
-    spec = hq.BasisSpec(eta=4.0, mu=0.7, L=3, N=4)
-    seen = set()
-    for idx in hq.basis_indices(spec):
-        flat = idx.flatten(spec)
-        assert 0 <= flat < spec.size
-        assert hq.BasisIndex.from_flat(flat, spec) == idx
-        seen.add(flat)
-    assert len(seen) == spec.size == 4 * 3 * 4
-
-
-def test_basis_index_ordering_is_lexicographic():
-    spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=3)
-    flats = [idx.flatten(spec) for idx in hq.basis_indices(spec)]
-    assert flats == list(range(spec.size))
 
 
 def test_basis_spec_validation():

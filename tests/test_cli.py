@@ -172,6 +172,21 @@ def test_run_solve_emits_parseable_dataset(tmp_path):
     assert cli.config_from_csv(csv) == cfg
 
 
+def test_run_solve_flags_a_failed_point(tmp_path):
+    # nearly coincident wells: the z-overlap is numerically singular
+    cfg = _load(MINIMAL + "eta = 0.05\nL = 2\nN = 8\n"
+                          f"out_dir = {tmp_path}\n")
+    result = cli.run(cfg)
+    assert result.status == 1
+    names, rows = _read_csv(tmp_path / "solve.csv")
+    assert len(rows) == 1
+    status = rows[0][names.index("status")]
+    assert status.startswith("failed: IllConditionedBasisError")
+    assert all(value == "nan" for value in rows[0][:-1])
+    summary = (tmp_path / "solve_summary.txt").read_text()
+    assert "FAILED: IllConditionedBasisError" in summary
+
+
 def test_run_sweep_deterministic_across_workers(tmp_path):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     cfg = _load(SMALL_SWEEP)

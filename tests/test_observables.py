@@ -111,3 +111,6 @@ def test_crossing_scan_validation():
         hq.crossing_scan([0, 1], np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         hq.crossing_scan([0, 1, 2], np.zeros((3, 2)), np.zeros((2, 2)))
+    for xs in ([0, 2, 1], [0, 1, 1], [2, 1, 0]):
+        with pytest.raises(ValueError):
+            hq.crossing_scan(xs, np.zeros((3, 2)), np.zeros((3, 2)))

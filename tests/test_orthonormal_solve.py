@@ -1,8 +1,9 @@
 """The real Kronecker-factor solve against the dense generalized reference.
 
-``solve`` never builds the dense matrices; these tests build them and check
-that the fast path returns the same eigenpairs as
-``scipy.linalg.eigh(H, S)``, in the original basis and gauge.
+``solve`` and ``state_report`` never build the dense matrices; these tests
+build them and check that the fast path returns the same eigenpairs as
+``scipy.linalg.eigh(H, S)``, in the original basis and gauge, and the same
+expectation values as the dense spin-block forms.
 """
 
 import dataclasses
@@ -12,8 +13,10 @@ import pytest
 import scipy.linalg
 
 import hybridq as hq
-from hybridq import assembly
+from hybridq import assembly, basis, solver
 from conftest import small_spec
+
+import oracles
 
 BASE = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=1.5)
 
@@ -54,7 +57,7 @@ def test_gauge_makes_the_problem_exactly_real(physics):
     phase = np.tile(np.repeat(assembly.y_gauge(spec.L), spec.N), 4)
     gauged = phase.conj()[:, None] * problem.H * phase
     assert np.all(gauged.imag == 0.0)
-    for kind in assembly.Y_TABLE_KINDS:
+    for kind in basis.Y_KINDS:
         unit = -1j if kind == "dy" else 1
         table = assembly.gauged_y_table(problem.y_tables[kind], unit)
         assert np.all(table.imag == 0.0)
@@ -78,3 +81,39 @@ def test_solve_leaves_spatial_overlap_unbuilt():
     problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
     hq.solve(problem, 6)
     assert "s_spatial" not in vars(problem)
+
+
+DENSE = ("H", "S", "s_spatial", "z_spatial")
+
+
+@pytest.mark.parametrize("physics", ["gradient-tilt-minus", "B0-zero"])
+def test_expectation_values_leave_dense_reference_unbuilt(physics):
+    problem = hq.assemble(hq.scale(PHYSICS[physics]), small_spec(L=4, N=4))
+    sol = hq.solve(problem, 6)
+    if physics == "B0-zero":
+        # spin-degenerate pairs: the solve ordered exact ties by <z'>
+        assert np.any(np.diff(sol.energies) < solver.TIE_THRESHOLD)
+    for j in range(sol.n_states):
+        hq.state_report(sol, j, problem)
+    assert not set(DENSE) & set(vars(problem))
+
+
+def _assert_matches_dense(sol, problem, states):
+    for j in states:
+        report = hq.state_report(sol, j, problem)
+        got = (report.z_mean, report.sx_mean, report.norm_check)
+        want = oracles.dense_state_observables(sol, j, problem)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("L, N", SPECS, ids=[f"L{L}N{N}" for L, N in SPECS])
+@pytest.mark.parametrize("physics", PHYSICS, ids=list(PHYSICS))
+def test_state_report_matches_dense_forms(physics, L, N):
+    problem = hq.assemble(hq.scale(PHYSICS[physics]), small_spec(L=L, N=N))
+    sol = hq.solve(problem, problem.size)
+    _assert_matches_dense(sol, problem, range(sol.n_states))
+
+
+def test_state_report_matches_dense_forms_at_working_point(fig4_problem,
+                                                           fig4_solution):
+    _assert_matches_dense(fig4_solution, fig4_problem, range(8))

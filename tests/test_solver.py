@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import hybridq as hq
-from hybridq import assembly, basis, solver
+from hybridq import basis, solver
 from conftest import FIG4_PHYSICAL, FIG4_SPEC, small_spec
 
 PHYS = FIG4_PHYSICAL
@@ -20,14 +20,14 @@ def _table_problem(z_tables: dict, L: int = 2) -> hq.SpectralProblem:
     return hq.SpectralProblem(
         z_tables=z_tables,
         y_tables={k: basis.y_element_table(k, spec)
-                  for k in assembly.Y_TABLE_KINDS},
+                  for k in basis.Y_KINDS},
         spec=spec, scaled=hq.scale(PHYS))
 
 
 def _random_z_tables(rng, size: int, overlap: np.ndarray) -> dict:
     """Random symmetric z-tables around the given z-overlap."""
     tables = {"1": overlap}
-    for kind in assembly.Z_TABLE_KINDS[1:]:
+    for kind in basis.Z_KINDS[1:]:
         t = rng.standard_normal((size, size))
         tables[kind] = t + t.T
     return tables
