@@ -7,8 +7,7 @@ Hermite-Gaussian well-pair basis.
 
 from .assembly import SpectralProblem, assemble
 from .basis import BasisSpec, cross_overlap, normalization
-from .errors import (ConfigError, DegenerateBasisError, HybridQError,
-                     IllConditionedBasisError)
+from .errors import ConfigError, DegenerateBasisError, HybridQError
 from .model import PhysicalParams, ScaledParams, potential, scale
 from .observables import (AvoidedCrossing, QubitReport, StateReport,
                           crossing_scan, qubit_report, state_report)
@@ -22,10 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AvoidedCrossing", "BasisSpec", "ConfigError", "ContourFit",
     "DegenerateBasisError", "EigenSolution", "GapSurface", "HybridQError",
-    "IllConditionedBasisError", "PhysicalParams", "Plateau", "QubitReport",
-    "ScaledParams", "SpectralProblem", "StabilizationTable", "StateReport",
-    "assemble", "classify_regimes", "contour_fit", "cross_overlap",
-    "crossing_scan", "gap_surface", "normalization", "potential",
-    "qubit_report", "scale", "solve", "solve_1d", "stabilize",
-    "state_report",
+    "PhysicalParams", "Plateau", "QubitReport", "ScaledParams",
+    "SpectralProblem", "StabilizationTable", "StateReport", "assemble",
+    "classify_regimes", "contour_fit", "cross_overlap", "crossing_scan",
+    "gap_surface", "normalization", "potential", "qubit_report", "scale",
+    "solve", "solve_1d", "stabilize", "state_report",
 ]

@@ -14,7 +14,8 @@ H1 = -r_c beta z' (the sigma_x coupling) and H2 = -(r_c/2) S (the sigma_z
 Zeeman shift, which in a nonorthogonal basis carries the overlap pattern).
 The overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
 
-``assemble`` keeps the factor tables and checks the 2N x 2N z-overlap.
+``assemble`` only builds the factor tables; a redundant z-overlap is
+handled by the solve, which drops its near-null directions.
 ``z_hamiltonian`` combines z-tables into the z-part of H0, which is also
 the whole 1D problem of ``quartic1d.solve_1d``.
 ``orthonormal_hamiltonian`` turns the tables into one real symmetric
@@ -43,12 +44,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import IllConditionedBasisError
 from .model import ScaledParams
-
-# relative eigenvalue floor below which the overlap matrix is treated as
-# numerically non-positive-definite
-OVERLAP_MIN_EIG_FRACTION = 1e-12
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -134,34 +130,13 @@ def _spatial_product(z_table: np.ndarray, y_table: np.ndarray,
 
 
 def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
-    """Build the spectral problem for the given scaled parameters and basis.
-
-    Raises
-    ------
-    IllConditionedBasisError
-        If the z-overlap fails ``check_overlap``.
-    """
-    problem = SpectralProblem(
+    """Build the spectral problem for the given scaled parameters and basis."""
+    return SpectralProblem(
         z_tables={k: basis_mod.z_element_table(k, spec)
                   for k in basis_mod.Z_KINDS},
         y_tables={k: basis_mod.y_element_table(k, spec)
                   for k in basis_mod.Y_KINDS},
         spec=spec, scaled=scaled)
-    check_overlap(problem)
-    return problem
-
-
-def check_overlap(problem: SpectralProblem) -> None:
-    """Raise IllConditionedBasisError if the smallest z-overlap eigenvalue
-    falls below ``OVERLAP_MIN_EIG_FRACTION`` times the largest."""
-    s_eigs = problem.overlap_eigh[0]
-    s_min, s_max = float(s_eigs[0]), float(s_eigs[-1])
-    if s_min < OVERLAP_MIN_EIG_FRACTION * s_max:
-        raise IllConditionedBasisError(
-            f"overlap matrix numerically singular: min eigenvalue "
-            f"{s_min:.3e} vs norm {s_max:.3e}",
-            min_eigenvalue=s_min,
-        )
 
 
 def _dense_hamiltonian(problem: SpectralProblem) -> np.ndarray:

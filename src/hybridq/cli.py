@@ -12,13 +12,13 @@ Grids are written either as comma lists (``20,25,30``) or inclusive ranges
 ``lo:hi:step``.  The whole config, every grid point included, is validated
 before any point runs, command-line overrides included: unknown keys,
 malformed or non-finite numbers, ranges longer than ``MAX_GRID_POINTS``, a
-basis larger than ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold
-and grid points that are not a valid working point raise ``ConfigError``,
-and ``main`` then exits with status 2 without writing a dataset.  Sweep
-points fan out over a worker pool (``--workers``, config ``workers`` or the
-``HYBRIDQ_WORKERS`` environment variable).  A point whose solve fails with
-a ``solver.POINT_ERRORS`` exception is flagged in the CSV rather than
-aborting the run; any other exception propagates.
+basis larger than ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold,
+a grid the task does not read and grid points that are not a valid working
+point raise ``ConfigError``, and ``main`` then exits with status 2 without
+writing a dataset.  Sweep points fan out over a worker pool (``--workers``,
+config ``workers`` or the ``HYBRIDQ_WORKERS`` environment variable).  A
+point whose solve fails with a ``solver.POINT_ERRORS`` exception is flagged
+in the CSV rather than aborting the run; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -257,19 +257,25 @@ def _require_grid(cfg: RunConfig, name: str) -> None:
 
 
 def _check_grids(cfg: RunConfig) -> None:
+    """The grids the task reads are set and valid; no other grid is set,
+    so the ``# config:`` echo never claims a sweep that did not run."""
     needed = [_GRID_OF[field] for field in _SWEPT.get(cfg.task, ())]
     if cfg.task == "contour-fit":
         needed.append("targets")
-    for name in needed:
-        _require_grid(cfg, name)
     if cfg.task == "stabilize":
         if bool(cfg.mu_grid) == bool(cfg.eta_grid):
             raise ConfigError(
                 "task 'stabilize' requires exactly one of mu_grid, eta_grid")
-        name = "mu_grid" if cfg.mu_grid else "eta_grid"
+        needed.append("mu_grid" if cfg.mu_grid else "eta_grid")
+    unread = [name for name in _GRID_KEYS
+              if getattr(cfg, name) and name not in needed]
+    if unread:
+        raise ConfigError(f"task {cfg.task!r} does not read "
+                          f"{', '.join(unread)}")
+    for name in needed:
         _require_grid(cfg, name)
-        if getattr(cfg, name)[0] <= 0:
-            raise ConfigError(f"{name} values must be positive")
+    if cfg.task == "stabilize" and getattr(cfg, needed[0])[0] <= 0:
+        raise ConfigError(f"{needed[0]} values must be positive")
 
 
 def _grid_points(cfg: RunConfig) -> list:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A redundant overlap is not an error: the solves drop its near-null
+directions (``solver._orthonormalizer``).
+"""
 
 from __future__ import annotations
 
@@ -13,19 +17,6 @@ class DegenerateBasisError(HybridQError):
     Raised when the odd well combination collapses (argument of the
     normalization square root is non-positive).
     """
-
-
-class IllConditionedBasisError(HybridQError):
-    """The overlap matrix is numerically singular or indefinite.
-
-    Raised by ``assemble`` and ``solve`` when the smallest z-overlap
-    eigenvalue falls below its relative floor.  Carries the offending
-    smallest eigenvalue.
-    """
-
-    def __init__(self, message: str, min_eigenvalue: float | None = None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
 
 
 class ConfigError(HybridQError):

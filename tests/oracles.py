@@ -16,6 +16,10 @@ Nothing here shares code with the implementation paths it checks:
   eigenstate from the dense per-spin-block matrices ``s_spatial`` and
   ``z_spatial``, the reference for ``observables.state_report``, which
   reads the 2N x 2N z-tables instead.
+* ``kept_subspace_energies``: the dense pencil (V^H H V, V^H S V) on the
+  subspace V = I_spin x X x I_y that ``solver.solve`` keeps, solved by
+  ``scipy.linalg.eigh``, the reference for the Kronecker-factor reduction
+  of a redundant basis.
 * ``fd_levels_1d``: dense finite-difference spectrum of the 1D quartic
   well on a uniform grid, Richardson-extrapolated.
 * ``fd_levels_2d``: sparse finite-difference spectrum of the full scaled
@@ -28,6 +32,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from numpy.polynomial.hermite import hermgauss
@@ -220,6 +225,24 @@ def dense_state_observables(sol, j: int, problem) -> tuple[float, ...]:
     sx_mean = 2.0 * _real_form(s, up, dn)
     norm = _real_form(s, up, up) + _real_form(s, dn, dn)
     return float(z_mean), float(sx_mean), float(norm)
+
+
+def kept_subspace_energies(problem, floor: float) -> np.ndarray:
+    """Ascending eigenvalues of (V^H H V, V^H S V) from the dense H and S.
+
+    V = I_spin x X x I_y in the flat (s, p, k, n) ordering, with X the
+    eigenvectors of S_z above ``floor`` times its largest eigenvalue,
+    unscaled: the subspace the solve keeps, without its Kronecker-factor
+    reduction.
+    """
+    L, N = problem.spec.L, problem.spec.N
+    s_vals, s_vecs = np.linalg.eigh(problem.z_tables["1"])
+    X = s_vecs[:, s_vals > floor * s_vals[-1]]
+    r = X.shape[1]
+    W = np.einsum("pnj,kl->pknjl", X.reshape(2, N, r), np.eye(L))
+    V = np.kron(np.eye(2), W.reshape(2 * L * N, r * L))
+    return scipy.linalg.eigh(V.T @ problem.H @ V, V.T @ problem.S @ V,
+                             eigvals_only=True)
 
 
 # ----------------------------------------------------------------------

@@ -80,14 +80,6 @@ def test_spectra_mirror_under_tilt_sign_flip():
                                atol=1e-12)
 
 
-def test_overlap_condition_is_checked():
-    # nearly coincident wells: the odd combinations degenerate away
-    bad_spec = hq.BasisSpec(eta=0.05, mu=0.7, L=2, N=8)
-    with pytest.raises(hq.IllConditionedBasisError) as err:
-        hq.assemble(hq.scale(PHYS), bad_spec)
-    assert err.value.min_eigenvalue is not None
-
-
 def test_spatial_factorization_against_elements():
     # a few H entries recomputed from first principles via the 1D tables
     spec = small_spec(L=2, N=3)

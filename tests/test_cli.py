@@ -173,18 +173,18 @@ def test_run_solve_emits_parseable_dataset(tmp_path):
 
 
 def test_run_solve_flags_a_failed_point(tmp_path):
-    # nearly coincident wells: the z-overlap is numerically singular
-    cfg = _load(MINIMAL + "eta = 0.05\nL = 2\nN = 8\n"
+    # at eta = 1e-9 the odd well combination has no normalization
+    cfg = _load(MINIMAL + "eta = 1e-9\nL = 2\nN = 8\n"
                           f"out_dir = {tmp_path}\n")
     result = cli.run(cfg)
     assert result.status == 1
     names, rows = _read_csv(tmp_path / "solve.csv")
     assert len(rows) == 1
     status = rows[0][names.index("status")]
-    assert status.startswith("failed: IllConditionedBasisError")
+    assert status.startswith("failed: DegenerateBasisError")
     assert all(value == "nan" for value in rows[0][:-1])
     summary = (tmp_path / "solve_summary.txt").read_text()
-    assert "FAILED: IllConditionedBasisError" in summary
+    assert "FAILED: DegenerateBasisError" in summary
 
 
 def test_run_sweep_deterministic_across_workers(tmp_path):
@@ -323,10 +323,20 @@ SMALL_2D = "hw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\nn_track = 2\n"
                 "hw0_list = 20,30\na_grid = 20,30\n", "basis size 2N = 8002"),
     ("solve", "task = solve\nhw0 = 30\na = 30\nL = 2\nN = 2\nworkers = 0\n",
      "worker count 0 must be at least 1"),
+    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
+              "B0_list = 0.1,2\n", "task 'sweep-bsl' does not read B0_list"),
+    ("solve", f"task = solve\n{SMALL_2D}bsl_grid = 0.5,1\n",
+     "task 'solve' does not read bsl_grid"),
+    ("stabilize", f"task = stabilize\n{SMALL_2D}mu_grid = 0.5,0.6\n"
+                  "hw0_list = 20,30\n", "does not read hw0_list"),
+    ("quartic", "task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
+                "hw0_list = 20,30\na_grid = 20,30\ntargets = 1e-2\n",
+     "task 'quartic-gap' does not read targets"),
 ], ids=["B0-zero-with-gradient", "sweep-negative-hw0",
         "quartic-negative-hw0", "stabilize-negative-mu", "nan", "L-inf",
         "huge-range", "sweep-track-one", "L-huge", "quartic-N-huge",
-        "workers-zero"])
+        "workers-zero", "sweep-bsl-unread-B0_list", "solve-unread-bsl_grid",
+        "stabilize-unread-hw0_list", "quartic-unread-targets"])
 def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, command,
                                                 text, message):
     config = tmp_path / "cfg.txt"

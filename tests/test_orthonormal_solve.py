@@ -3,7 +3,8 @@
 ``solve`` and ``state_report`` never build the dense matrices; these tests
 build them and check that the fast path returns the same eigenpairs as
 ``scipy.linalg.eigh(H, S)``, in the original basis and gauge, and the same
-expectation values as the dense spin-block forms.
+expectation values as the dense spin-block forms.  A redundant basis is
+checked against the dense pencil on the same kept subspace.
 """
 
 import dataclasses
@@ -47,6 +48,32 @@ def test_fast_solve_matches_dense_reference(physics, L, N):
     residual = np.linalg.norm(problem.H @ C - SC * E, axis=0) \
         / np.linalg.norm(SC, axis=0)
     assert residual.max() <= 1e-10 * np.abs(E).max()
+
+
+# bases whose S_z falls below the 2D drop floor: eta = 4 with more z-levels
+# than the working point's N = 20, and merged wells, where the relative
+# error (measured 2.2e-11) reflects the 1e12 condition of the kept S_z
+REDUNDANT = [(4.0, 2, 24, 2, 1e-12), (4.0, 1, 28, 4, 1e-12),
+             (0.05, 2, 8, 6, 1e-10)]
+
+
+@pytest.mark.parametrize("eta, L, N, n_dropped, rtol", REDUNDANT,
+                         ids=["eta4-L2N24", "eta4-L1N28", "merged-wells"])
+@pytest.mark.parametrize("physics",
+                         ["B0-zero", "no-gradient", "gradient-tilt-minus"])
+def test_redundant_basis_matches_kept_subspace_reference(physics, eta, L, N,
+                                                         n_dropped, rtol):
+    problem = hq.assemble(hq.scale(PHYSICS[physics]),
+                          small_spec(L=L, N=N, eta=eta))
+    sol = hq.solve(problem, 8)
+    assert sol.n_dropped == n_dropped
+    reference = oracles.kept_subspace_energies(problem,
+                                               solver.DROP_FRACTION_2D)
+    np.testing.assert_allclose(sol.energies, reference[:8], rtol=rtol,
+                               atol=0)
+    C = sol.coefficients
+    gram = C.conj().T @ problem.S @ C
+    assert np.max(np.abs(gram - np.eye(sol.n_states))) <= 1e-10
 
 
 @pytest.mark.parametrize("physics", PHYSICS, ids=list(PHYSICS))

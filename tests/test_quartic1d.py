@@ -151,9 +151,9 @@ def _quartic_tables(hw0: float, a: float, n_basis: int):
 
 
 # (hw0, a) at N = 22 in each class of the relative smallest z-overlap
-# eigenvalue: below the 2D assembly floor (merged wells, directions
-# dropped), between the floor and the drop cutoff (directions dropped),
-# and above the cutoff (every direction kept)
+# eigenvalue: below the 2D drop floor (merged wells), between the 2D and
+# the 1D floor (dropped in 1D only), and above the 1D floor (every
+# direction kept)
 OVERLAP_CLASSES = [(30.0, 20.0, 0.0, 1e-12), (30.0, 33.0, 1e-12, 1e-10),
                    (30.0, 45.0, 1e-10, 1.0)]
 
@@ -164,7 +164,7 @@ def test_solve_1d_matches_generalized_reference(hw0, a, lo, hi):
     h, S = _quartic_tables(hw0, a, 22)
     s_vals, s_vecs = np.linalg.eigh(S)
     assert lo <= s_vals[0] / s_vals[-1] < hi
-    kept = s_vecs[:, s_vals > solver.CANONICAL_DROP_FRACTION * s_vals[-1]]
+    kept = s_vecs[:, s_vals > solver.DROP_FRACTION_1D * s_vals[-1]]
     reference = scipy.linalg.eigh(kept.T @ h @ kept, kept.T @ S @ kept,
                                   eigvals_only=True)
     # the default six lowest levels; the top of a redundant basis's

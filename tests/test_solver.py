@@ -5,10 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hybridq as hq
 from hybridq import basis, solver
 from conftest import FIG4_PHYSICAL, FIG4_SPEC, small_spec
+
+import oracles
 
 PHYS = FIG4_PHYSICAL
 
@@ -125,12 +129,45 @@ def test_tie_breaking_orders_by_position():
     np.testing.assert_array_equal(vals, [1.0, 2.0, 2.0, 3.0])
 
 
-def test_indefinite_overlap_raises():
+def test_indefinite_overlap_drops_direction():
     rng = np.random.default_rng(1)
     overlap = np.diag([1.0, 1.0, 1.0, -1e-18])  # indefinite z-overlap
     problem = _table_problem(_random_z_tables(rng, 4, overlap), L=1)
-    with pytest.raises(hq.IllConditionedBasisError):
-        hq.solve(problem, 3)
+    sol = hq.solve(problem, 6)
+    assert sol.n_dropped == 1
+    reference = oracles.kept_subspace_energies(problem,
+                                               solver.DROP_FRACTION_2D)
+    np.testing.assert_allclose(sol.energies, reference, rtol=1e-12,
+                               atol=1e-12)
+    # 6 functions remain of 8
+    with pytest.raises(ValueError, match="reduced basis size 6"):
+        hq.solve(problem, 7)
+
+
+BRANCHES = {
+    "B0-zero": dataclasses.replace(PHYS, B0=0.0, bSLa=0.0),
+    "no-gradient": dataclasses.replace(PHYS, bSLa=0.0),
+    "gradient": PHYS,
+}
+
+
+@given(eta=st.floats(3.0, 5.0), mu=st.floats(0.5, 1.0),
+       N=st.integers(2, 6), L=st.integers(1, 4),
+       physics=st.sampled_from(list(BRANCHES)))
+@example(eta=4.0, mu=0.7, N=24, L=2, physics="no-gradient")
+@settings(max_examples=40, deadline=None)
+def test_levels_never_rise_as_the_y_ladder_grows(eta, mu, N, L, physics):
+    # Hylleraas-Undheim-MacDonald: the basis at L is part of the basis at
+    # L + 1, so no Ritz level rises.  S_z does not depend on L, so the kept
+    # subspaces stay nested when directions are dropped (2 at the
+    # example).  Merged wells (eta = 0.05) are not drawn: rounding in
+    # their kept S_z, conditioned 1e12, lifts levels by up to 6.2e-13.
+    lower, upper = (
+        hq.solve(hq.assemble(hq.scale(BRANCHES[physics]),
+                             small_spec(L=size, N=N, eta=eta, mu=mu)),
+                 6).energies
+        for size in (L, L + 1))
+    assert np.all(upper <= lower + 1e-12 * np.abs(lower))
 
 
 def test_pool_never_larger_than_the_work(monkeypatch):
@@ -183,13 +220,16 @@ def test_stabilize_validation():
         hq.stabilize(scaled, small_spec(), "mu", [], 4)
     with pytest.raises(ValueError):
         hq.stabilize(scaled, small_spec(), "mu", [0.6, 0.5], 4)
+    for n_track in (0, small_spec().size + 1):
+        with pytest.raises(ValueError, match="n_track"):
+            hq.stabilize(scaled, small_spec(), "mu", [0.5, 0.6], n_track)
 
 
 def test_stabilize_records_failures_not_fatal():
     scaled = hq.scale(PHYS)
-    # eta = 0.05 produces a degenerate overlap at the first grid point
+    # at eta = 1e-9 the odd well combination has no normalization
     table = hq.stabilize(scaled, small_spec(N=8), "eta",
-                         [0.05, 3.0, 4.0], 4)
+                         [1e-9, 3.0, 4.0], 4)
     assert len(table.failures) == 1
     assert table.failures[0][0] == 0
     assert np.all(np.isnan(table.energies[0]))
