@@ -91,8 +91,10 @@ class SpectralProblem:
 
     @property
     def s_condition(self) -> float:
+        """Condition number of S_z; inf when rounding leaves its smallest
+        eigenvalue at or below zero."""
         vals = self.overlap_eigh[0]
-        return float(vals[-1] / vals[0])
+        return float(vals[-1] / vals[0]) if vals[0] > 0 else np.inf
 
     @cached_property
     def s_spatial(self) -> np.ndarray:

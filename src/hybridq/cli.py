@@ -8,9 +8,11 @@ comments).  Each task writes into the output directory:
 * ``<task>.plt``     a gnuplot script rendering the CSV
 * ``<task>_summary.txt``  human-readable run summary
 
-Grids are written either as comma lists (``20,25,30``) or inclusive ranges
-``lo:hi:step``.  The whole config, every grid point included, is validated
-before any point runs, command-line overrides included: unknown keys,
+Each config key is declared once in ``_KEYS`` and each task once in
+``_TASK_TABLE``; a key left out takes the default of its ``RunConfig`` or
+``PhysicalParams`` field.  Grids are comma lists (``20,25,30``) or inclusive
+ranges ``lo:hi:step``.  The whole config, every grid point and command-line
+override included, is validated before any point runs: unknown keys,
 malformed or non-finite numbers, ranges longer than ``MAX_GRID_POINTS``, a
 basis larger than ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold,
 a grid the task does not read and grid points that are not a valid working
@@ -18,7 +20,8 @@ point raise ``ConfigError``, and ``main`` then exits with status 2 without
 writing a dataset.  Sweep points fan out over a worker pool (``--workers``,
 config ``workers`` or the ``HYBRIDQ_WORKERS`` environment variable).  A
 point whose solve fails with a ``solver.POINT_ERRORS`` exception is flagged
-in the CSV rather than aborting the run; any other exception propagates.
+in the CSV and the summary rather than aborting the run; any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,25 +43,20 @@ from .basis import BasisSpec
 from .errors import ConfigError, HybridQError
 from .model import PhysicalParams, scale
 
-TASKS = ("solve", "stabilize", "sweep-bsl", "sweep-w0", "sweep-B0",
-         "quartic-gap", "contour-fit")
-
-# defaults: the paper's working parameter set
-_DEFAULTS = {
-    "m_ratio": 0.041,
-    "eta": 4.0,
-    "mu": 0.7,
-    "L": 20,
-    "N": 20,
-    "n_track": 8,
+# every config key and its kind, in ``# config:`` echo order; the
+# PhysicalParams fields go to ``RunConfig.physical``, the rest to RunConfig
+_KEYS = {
+    "task": "text",
+    "hw0": "float", "a": "float", "b": "float", "gamma": "float",
+    "B0": "float", "bSLa": "float", "m_ratio": "float",
+    "eta": "float", "mu": "float",
+    "L": "int", "N": "int", "n_track": "int", "workers": "int",
+    "out_dir": "text",
+    "mu_grid": "grid", "eta_grid": "grid", "bsl_grid": "grid",
+    "hw0_list": "grid", "B0_list": "grid", "a_grid": "grid",
+    "targets": "grid",
 }
-
-_FLOAT_KEYS = ("hw0", "a", "b", "gamma", "B0", "bSLa", "m_ratio",
-               "eta", "mu")
-_INT_KEYS = ("L", "N", "n_track", "workers")
-_GRID_KEYS = ("mu_grid", "eta_grid", "bsl_grid", "hw0_list", "B0_list",
-              "a_grid", "targets")
-_ALL_KEYS = ("task", "out_dir") + _FLOAT_KEYS + _INT_KEYS + _GRID_KEYS
+_PHYSICAL = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 
 # largest number of points a range grid, or the product grid of one run,
 # may hold; far above any feasible run, it keeps a typo such as a tiny
@@ -68,34 +67,36 @@ MAX_GRID_POINTS = 100_000
 # for the 1D tasks; one dense real matrix of this size takes 512 MB
 MAX_BASIS_SIZE = 8000
 
-# tasks that solve the 1D problem in 2N z-functions alone
-_TASKS_1D = ("quartic-gap", "contour-fit")
-
-# PhysicalParams fields each sweep task varies, outer first; a run visits
-# the product of their grids in outer-major order
-_SWEPT = {
-    "sweep-bsl": ("bSLa",),
-    "sweep-w0": ("hw0", "bSLa"),
-    "sweep-B0": ("B0", "bSLa"),
-    "quartic-gap": ("hw0", "a"),
-    "contour-fit": ("hw0", "a"),
-}
 _GRID_OF = {"bSLa": "bsl_grid", "hw0": "hw0_list", "B0": "B0_list",
             "a": "a_grid"}
 _COLUMN_OF = {"bSLa": "bSLa_T", "hw0": "hw0", "B0": "B0_T"}
 
 
 @dataclass(frozen=True)
+class _Task:
+    """One row of ``_TASK_TABLE``: the subcommand and runner of a task,
+    the PhysicalParams fields it sweeps (outer first; a run visits the
+    product of their grids, outer-major) and whether it is 1D (2N
+    z-functions alone)."""
+
+    command: str
+    runner: Callable
+    swept: tuple = ()
+    is_1d: bool = False
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one batch run."""
+    """Validated description of one batch run; the defaults are the
+    paper's working basis and the number of levels tracked."""
 
     task: str
     physical: PhysicalParams
-    eta: float
-    mu: float
-    L: int
-    N: int
-    n_track: int
+    eta: float = 4.0
+    mu: float = 0.7
+    L: int = 20
+    N: int = 20
+    n_track: int = 8
     workers: int | None = None
     out_dir: str | None = None
     mu_grid: tuple = ()
@@ -164,21 +165,22 @@ def _parse_raw(lines) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        if key not in _ALL_KEYS:
+        kind = _KEYS.get(key)
+        if kind is None:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        if key in ("task", "out_dir"):
+        if kind == "text":
             raw[key] = value
-        elif key in _GRID_KEYS:
+        elif kind == "grid":
             raw[key] = _parse_grid(value, lineno)
-        elif key in _INT_KEYS:
-            num = _parse_number(value, lineno)
-            if num != int(num):
-                raise ConfigError(f"{key} must be an integer", lineno)
-            raw[key] = int(num)
         else:
-            raw[key] = _parse_number(value, lineno)
+            num = _parse_number(value, lineno)
+            if kind == "int":
+                if num != int(num):
+                    raise ConfigError(f"{key} must be an integer", lineno)
+                num = int(num)
+            raw[key] = num
     return raw
 
 
@@ -194,32 +196,11 @@ def _validate_config(raw: dict) -> RunConfig:
 
     try:
         physical = PhysicalParams(
-            hw0=raw["hw0"], a=raw["a"], b=raw.get("b"),
-            gamma=raw.get("gamma", 0.0), B0=raw.get("B0", 0.0),
-            bSLa=raw.get("bSLa", 0.0),
-            m_ratio=raw.get("m_ratio", _DEFAULTS["m_ratio"]),
-        )
+            **{key: raw[key] for key in _PHYSICAL if key in raw})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    cfg = RunConfig(
-        task=task,
-        physical=physical,
-        eta=raw.get("eta", _DEFAULTS["eta"]),
-        mu=raw.get("mu", _DEFAULTS["mu"]),
-        L=raw.get("L", _DEFAULTS["L"]),
-        N=raw.get("N", _DEFAULTS["N"]),
-        n_track=raw.get("n_track", _DEFAULTS["n_track"]),
-        workers=raw.get("workers"),
-        out_dir=raw.get("out_dir"),
-        mu_grid=raw.get("mu_grid", ()),
-        eta_grid=raw.get("eta_grid", ()),
-        bsl_grid=raw.get("bsl_grid", ()),
-        hw0_list=raw.get("hw0_list", ()),
-        B0_list=raw.get("B0_list", ()),
-        a_grid=raw.get("a_grid", ()),
-        targets=raw.get("targets", ()),
-    )
+    cfg = RunConfig(physical=physical, **{
+        key: value for key, value in raw.items() if key not in _PHYSICAL})
     try:
         cfg.spec  # validates eta, mu, L, N
     except ValueError as exc:
@@ -233,33 +214,26 @@ def _validate_config(raw: dict) -> RunConfig:
 def _check_sizes(cfg: RunConfig) -> None:
     """The basis fits ``MAX_BASIS_SIZE`` and a 2D task tracks between one
     (two for a sweep, which reports the gap) and all 4LN levels."""
-    if cfg.task in _TASKS_1D:
+    task = _TASK_TABLE[cfg.task]
+    if task.is_1d:
         size, what = 2 * cfg.N, "2N"
     else:
         size, what = cfg.spec.size, "4LN"
     if size > MAX_BASIS_SIZE:
         raise ConfigError(f"basis size {what} = {size} exceeds "
                           f"{MAX_BASIS_SIZE}")
-    if cfg.task in _TASKS_1D:
+    if task.is_1d:
         return
-    lowest = 2 if cfg.task in _SWEPT else 1
+    lowest = 2 if task.swept else 1
     if not lowest <= cfg.n_track <= size:
         raise ConfigError(f"task {cfg.task!r} needs n_track between "
                           f"{lowest} and 4LN = {size}, not {cfg.n_track}")
 
 
-def _require_grid(cfg: RunConfig, name: str) -> None:
-    grid = getattr(cfg, name)
-    if len(grid) == 0:
-        raise ConfigError(f"task {cfg.task!r} requires {name}")
-    if len(grid) > 1 and any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"{name} must be strictly increasing")
-
-
 def _check_grids(cfg: RunConfig) -> None:
     """The grids the task reads are set and valid; no other grid is set,
     so the ``# config:`` echo never claims a sweep that did not run."""
-    needed = [_GRID_OF[field] for field in _SWEPT.get(cfg.task, ())]
+    needed = [_GRID_OF[field] for field in _TASK_TABLE[cfg.task].swept]
     if cfg.task == "contour-fit":
         needed.append("targets")
     if cfg.task == "stabilize":
@@ -267,13 +241,18 @@ def _check_grids(cfg: RunConfig) -> None:
             raise ConfigError(
                 "task 'stabilize' requires exactly one of mu_grid, eta_grid")
         needed.append("mu_grid" if cfg.mu_grid else "eta_grid")
-    unread = [name for name in _GRID_KEYS
-              if getattr(cfg, name) and name not in needed]
+    unread = [name for name, kind in _KEYS.items()
+              if kind == "grid" and getattr(cfg, name)
+              and name not in needed]
     if unread:
         raise ConfigError(f"task {cfg.task!r} does not read "
                           f"{', '.join(unread)}")
     for name in needed:
-        _require_grid(cfg, name)
+        grid = getattr(cfg, name)
+        if not grid:
+            raise ConfigError(f"task {cfg.task!r} requires {name}")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"{name} must be strictly increasing")
     if cfg.task == "stabilize" and getattr(cfg, needed[0])[0] <= 0:
         raise ConfigError(f"{needed[0]} values must be positive")
 
@@ -286,7 +265,7 @@ def _grid_points(cfg: RunConfig) -> list:
     length b keeps its ratio to a.  Every point is built and scaled here,
     so an invalid one raises ConfigError before any point runs.
     """
-    fields = _SWEPT.get(cfg.task, ())
+    fields = _TASK_TABLE[cfg.task].swept
     grids = [getattr(cfg, _GRID_OF[field]) for field in fields]
     n_points = math.prod(len(grid) for grid in grids)
     if n_points > MAX_GRID_POINTS:
@@ -327,33 +306,24 @@ def _fmt(value) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render a RunConfig back into parseable config text."""
-    p = cfg.physical
-    lines = [f"task = {cfg.task}"]
-    for key, value in (("hw0", p.hw0), ("a", p.a), ("b", p.b),
-                       ("gamma", p.gamma), ("B0", p.B0), ("bSLa", p.bSLa),
-                       ("m_ratio", p.m_ratio), ("eta", cfg.eta),
-                       ("mu", cfg.mu)):
-        lines.append(f"{key} = {_fmt(value)}")
-    for key in ("L", "N", "n_track"):
-        lines.append(f"{key} = {getattr(cfg, key)}")
-    if cfg.workers is not None:
-        lines.append(f"workers = {cfg.workers}")
-    if cfg.out_dir is not None:
-        lines.append(f"out_dir = {cfg.out_dir}")
-    for key in _GRID_KEYS:
-        grid = getattr(cfg, key)
-        if grid:
-            lines.append(f"{key} = " + ",".join(_fmt(v) for v in grid))
+    lines = []
+    for key, kind in _KEYS.items():
+        value = getattr(cfg.physical if key in _PHYSICAL else cfg, key)
+        if value is None or (kind == "grid" and not value):
+            continue
+        if kind == "float":
+            value = _fmt(value)
+        elif kind == "grid":
+            value = ",".join(_fmt(v) for v in value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def config_from_csv(path) -> RunConfig:
     """Reconstruct the RunConfig echoed in a dataset's comment header."""
-    lines = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("# config: "):
-                lines.append(line[len("# config: "):])
+        lines = [line[len("# config: "):] for line in handle
+                 if line.startswith("# config: ")]
     if not lines:
         raise ConfigError(f"{path} carries no '# config:' echo")
     return parse_config_lines(lines)
@@ -416,9 +386,8 @@ def _solve_point(args):
         scaled = scale(physical)
         problem = assembly.assemble(scaled, spec)
         sol = solver.solve(problem, n_track)
-        n_obs = min(4, n_track)
         reports = [observables.state_report(sol, j, problem)
-                   for j in range(n_obs)]
+                   for j in range(min(4, n_track))]
         return {
             "energies": sol.energies.tolist(),
             "z": [r.z_mean for r in reports],
@@ -447,11 +416,10 @@ def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
                  f"failed: {res['error'].replace(',', ';')}"]]
         summary.append(f"FAILED: {res['error']}")
         return _TaskOutput(columns, rows, notes, summary, plot, status=1)
-    rows = []
-    for j, energy in enumerate(res["energies"]):
-        z = res["z"][j] if j < len(res["z"]) else float("nan")
-        sx = res["sx"][j] if j < len(res["sx"]) else float("nan")
-        rows.append([float(j), energy, energy * hw0, z, sx, "ok"])
+    pad = _nan_row(cfg.n_track)
+    rows = [[float(j), energy, energy * hw0, z, sx, "ok"]
+            for j, (energy, z, sx) in enumerate(zip(
+                res["energies"], res["z"] + pad, res["sx"] + pad))]
     if cfg.n_track >= 2:
         gap = res["energies"][1] - res["energies"][0]
         summary.append(f"qubit gap (E1-E0): {gap:.6e} hw0 = "
@@ -469,20 +437,17 @@ def _run_stabilize(cfg: RunConfig, workers: int) -> _TaskOutput:
                              cfg.n_track, workers=workers)
     columns = [parameter] + [f"E{j}_hw0" for j in range(cfg.n_track)] \
         + ["status"]
-    rows = []
     failed = dict(table.failures)
-    for i, value in enumerate(table.grid):
-        status = "failed" if i in failed else "ok"
-        rows.append([float(value), *table.energies[i].tolist(), status])
+    rows = [[float(value), *table.energies[i].tolist(),
+             "failed" if i in failed else "ok"]
+            for i, value in enumerate(table.grid)]
     summary = [f"stabilization parameter: {parameter}",
                f"window tolerance: {table.tolerance:g}"]
-    for plateau in table.plateaus:
-        if plateau is None:
-            continue
-        summary.append(
-            f"level {plateau.level}: plateau [{plateau.lo:g}, {plateau.hi:g}]"
-            f" ({plateau.n_points} pts, rel variation "
-            f"{plateau.rel_variation:.2e})")
+    summary += [
+        f"level {plateau.level}: plateau [{plateau.lo:g}, {plateau.hi:g}]"
+        f" ({plateau.n_points} pts, rel variation "
+        f"{plateau.rel_variation:.2e})"
+        for plateau in table.plateaus if plateau is not None]
     for index, message in table.failures:
         summary.append(f"FAILED {parameter} = {table.grid[index]:g}: "
                        f"{message}")
@@ -500,7 +465,7 @@ def _run_stabilize(cfg: RunConfig, workers: int) -> _TaskOutput:
 def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
     """sweep-bsl, sweep-w0 and sweep-B0: one full solve per point of the
     outer grid (none, hw0_list or B0_list) times bsl_grid."""
-    fields = _SWEPT[cfg.task]
+    fields = _TASK_TABLE[cfg.task].swept
     points = _grid_points(cfg)
     tasks = [(point, cfg.spec, cfg.n_track) for _, point in points]
     results = solver.parallel_map(_solve_point, tasks, workers)
@@ -592,29 +557,27 @@ def _gap_surface(cfg: RunConfig, workers: int):
     return surface, failures
 
 
+def _failure_lines(failures) -> list:
+    return [f"FAILED hw0={hw0:g} a={a:g}: {err}" for hw0, a, err in failures]
+
+
 def _run_quartic_gap(cfg: RunConfig, workers: int) -> _TaskOutput:
     surface, failures = _gap_surface(cfg, workers)
     columns = ["a_nm"] + [f"gap_hw0_{w:g}meV" for w in cfg.hw0_list] \
         + ["status"]
-    rows = []
-    failed_a = {a for (_, a, _) in failures}
-    for j, a in enumerate(cfg.a_grid):
-        status = "failed" if a in failed_a else "ok"
-        rows.append([float(a), *surface.gaps[:, j].tolist(), status])
+    failed_a = {a for _, a, _ in failures}
+    rows = [[float(a), *surface.gaps[:, j].tolist(),
+             "failed" if a in failed_a else "ok"]
+            for j, a in enumerate(cfg.a_grid)]
     summary = []
-    names = ("algebraic", "exponential", "floor")
-    for i, hw0 in enumerate(cfg.hw0_list):
-        reg = surface.regimes[i]
-        parts = []
-        for name in names:
-            span = getattr(reg, name)
-            if span is not None:
-                parts.append(f"{name} a in [{cfg.a_grid[span[0]]:g}, "
-                             f"{cfg.a_grid[span[1]]:g}] nm")
+    for hw0, regimes in zip(cfg.hw0_list, surface.regimes):
+        parts = [f"{name} a in [{cfg.a_grid[span[0]]:g}, "
+                 f"{cfg.a_grid[span[1]]:g}] nm"
+                 for name in ("algebraic", "exponential", "floor")
+                 if (span := getattr(regimes, name)) is not None]
         summary.append(f"hw0 = {hw0:g} meV: " + ("; ".join(parts) or
                                                  "no regime identified"))
-    for hw0, a, err in failures:
-        summary.append(f"FAILED hw0={hw0:g} a={a:g}: {err}")
+    summary += _failure_lines(failures)
     plot = _plot_script(
         "quartic-gap", "a  [nm]", "(E1-E0) / hw0", "set logscale y",
         "plot " + " , ".join(
@@ -627,7 +590,8 @@ def _run_quartic_gap(cfg: RunConfig, workers: int) -> _TaskOutput:
 
 
 def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
-    surface, _ = _gap_surface(cfg, workers)
+    surface, failures = _gap_surface(cfg, workers)
+    failed_hw0 = {hw0 for hw0, _, _ in failures}
     columns = ["target_gap", "hw0_meV", "a_nm", "status"]
     rows, summary = [], []
     n_ok = 0
@@ -642,11 +606,12 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
             rows.append([float(target), float(hw0), float(a), "ok"])
         for hw0 in fit.skipped_hw0:
             rows.append([float(target), float(hw0), float("nan"),
-                         "unreachable"])
+                         "failed" if hw0 in failed_hw0 else "unreachable"])
         summary.append(
             f"target {target:g}: a = {fit.amplitude:.4f} * hw0^"
             f"{fit.exponent:+.4f} (R^2 = {fit.r_squared:.6f}; "
             f"{len(fit.skipped_hw0)} hw0 column(s) skipped)")
+    summary += _failure_lines(failures)
     plot = _plot_script(
         "contour-fit", "hw0  [meV]", "a  [nm]", "set logscale xy",
         "plot " + " , ".join(
@@ -658,15 +623,18 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
         summary, plot, status=int(n_ok == 0))
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "stabilize": _run_stabilize,
-    "sweep-bsl": _run_sweep,
-    "sweep-w0": _run_sweep,
-    "sweep-B0": _run_sweep,
-    "quartic-gap": _run_quartic_gap,
-    "contour-fit": _run_contour_fit,
+_TASK_TABLE = {
+    "solve": _Task("solve", _run_solve),
+    "stabilize": _Task("stabilize", _run_stabilize),
+    "sweep-bsl": _Task("sweep", _run_sweep, ("bSLa",)),
+    "sweep-w0": _Task("sweep", _run_sweep, ("hw0", "bSLa")),
+    "sweep-B0": _Task("sweep", _run_sweep, ("B0", "bSLa")),
+    "quartic-gap": _Task("quartic", _run_quartic_gap, ("hw0", "a"),
+                         is_1d=True),
+    "contour-fit": _Task("contour", _run_contour_fit, ("hw0", "a"),
+                         is_1d=True),
 }
+TASKS = tuple(_TASK_TABLE)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -674,7 +642,7 @@ def run(cfg: RunConfig) -> RunResult:
     workers = _resolve_workers(cfg)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    result = _RUNNERS[cfg.task](cfg, workers)
+    result = _TASK_TABLE[cfg.task].runner(cfg, workers)
     config_lines = serialize_config(cfg).splitlines()
 
     csv_path = out / f"{cfg.task}.csv"
@@ -706,13 +674,12 @@ def run(cfg: RunConfig) -> RunResult:
 # command line
 # ----------------------------------------------------------------------
 
-_SUBCOMMAND_TASKS = {
-    "solve": ("solve",),
-    "stabilize": ("stabilize",),
-    "sweep": ("sweep-bsl", "sweep-w0", "sweep-B0"),
-    "quartic": ("quartic-gap",),
-    "contour": ("contour-fit",),
-}
+def _command_tasks() -> dict:
+    """Each subcommand and the tasks it runs, in the order of ``TASKS``."""
+    commands = {}
+    for name, task in _TASK_TABLE.items():
+        commands.setdefault(task.command, []).append(name)
+    return {command: tuple(names) for command, names in commands.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -721,7 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral solver and sweep runner for the double-well "
                     "hybrid-qubit dot")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, tasks in _SUBCOMMAND_TASKS.items():
+    for name, tasks in _command_tasks().items():
         cmd = sub.add_parser(name, help=f"run a {'/'.join(tasks)} task")
         cmd.add_argument("--config", required=True, help="config file path")
         cmd.add_argument("--out", default=None, help="output directory")
@@ -740,7 +707,7 @@ def main(argv=None) -> int:
                  if value is not None}
     try:
         cfg = load_config(args.config, overrides)
-        allowed = _SUBCOMMAND_TASKS[args.command]
+        allowed = _command_tasks()[args.command]
         if cfg.task not in allowed:
             raise ConfigError(
                 f"config task {cfg.task!r} does not match subcommand "

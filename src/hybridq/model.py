@@ -19,6 +19,9 @@ E_CHARGE = 1.602_176_634e-19  # C
 _MEV = 1e-3 * E_CHARGE        # J per meV
 _NM = 1e-9                    # m per nm
 
+# effective-mass ratio m*/m_e of the paper's working parameter set
+M_RATIO = 0.041
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -29,7 +32,7 @@ class PhysicalParams:
     gamma: float = 0.0       # dimensionless tilt (left/right depth imbalance)
     B0: float = 0.0          # uniform Zeeman field along z [T]
     bSLa: float = 0.0        # slanting-field product b_SL*a [T]
-    m_ratio: float = 0.041   # effective-mass ratio m*/m_e
+    m_ratio: float = M_RATIO  # effective-mass ratio m*/m_e
     b: float | None = None   # barrier-height length [nm]; None means b = a
 
     def __post_init__(self) -> None:

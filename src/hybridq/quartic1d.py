@@ -18,7 +18,7 @@ import numpy as np
 from . import basis as basis_mod
 from .assembly import z_hamiltonian
 from .basis import BasisSpec
-from .model import PhysicalParams, scale
+from .model import M_RATIO, PhysicalParams, scale
 from .solver import _canonical_solve
 
 # log-log slope thresholds separating the decay regimes of a gap curve
@@ -58,29 +58,28 @@ class ContourFit:
     target: float
     hw0_values: np.ndarray
     a_values: np.ndarray
-    skipped_hw0: tuple       # hw0 columns whose curve never reaches the target
+    skipped_hw0: tuple       # hw0 rows that never reach the target or failed
     amplitude: float
     exponent: float
     r_squared: float
 
 
 def solve_1d(hw0: float, a: float, b: float | None = None,
-             gamma: float = 0.0, *, eta: float | None = None,
-             n_basis: int = 20, n_lowest: int = 6,
-             m_ratio: float = 0.041) -> np.ndarray:
+             gamma: float = 0.0, *, n_basis: int = 20, n_lowest: int = 6,
+             m_ratio: float = M_RATIO) -> np.ndarray:
     """Lowest eigenvalues (units hw0) of the 1D double well.
 
-    ``eta`` defaults to a / ell0 = 1/sqrt(r_a), the inverse single-well
-    oscillator length in scaled units.  The solve is the canonical
-    orthogonalization of ``solver._canonical_solve``: where the wells merge
-    and the two well ladders become redundant, the near-null overlap
-    directions are dropped and the levels come from the regular subspace.
+    The basis width is eta = a / ell0 = 1/sqrt(r_a), the inverse
+    single-well oscillator length in scaled units.  The solve is the
+    canonical orthogonalization of ``solver._canonical_solve``: where the
+    wells merge and the two well ladders become redundant, the near-null
+    overlap directions are dropped and the levels come from the regular
+    subspace.
     """
     params = PhysicalParams(hw0=hw0, a=a, b=b, gamma=gamma, m_ratio=m_ratio)
     scaled = scale(params)
-    if eta is None:
-        eta = 1.0 / math.sqrt(scaled.r_a)
-    spec = BasisSpec(eta=eta, mu=1.0, L=1, N=n_basis)
+    spec = BasisSpec(eta=1.0 / math.sqrt(scaled.r_a), mu=1.0, L=1,
+                     N=n_basis)
 
     table = basis_mod.z_element_table
     h = z_hamiltonian(scaled, table("dz2", spec), table("quartic", spec),
@@ -94,11 +93,13 @@ def classify_regimes(a_values, gaps) -> CurveRegimes:
     Midpoint slopes p = d(log g)/d(log a) sort into: floor (|p| below
     FLOOR_SLOPE, taken as a trailing run), algebraic (|p| up to
     ALGEBRAIC_SLOPE, leading run) and exponential (steeper than
-    ALGEBRAIC_SLOPE, longest run).
+    ALGEBRAIC_SLOPE, longest run).  A curve with fewer than three points,
+    or with a gap that is not finite and positive (a failed point), has no
+    regimes.
     """
     a_values = np.asarray(a_values, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
-    if len(a_values) < 3 or np.any(gaps <= 0):
+    if len(a_values) < 3 or not np.all(np.isfinite(gaps) & (gaps > 0)):
         return CurveRegimes(None, None, None)
     p = np.diff(np.log(gaps)) / np.diff(np.log(a_values))
 
@@ -141,19 +142,19 @@ def classify_regimes(a_values, gaps) -> CurveRegimes:
 
 def gap_surface(hw0_values, a_values, gamma: float = -1e-3,
                 b_over_a: float = 1.0, *, n_basis: int = 20,
-                eta: float | None = None,
-                m_ratio: float = 0.041) -> GapSurface:
+                m_ratio: float = M_RATIO) -> GapSurface:
     """Tabulate the scaled gap over a (hw0, a) grid and classify regimes.
 
     ``b_over_a`` scales the barrier length with a (the default b = a keeps
-    the potential shape fixed); ``eta`` None picks 1/sqrt(r_a) per point.
+    the potential shape fixed); each point is a ``solve_1d``, so its basis
+    width is 1/sqrt(r_a) of that point.
     """
     hw0_values = np.asarray(hw0_values, dtype=float)
     a_values = np.asarray(a_values, dtype=float)
     gaps = np.empty((len(hw0_values), len(a_values)))
     for i, hw0 in enumerate(hw0_values):
         for j, a in enumerate(a_values):
-            levels = solve_1d(hw0, a, b=b_over_a * a, gamma=gamma, eta=eta,
+            levels = solve_1d(hw0, a, b=b_over_a * a, gamma=gamma,
                               n_basis=n_basis, n_lowest=2, m_ratio=m_ratio)
             gaps[i, j] = levels[1] - levels[0]
     regimes = tuple(classify_regimes(a_values, gaps[i])
@@ -185,14 +186,16 @@ def contour_fit(surface: GapSurface, target: float) -> ContourFit:
     """Extract the iso-gap contour and fit a = A hw0^exponent.
 
     Per hw0 the contour point is the smallest tabulated a whose gap is at
-    or below the target; rows that never reach the target are skipped and
-    reported.
+    or below the target; rows that never reach the target, and rows with a
+    failed (non-finite) gap, are skipped and reported.
     """
     if target <= 0:
         raise ValueError("target gap must be positive")
     hw0_pts, a_pts, skipped = [], [], []
     for i, hw0 in enumerate(surface.hw0_values):
-        idx = _first_index_at_or_below(surface.gaps[i], target)
+        row = surface.gaps[i]
+        idx = (_first_index_at_or_below(row, target)
+               if np.all(np.isfinite(row)) else None)
         if idx is None:
             skipped.append(float(hw0))
         else:

@@ -42,6 +42,9 @@ TIE_THRESHOLD = 1e-12
 DROP_FRACTION_1D = 1e-10
 DROP_FRACTION_2D = 1e-12
 
+# relative variation within which ``stabilize`` counts a level as flat
+PLATEAU_TOLERANCE = 1e-4
+
 # errors that mark one grid point as failed; any other exception is a bug
 # and propagates
 POINT_ERRORS = (HybridQError, scipy.linalg.LinAlgError, ValueError)
@@ -219,13 +222,12 @@ def _widest_plateau(grid: np.ndarray, values: np.ndarray, level: int,
 
 
 def stabilize(scaled: ScaledParams, spec: BasisSpec, parameter: str,
-              grid, n_track: int, *, tol: float = 1e-4,
-              workers: int = 1) -> StabilizationTable:
+              grid, n_track: int, *, workers: int = 1) -> StabilizationTable:
     """Track the lowest ``n_track`` eigenvalues over a grid of eta or mu.
 
     Each grid point re-assembles and re-solves; failures are recorded as NaN
     rows rather than raised.  Per level the widest grid window with relative
-    variation <= ``tol`` is reported as its plateau.
+    variation <= ``PLATEAU_TOLERANCE`` is reported as its plateau.
     """
     if parameter not in ("mu", "eta"):
         raise ValueError("parameter must be 'mu' or 'eta'")
@@ -250,8 +252,10 @@ def stabilize(scaled: ScaledParams, spec: BasisSpec, parameter: str,
         else:
             failures.append((index, err))
 
-    plateaus = tuple(_widest_plateau(grid, energies[:, lev], lev, tol)
+    plateaus = tuple(_widest_plateau(grid, energies[:, lev], lev,
+                                     PLATEAU_TOLERANCE)
                      for lev in range(n_track))
     return StabilizationTable(parameter=parameter, grid=grid,
                               energies=energies, plateaus=plateaus,
-                              failures=tuple(failures), tolerance=tol)
+                              failures=tuple(failures),
+                              tolerance=PLATEAU_TOLERANCE)

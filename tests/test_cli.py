@@ -231,6 +231,22 @@ def test_run_quartic_and_contour(tmp_path):
     assert "hw0^" in summary
 
 
+def test_contour_fit_lists_failed_points(tmp_path):
+    # at hw0 = 1e-14 meV, a = 0.5 nm the two well functions coincide
+    base = ("hw0 = 30\na = 30\ngamma = -1e-3\nN = 16\n"
+            "hw0_list = 1e-14,20,30\na_grid = 0.5,16,18,20,22,24,26,28,30\n")
+    failed = "FAILED hw0=1e-14 a=0.5: DegenerateBasisError"
+    for task, extra in (("quartic-gap", ""),
+                        ("contour-fit", "targets = 1e-2\n")):
+        out = tmp_path / task
+        cfg = _load(f"task = {task}\n{base}{extra}out_dir = {out}\n")
+        assert cli.run(cfg).status == 0
+        assert failed in (out / f"{task}_summary.txt").read_text()
+    names, rows = _read_csv(tmp_path / "contour-fit" / "contour-fit.csv")
+    assert [row[names.index("status")] for row in rows
+            if float(row[names.index("hw0_meV")]) == 1e-14] == ["failed"]
+
+
 def test_cli_main_subcommand_mismatch(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text(SMALL_SWEEP)
@@ -410,9 +426,31 @@ CONFIGS = sorted(glob.glob(os.path.join(
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
 def test_shipped_config_loads(path):
     cfg = cli.load_config(path)
-    commands = [name for name, tasks in cli._SUBCOMMAND_TASKS.items()
-                if cfg.task in tasks]
-    assert len(commands) == 1
+    assert cli._TASK_TABLE[cfg.task].command in {"solve", "stabilize",
+                                                 "sweep", "quartic",
+                                                 "contour"}
+    overridden = cli.load_config(path, {"workers": 2, "out_dir": "runs/x",
+                                        "n_track": 5})
+    assert (overridden.workers, overridden.out_dir, overridden.n_track) \
+        == (2, "runs/x", 5)
+    for config in (cfg, overridden):
+        text = cli.serialize_config(config)
+        assert cli.parse_config_lines(text.splitlines()) == config
+
+
+def test_readme_runs_every_shipped_config_under_its_subcommand():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    runs = re.findall(r"^hybridq (\S+) +--config configs/(\S+)", section,
+                      re.MULTILINE)
+    shipped = sorted(os.path.basename(path) for path in CONFIGS)
+    assert sorted(name for _, name in runs) == shipped
+    for command, name in runs:
+        cfg = cli.load_config(os.path.join(os.path.dirname(readme),
+                                           "configs", name))
+        assert command == cli._TASK_TABLE[cfg.task].command, name
 
 
 def test_every_task_has_a_shipped_config():

@@ -67,6 +67,9 @@ def test_redundant_basis_matches_kept_subspace_reference(physics, eta, L, N,
                           small_spec(L=L, N=N, eta=eta))
     sol = hq.solve(problem, 8)
     assert sol.n_dropped == n_dropped
+    if N == 28:
+        # rounding leaves the smallest S_z eigenvalue below zero
+        assert sol.s_condition == np.inf
     reference = oracles.kept_subspace_energies(problem,
                                                solver.DROP_FRACTION_2D)
     np.testing.assert_allclose(sol.energies, reference[:8], rtol=rtol,

@@ -131,6 +131,28 @@ def test_contour_fit_reports_unreachable_columns():
         hq.contour_fit(surface, 1e-4)
 
 
+def test_contour_fit_skips_a_row_with_a_failed_point():
+    # the hw0 = 20 row reaches no target before its failed (NaN) point
+    surface = hq.GapSurface(
+        hw0_values=np.array([10.0, 20.0, 30.0]),
+        a_values=np.array([10.0, 20.0, 30.0]),
+        gaps=np.array([[5e-2, 4e-3, 2e-3], [5e-2, 4e-2, np.nan],
+                       [5e-2, 2e-3, 1e-3]]),
+        gamma=0.0, b_over_a=1.0, regimes=())
+    fit = hq.contour_fit(surface, 3e-3)
+    assert fit.skipped_hw0 == (20.0,)
+    assert list(fit.hw0_values) == [10.0, 30.0]
+    assert list(fit.a_values) == [30.0, 20.0]
+
+
+def test_classify_regimes_rejects_a_curve_with_a_failed_point():
+    a = np.linspace(10.0, 40.0, 31)
+    gaps = np.exp(-0.5 * a)
+    gaps[15] = np.nan
+    assert hq.classify_regimes(a, gaps) == hq.quartic1d.CurveRegimes(
+        None, None, None)
+
+
 def test_contour_fit_rejects_nonpositive_target():
     with pytest.raises(ValueError):
         hq.contour_fit(_step_surface(7.0, 1e-3), -1.0)
