@@ -7,7 +7,8 @@ Hermite-Gaussian well-pair basis.
 
 from .assembly import SpectralProblem, assemble
 from .basis import BasisSpec, cross_overlap, normalization
-from .errors import ConfigError, DegenerateBasisError, HybridQError
+from .errors import (ConfigError, DegenerateBasisError, HybridQError,
+                     ReducedBasisError)
 from .model import PhysicalParams, ScaledParams, potential, scale
 from .observables import (AvoidedCrossing, QubitReport, StateReport,
                           crossing_scan, qubit_report, state_report)
@@ -21,9 +22,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AvoidedCrossing", "BasisSpec", "ConfigError", "ContourFit",
     "DegenerateBasisError", "EigenSolution", "GapSurface", "HybridQError",
-    "PhysicalParams", "Plateau", "QubitReport", "ScaledParams",
-    "SpectralProblem", "StabilizationTable", "StateReport", "assemble",
-    "classify_regimes", "contour_fit", "cross_overlap", "crossing_scan",
-    "gap_surface", "normalization", "potential", "qubit_report", "scale",
-    "solve", "solve_1d", "stabilize", "state_report",
+    "PhysicalParams", "Plateau", "QubitReport", "ReducedBasisError",
+    "ScaledParams", "SpectralProblem", "StabilizationTable", "StateReport",
+    "assemble", "classify_regimes", "contour_fit", "cross_overlap",
+    "crossing_scan", "gap_surface", "normalization", "potential",
+    "qubit_report", "scale", "solve", "solve_1d", "stabilize",
+    "state_report",
 ]

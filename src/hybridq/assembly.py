@@ -1,8 +1,8 @@
 """Assembly of the spectral problem from Kronecker factors.
 
-Every term of the scaled Hamiltonian factorizes as (z-factor) x (y-factor)
-x (spin-factor): a 2N x 2N z-table, an L x L y-table and a 2 x 2 spin
-matrix.  In units of hw0 the spin-independent part is
+Every term of the scaled Hamiltonian factorizes as (spin-factor) x
+(z-factor) x (y-factor): a 2 x 2 spin matrix, a 2N x 2N z-table and an
+L x L y-table.  In units of hw0 the spin-independent part is
 
     H0 = -(r_a/2) (d2/dz'2 + d2/dy'2)
          + ab_ratio/(8 r_a) (z'^2-1)^2 - gamma z'
@@ -13,6 +13,8 @@ and the spin blocks follow [[H0+H2, H1], [H1, H0-H2]] with
 H1 = -r_c beta z' (the sigma_x coupling) and H2 = -(r_c/2) S (the sigma_z
 Zeeman shift, which in a nonorthogonal basis carries the overlap pattern).
 The overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
+The flat basis index follows the same order, (s, p, n, k) with k fastest
+(``basis``), so every dense matrix is the ``np.kron`` of its factors.
 
 ``assemble`` only builds the factor tables; a redundant z-overlap is
 handled by the solve, which drops its near-null directions.
@@ -22,11 +24,12 @@ the whole 1D problem of ``quartic1d.solve_1d``.
 standard problem: the z-basis is orthonormalized through the eigenpairs of
 S_z (Loewdin canonical orthogonalization), and the gauge phi_k -> i^k phi_k
 makes the y-factors real, mapping the only complex term to a real symmetric
-one.  ``to_basis`` maps its eigenvectors back to the flat (s, p, k, n)
-ordering of the original complex gauge.
+one.  ``to_basis`` maps its eigenvectors back to flat coefficients of the
+original complex gauge: the z-transform and the gauge phases, no reordering.
 
 ``spin_block_forms`` evaluates expectation values of z-operators, such as
-<z'> and <sigma_x>, from one z-table and a coefficient column.
+<z'> and <sigma_x>, from one z-table and a coefficient column, which is
+reshaped to one 2N x L block per spin.
 
 The dense M x M matrices ``H`` and ``S`` (M = 4LN) and the 2LN x 2LN
 per-spin-block ``s_spatial`` and ``z_spatial`` are built only on request,
@@ -110,25 +113,11 @@ class SpectralProblem:
 
     @cached_property
     def S(self) -> np.ndarray:
-        ms = self.s_spatial.shape[0]
-        S = np.zeros((2 * ms, 2 * ms))
-        S[:ms, :ms] = self.s_spatial
-        S[ms:, ms:] = self.s_spatial
-        return _read_only(S)
+        return _read_only(np.kron(np.eye(2), self.s_spatial))
 
     def _spatial(self, z_kind: str, y_kind: str) -> np.ndarray:
-        return _spatial_product(self.z_tables[z_kind],
-                                self.y_tables[y_kind],
-                                self.spec.L, self.spec.N)
-
-
-def _spatial_product(z_table: np.ndarray, y_table: np.ndarray,
-                     L: int, N: int) -> np.ndarray:
-    """Combine a (2N x 2N) z-table and an (L x L) y-table into the
-    spatial ordering (p, k, n)."""
-    z4 = z_table.reshape(2, N, 2, N)
-    out = np.einsum("pnqm,kl->pknqlm", z4, y_table)
-    return out.reshape(2 * L * N, 2 * L * N)
+        """The 2LN x 2LN spin-block matrix of a z-table times a y-table."""
+        return np.kron(self.z_tables[z_kind], self.y_tables[y_kind])
 
 
 def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
@@ -142,7 +131,7 @@ def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
 
 
 def _dense_hamiltonian(problem: SpectralProblem) -> np.ndarray:
-    """The M x M Hamiltonian in the flat (s, p, k, n) ordering."""
+    """The M x M Hamiltonian in the flat (s, p, n, k) ordering."""
     r_a, r_c = problem.scaled.r_a, problem.scaled.r_c
     beta = problem.scaled.beta
     product = problem._spatial
@@ -163,12 +152,7 @@ def _dense_hamiltonian(problem: SpectralProblem) -> np.ndarray:
     h1 = -(r_c * beta) * z_spatial      # sigma_x coupling
     h2 = -(0.5 * r_c) * problem.s_spatial       # sigma_z shift
 
-    ms = 2 * problem.spec.L * problem.spec.N
-    H = np.zeros((2 * ms, 2 * ms), dtype=h0.dtype)
-    H[:ms, :ms] = h0 + h2
-    H[ms:, ms:] = h0 - h2
-    H[:ms, ms:] = h1
-    H[ms:, :ms] = h1
+    H = np.block([[h0 + h2, h1], [h1, h0 - h2]])
     # mirror the upper triangle so H = H^dagger holds exactly
     return np.triu(H) + np.triu(H, 1).conj().T
 
@@ -239,25 +223,23 @@ def orthonormal_hamiltonian(problem: SpectralProblem,
 def to_basis(problem: SpectralProblem, transform: np.ndarray,
              vectors: np.ndarray) -> np.ndarray:
     """Columns of ``orthonormal_hamiltonian`` coordinates as coefficients
-    in the flat (s, p, k, n) ordering of the original complex gauge."""
-    L, N = problem.spec.L, problem.spec.N
-    count = vectors.shape[1]
+    in the flat (s, p, n, k) ordering of the original complex gauge."""
+    L, count = problem.spec.L, vectors.shape[1]
     c = transform @ vectors.reshape(2, transform.shape[1], L * count)
-    c = c.reshape(2, 2, N, L, count) * y_gauge(L)[:, None]
-    return c.transpose(0, 1, 3, 2, 4).reshape(4 * L * N, count)
+    c = c.reshape(2, -1, L, count) * y_gauge(L)[:, None]
+    return c.reshape(-1, count)
 
 
 def spin_block_forms(problem: SpectralProblem, c: np.ndarray,
                      z_kind: str) -> np.ndarray:
     """2 x 2 matrix Re <c_a| T (x) I_y |c_b> over the spin blocks a, b of
-    one flat (s, p, k, n) coefficient column ``c``, with T the z-table of
+    one flat (s, p, n, k) coefficient column ``c``, with T the z-table of
     ``z_kind``.
 
-    The y-ladder is orthonormal, so a z-operator needs no y-table: with
-    each spin block reshaped to C_s (2N x L, z rows, y columns), the form
-    is Re vdot(C_a, T C_b).
+    The y-ladder is orthonormal, so a z-operator needs no y-table: each
+    spin block of ``c`` is C_s (2N x L, z rows, y columns) by a plain
+    reshape, and the form is Re vdot(C_a, T C_b).
     """
-    L, N = problem.spec.L, problem.spec.N
-    C = c.reshape(2, 2, L, N).transpose(0, 1, 3, 2).reshape(2, 2 * N, L)
+    C = c.reshape(2, -1, problem.spec.L)
     TC = problem.z_tables[z_kind] @ C
     return np.tensordot(C.conj(), TC, axes=([1, 2], [1, 2])).real

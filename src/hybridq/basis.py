@@ -14,9 +14,11 @@ The spatial basis is a product of harmonic-oscillator-like functions:
 
 Each spatial function carries one of the two eigenstates of sigma_z, for a
 total dimension M = 4*L*N.  The flat ordering is lexicographic in
-(s, p, k, n), with +1 preceding -1 for the spin s and the parity p: the
-flat index is ``np.ravel_multi_index((s_idx, p_idx, k, n), (2, 2, L, N))``
-with label index 0 for +1 and 1 for -1.
+(s, p, n, k), with +1 preceding -1 for the spin s and the parity p: the
+flat index is ``np.ravel_multi_index((s_idx, p_idx, n, k), (2, 2, N, L))``
+with label index 0 for +1 and 1 for -1.  This is the Kronecker order
+spin x z x y, so an operator (spin factor) x (2N x 2N z-table) x (L x L
+y-table) is their ``np.kron`` product.
 
 All 1D integrals are evaluated in closed form.  Operators (powers of the
 coordinate, derivatives, the quartic well shape) are band matrices in the

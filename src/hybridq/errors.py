@@ -19,6 +19,11 @@ class DegenerateBasisError(HybridQError):
     """
 
 
+class ReducedBasisError(HybridQError, ValueError):
+    """More eigenpairs were asked for than the 2 r L functions the 2D
+    solve keeps, with r the z-overlap directions above its floor."""
+
+
 class ConfigError(HybridQError):
     """A run-configuration file could not be parsed or validated.
 

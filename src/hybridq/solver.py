@@ -9,9 +9,11 @@ y-basis real by a gauge and builds one real symmetric standard problem from
 Kronecker factors (``assembly.orthonormal_hamiltonian``).  LAPACK computes
 only the requested lowest eigenpairs, which are mapped back to
 S-orthonormal eigenvectors of the original basis with ascending
-eigenvalues.  ``stabilize`` re-assembles and re-solves over a grid of one
-nonlinear variational parameter and summarizes per-level plateaus, the
-practical convergence check of the Ritz method.
+eigenvalues; asking for more than the reduced basis holds is a
+``ReducedBasisError``, one of the ``POINT_ERRORS``.  ``stabilize``
+re-assembles and re-solves over a grid of one nonlinear variational
+parameter and summarizes per-level plateaus, the practical convergence
+check of the Ritz method.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy.linalg
 from . import assembly
 from .assembly import SpectralProblem
 from .basis import BasisSpec
-from .errors import HybridQError
+from .errors import HybridQError, ReducedBasisError
 from .model import ScaledParams
 
 # eigenvalues closer than this (units hw0) count as an exact tie and are
@@ -45,9 +47,9 @@ DROP_FRACTION_2D = 1e-12
 # relative variation within which ``stabilize`` counts a level as flat
 PLATEAU_TOLERANCE = 1e-4
 
-# errors that mark one grid point as failed; any other exception is a bug
-# and propagates
-POINT_ERRORS = (HybridQError, scipy.linalg.LinAlgError, ValueError)
+# errors that mark one grid point as failed; any other exception, a bare
+# ValueError included, is a bug and propagates
+POINT_ERRORS = (HybridQError, scipy.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,13 @@ class EigenSolution:
     """Lowest eigenpairs of a spectral problem.
 
     ``energies`` ascend and are in units of hw0; ``coefficients`` holds the
-    S-orthonormal eigenvectors as columns.  ``n_dropped`` counts the
-    z-overlap directions below ``DROP_FRACTION_2D`` that the reduction
-    left out.
+    S-orthonormal eigenvectors as columns, in the flat (s, p, n, k) order.
+    ``n_dropped`` counts the z-overlap directions below
+    ``DROP_FRACTION_2D`` that the reduction left out.
     """
 
     energies: np.ndarray
     coefficients: np.ndarray
-    spec: BasisSpec
-    scaled: ScaledParams
     s_condition: float
     n_dropped: int
 
@@ -138,20 +138,20 @@ def solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
 
     Raises
     ------
-    ValueError
-        If ``n_lowest`` is not between 1 and the reduced basis size.
+    ReducedBasisError
+        If ``n_lowest`` is not between 1 and the reduced basis size; it is
+        also a ``ValueError``.
     """
     transform = _orthonormalizer(*problem.overlap_eigh, DROP_FRACTION_2D)
     size = 2 * transform.shape[1] * problem.spec.L
     if not 1 <= n_lowest <= size:
-        raise ValueError(f"n_lowest must be between 1 and the reduced "
-                         f"basis size {size}")
+        raise ReducedBasisError(f"n_lowest must be between 1 and the "
+                                f"reduced basis size {size}")
     h = assembly.orthonormal_hamiltonian(problem, transform)
     vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, n_lowest - 1])
     vecs = assembly.to_basis(problem, transform, vecs)
     _order_ties(vals, vecs, problem)
     return EigenSolution(energies=vals, coefficients=vecs,
-                         spec=problem.spec, scaled=problem.scaled,
                          s_condition=problem.s_condition,
                          n_dropped=2 * problem.spec.N - transform.shape[1])
 

@@ -230,17 +230,14 @@ def dense_state_observables(sol, j: int, problem) -> tuple[float, ...]:
 def kept_subspace_energies(problem, floor: float) -> np.ndarray:
     """Ascending eigenvalues of (V^H H V, V^H S V) from the dense H and S.
 
-    V = I_spin x X x I_y in the flat (s, p, k, n) ordering, with X the
+    V = I_spin x X x I_y in the flat (s, p, n, k) ordering, with X the
     eigenvectors of S_z above ``floor`` times its largest eigenvalue,
     unscaled: the subspace the solve keeps, without its Kronecker-factor
     reduction.
     """
-    L, N = problem.spec.L, problem.spec.N
     s_vals, s_vecs = np.linalg.eigh(problem.z_tables["1"])
     X = s_vecs[:, s_vals > floor * s_vals[-1]]
-    r = X.shape[1]
-    W = np.einsum("pnj,kl->pknjl", X.reshape(2, N, r), np.eye(L))
-    V = np.kron(np.eye(2), W.reshape(2 * L * N, r * L))
+    V = np.kron(np.eye(2), np.kron(X, np.eye(problem.spec.L)))
     return scipy.linalg.eigh(V.T @ problem.H @ V, V.T @ problem.S @ V,
                              eigvals_only=True)
 

@@ -61,13 +61,16 @@ def test_spin_blocks_decouple_without_gradient():
 def test_overlap_blockdiagonal_in_spin_and_parity_pattern():
     spec = small_spec(L=3, N=4)
     problem = hq.assemble(hq.scale(PHYS), spec)
-    # flat index i is (s, p, k, n) in lexicographic order
-    labels = np.unravel_index(np.arange(spec.size), (2, 2, spec.L, spec.N))
-    s, p, k, n = (np.equal.outer(x, x) for x in labels)
+    # flat index i is (s, p, n, k) in lexicographic order
+    labels = np.unravel_index(np.arange(spec.size), (2, 2, spec.N, spec.L))
+    s, p, n, k = (np.equal.outer(x, x) for x in labels)
     S = problem.S
     assert np.all(S[~s] == 0.0)
     assert np.all(S[s & ~p & n] == 0.0)
     assert np.all(S[~k] == 0.0)
+    # the layout contract: S = I_spin x S_z x I_y, exactly
+    S_z = basis.z_element_table("1", spec)
+    assert np.array_equal(S, np.kron(np.eye(2), np.kron(S_z, np.eye(spec.L))))
 
 
 def test_spectra_mirror_under_tilt_sign_flip():
@@ -88,16 +91,16 @@ def test_spatial_factorization_against_elements():
     r_a, r_c, beta = scaled.r_a, scaled.r_c, scaled.beta
 
     def label(i: int) -> tuple[int, int, int, int]:
-        """(s, p, k, n) of flat index i, with s and p as +1/-1."""
-        s, p, k, n = np.unravel_index(i, (2, 2, spec.L, spec.N))
-        return 1 - 2 * int(s), 1 - 2 * int(p), int(k), int(n)
+        """(s, p, n, k) of flat index i, with s and p as +1/-1."""
+        s, p, n, k = np.unravel_index(i, (2, 2, spec.N, spec.L))
+        return 1 - 2 * int(s), 1 - 2 * int(p), int(n), int(k)
 
     def y(kind: str, k: int, l: int) -> float:
         return float(basis.y_element_table(kind, spec)[k, l])
 
     def h_entry(ia: int, ib: int) -> complex:
-        s_a, p_a, k_a, n_a = label(ia)
-        s_b, p_b, k_b, n_b = label(ib)
+        s_a, p_a, n_a, k_a = label(ia)
+        s_b, p_b, n_b, k_b = label(ib)
 
         def z(kind: str) -> float:
             return z_element(kind, n_a, p_a, n_b, p_b, spec)

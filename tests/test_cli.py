@@ -187,6 +187,22 @@ def test_run_solve_flags_a_failed_point(tmp_path):
     assert "FAILED: DegenerateBasisError" in summary
 
 
+def test_run_solve_flags_a_reduced_basis_too_small(tmp_path):
+    # at eta = 4, N = 24 the solve drops 2 z-overlap directions, so the
+    # reduced basis holds 2 * 46 * 1 = 92 functions, fewer than n_track
+    cfg = _load(MINIMAL + "eta = 4\nL = 1\nN = 24\nn_track = 96\n"
+                          f"out_dir = {tmp_path}\n")
+    result = cli.run(cfg)
+    assert result.status == 1
+    names, rows = _read_csv(tmp_path / "solve.csv")
+    assert len(rows) == 1
+    status = rows[0][names.index("status")]
+    assert status.startswith("failed: ReducedBasisError")
+    assert "reduced basis size 92" in status
+    summary = (tmp_path / "solve_summary.txt").read_text()
+    assert "FAILED: ReducedBasisError" in summary
+
+
 def test_run_sweep_deterministic_across_workers(tmp_path):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     cfg = _load(SMALL_SWEEP)
@@ -415,6 +431,22 @@ def test_programming_error_is_not_a_failed_point(tmp_path, monkeypatch,
     }[task]
     cfg = _load(text + f"workers = 1\nout_dir = {tmp_path}\n")
     with pytest.raises(TypeError, match="broken"):
+        cli.run(cfg)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("task", ["solve", "sweep-bsl", "stabilize"])
+def test_value_error_inside_a_point_propagates(tmp_path, monkeypatch, task):
+    # a ValueError from a broken array operation is a bug, not a failed point
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("hybridq.assembly.to_basis", broken)
+    grid = {"solve": "", "sweep-bsl": "bsl_grid = 0.5,1\n",
+            "stabilize": "mu_grid = 0.5,0.6\n"}[task]
+    cfg = _load(f"task = {task}\n{SMALL_2D}{grid}"
+                f"workers = 1\nout_dir = {tmp_path}\n")
+    with pytest.raises(ValueError, match="broadcast"):
         cli.run(cfg)
     assert not list(tmp_path.glob("*.csv"))
 

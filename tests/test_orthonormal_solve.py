@@ -83,8 +83,8 @@ def test_redundant_basis_matches_kept_subspace_reference(physics, eta, L, N,
 def test_gauge_makes_the_problem_exactly_real(physics):
     spec = small_spec(L=5, N=3)
     problem = hq.assemble(hq.scale(PHYSICS[physics]), spec)
-    # phi_k -> i^k phi_k on the dense H: flat index (s, p, k, n)
-    phase = np.tile(np.repeat(assembly.y_gauge(spec.L), spec.N), 4)
+    # phi_k -> i^k phi_k on the dense H: flat index (s, p, n, k)
+    phase = np.tile(assembly.y_gauge(spec.L), 4 * spec.N)
     gauged = phase.conj()[:, None] * problem.H * phase
     assert np.all(gauged.imag == 0.0)
     for kind in basis.Y_KINDS:
