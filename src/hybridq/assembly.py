@@ -89,10 +89,6 @@ class SpectralProblem:
         return _read_only(vals), _read_only(vecs)
 
     @property
-    def s_min_eig(self) -> float:
-        return float(self.overlap_eigh[0][0])
-
-    @property
     def s_condition(self) -> float:
         """Condition number of S_z; inf when rounding leaves its smallest
         eigenvalue at or below zero."""

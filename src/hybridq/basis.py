@@ -237,13 +237,15 @@ def normalization(n: int, p: int, spec: BasisSpec) -> float:
 
 
 @lru_cache(maxsize=128)
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
 def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
     """Full 2N x 2N table of <psi_n^p| kind |psi_m^q> over the z' basis.
 
     Row/column ordering is p-major: index = (0 if p = +1 else 1)*N + n.
     Every kind is symmetric; the table is mirrored from its upper triangle
     so that it is exactly symmetric.  The returned array is read-only
-    (cached).
+    (cached).  An extreme eta that overflows the table raises
+    ``DegenerateBasisError``.
     """
     if kind not in Z_KINDS:
         raise ValueError(f"unsupported z operator kind: {kind!r}")
@@ -265,13 +267,15 @@ def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
                 np.outer(c[i], c[j]) * block
 
     table = np.triu(table) + np.triu(table, 1).T
-    table.setflags(write=False)
-    return table
+    return _finite_table(table, kind, f"eta = {spec.eta:g}")
 
 
 @lru_cache(maxsize=128)
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
 def y_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
-    """L x L table of <phi_k| kind |phi_l>; exactly (anti)symmetric, read-only."""
+    """L x L table of <phi_k| kind |phi_l>; exactly (anti)symmetric,
+    read-only.  An extreme mu that overflows the table raises
+    ``DegenerateBasisError``."""
     if kind not in Y_KINDS:
         raise ValueError(f"unsupported y operator kind: {kind!r}")
     size = spec.L + _PAD
@@ -280,5 +284,14 @@ def y_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
         table = np.triu(table, 1) - np.triu(table, 1).T
     else:
         table = np.triu(table) + np.triu(table, 1).T
+    return _finite_table(table, kind, f"mu = {spec.mu:g}")
+
+
+def _finite_table(table: np.ndarray, kind: str, width: str) -> np.ndarray:
+    """``table`` made read-only; a table that overflowed is a
+    ``DegenerateBasisError``."""
+    if not np.isfinite(table).all():
+        raise DegenerateBasisError(
+            f"the {kind!r} table overflows at basis width {width}")
     table.setflags(write=False)
     return table

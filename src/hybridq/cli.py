@@ -15,13 +15,14 @@ ranges ``lo:hi:step``.  The whole config, every grid point and command-line
 override included, is validated before any point runs: unknown keys,
 malformed or non-finite numbers, ranges longer than ``MAX_GRID_POINTS``, a
 basis larger than ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold,
-a grid the task does not read and grid points that are not a valid working
-point raise ``ConfigError``, and ``main`` then exits with status 2 without
-writing a dataset.  Sweep points fan out over a worker pool (``--workers``,
-config ``workers`` or the ``HYBRIDQ_WORKERS`` environment variable).  A
-point whose solve fails with a ``solver.POINT_ERRORS`` exception is flagged
-in the CSV and the summary rather than aborting the run; any other
-exception propagates.
+a worker count below 1, a grid the task does not read and grid points that
+are not a valid working point raise ``ConfigError``, and ``main`` then
+exits with status 2 without writing a dataset.  The command line is
+``hybridq --config FILE [--out DIR] [--workers N]``: the ``task`` key
+selects the run, and the options override ``out_dir`` and ``workers``
+(the worker pool size, default 1).  A point whose solve fails with a
+``solver.POINT_ERRORS`` exception is flagged in the CSV and the summary
+rather than aborting the run; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import argparse
 import dataclasses
 import itertools
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,12 +74,11 @@ _COLUMN_OF = {"bSLa": "bSLa_T", "hw0": "hw0", "B0": "B0_T"}
 
 @dataclass(frozen=True)
 class _Task:
-    """One row of ``_TASK_TABLE``: the subcommand and runner of a task,
-    the PhysicalParams fields it sweeps (outer first; a run visits the
+    """One row of ``_TASK_TABLE``: the runner of a task, the
+    PhysicalParams fields it sweeps (outer first; a run visits the
     product of their grids, outer-major) and whether it is 1D (2N
     z-functions alone)."""
 
-    command: str
     runner: Callable
     swept: tuple = ()
     is_1d: bool = False
@@ -205,6 +204,8 @@ def _validate_config(raw: dict) -> RunConfig:
         cfg.spec  # validates eta, mu, L, N
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.workers is not None and cfg.workers < 1:
+        raise ConfigError(f"worker count {cfg.workers} must be at least 1")
     _check_sizes(cfg)
     _check_grids(cfg)
     _grid_points(cfg)  # every working point is valid and scales
@@ -362,21 +363,6 @@ def _plot_script(task: str, xlabel: str, ylabel: str, *commands) -> str:
         *commands,
     ]
     return "\n".join(lines) + "\n"
-
-
-def _resolve_workers(cfg: RunConfig) -> int:
-    """Worker count from the config (or ``--workers``), else from
-    ``HYBRIDQ_WORKERS``, else 1; a value below 1 is a ``ConfigError``."""
-    workers = cfg.workers
-    if workers is None:
-        env = os.environ.get("HYBRIDQ_WORKERS", "1")
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"HYBRIDQ_WORKERS={env!r} is not an integer")
-    if workers < 1:
-        raise ConfigError(f"worker count {workers} must be at least 1")
-    return workers
 
 
 def _solve_point(args):
@@ -624,25 +610,22 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
 
 
 _TASK_TABLE = {
-    "solve": _Task("solve", _run_solve),
-    "stabilize": _Task("stabilize", _run_stabilize),
-    "sweep-bsl": _Task("sweep", _run_sweep, ("bSLa",)),
-    "sweep-w0": _Task("sweep", _run_sweep, ("hw0", "bSLa")),
-    "sweep-B0": _Task("sweep", _run_sweep, ("B0", "bSLa")),
-    "quartic-gap": _Task("quartic", _run_quartic_gap, ("hw0", "a"),
-                         is_1d=True),
-    "contour-fit": _Task("contour", _run_contour_fit, ("hw0", "a"),
-                         is_1d=True),
+    "solve": _Task(_run_solve),
+    "stabilize": _Task(_run_stabilize),
+    "sweep-bsl": _Task(_run_sweep, ("bSLa",)),
+    "sweep-w0": _Task(_run_sweep, ("hw0", "bSLa")),
+    "sweep-B0": _Task(_run_sweep, ("B0", "bSLa")),
+    "quartic-gap": _Task(_run_quartic_gap, ("hw0", "a"), is_1d=True),
+    "contour-fit": _Task(_run_contour_fit, ("hw0", "a"), is_1d=True),
 }
 TASKS = tuple(_TASK_TABLE)
 
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute a configured task; emit CSV, plot script and summary."""
-    workers = _resolve_workers(cfg)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    result = _TASK_TABLE[cfg.task].runner(cfg, workers)
+    result = _TASK_TABLE[cfg.task].runner(cfg, cfg.workers or 1)
     config_lines = serialize_config(cfg).splitlines()
 
     csv_path = out / f"{cfg.task}.csv"
@@ -674,45 +657,27 @@ def run(cfg: RunConfig) -> RunResult:
 # command line
 # ----------------------------------------------------------------------
 
-def _command_tasks() -> dict:
-    """Each subcommand and the tasks it runs, in the order of ``TASKS``."""
-    commands = {}
-    for name, task in _TASK_TABLE.items():
-        commands.setdefault(task.command, []).append(name)
-    return {command: tuple(names) for command, names in commands.items()}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridq",
         description="Spectral solver and sweep runner for the double-well "
-                    "hybrid-qubit dot")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, tasks in _command_tasks().items():
-        cmd = sub.add_parser(name, help=f"run a {'/'.join(tasks)} task")
-        cmd.add_argument("--config", required=True, help="config file path")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--workers", type=int, default=None,
-                         help="worker processes (HYBRIDQ_WORKERS fallback)")
-        cmd.add_argument("--track", type=int, default=None,
-                         help="number of levels to track")
+                    "hybrid-qubit dot.  The config's task key selects what "
+                    f"runs: {', '.join(TASKS)}.")
+    parser.add_argument("--config", required=True, help="config file path")
+    parser.add_argument("--out", default=None,
+                        help="output directory (overrides out_dir)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (overrides workers)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {key: value for key, value in (("out_dir", args.out),
-                                               ("workers", args.workers),
-                                               ("n_track", args.track))
+                                               ("workers", args.workers))
                  if value is not None}
     try:
-        cfg = load_config(args.config, overrides)
-        allowed = _command_tasks()[args.command]
-        if cfg.task not in allowed:
-            raise ConfigError(
-                f"config task {cfg.task!r} does not match subcommand "
-                f"{args.command!r} (expected one of {allowed})")
-        result = run(cfg)
+        result = run(load_config(args.config, overrides))
     except (HybridQError, OSError) as exc:
         print(f"hybridq: error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,12 @@ class HybridQError(Exception):
 
 
 class DegenerateBasisError(HybridQError):
-    """A basis-function normalization constant does not exist.
+    """The basis cannot be built at these nonlinear parameters.
 
-    Raised when the odd well combination collapses (argument of the
-    normalization square root is non-positive).
+    Raised when a normalization constant does not exist, because the odd
+    well combination collapses (argument of the normalization square root
+    is non-positive), or when an extreme width eta or mu overflows a
+    z-table or y-table.
     """
 
 

@@ -62,15 +62,20 @@ class ScaledParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.r_a <= 0:
-            raise ValueError("r_a must be positive")
+        if not 0 < self.r_a < math.inf:
+            raise ValueError("r_a = hw_a/hw0 must be positive and finite")
         if self.r_c < 0 or self.beta < 0:
             raise ValueError("r_c and beta must be non-negative")
-
-    @property
-    def ell0_over_a(self) -> float:
-        """Single-well oscillator length over a: sqrt(hw_a/hw0)."""
-        return math.sqrt(self.r_a)
+        r_a, r_c, beta = self.r_a, self.r_c, self.beta
+        # every coefficient the Hamiltonian multiplies a table by
+        # (assembly), in the order it is evaluated there
+        coefficients = (0.5 * r_a, self.ab_ratio / (8.0 * r_a), self.gamma,
+                        r_c * r_c / (8.0 * r_a),
+                        r_c * r_c * beta * beta / (2.0 * r_a),
+                        r_c * beta, 0.5 * r_c)
+        if not all(map(math.isfinite, coefficients)):
+            raise ValueError("the scaled Hamiltonian has a coefficient "
+                             "outside the floating-point range")
 
 
 def confinement_energy_mev(a_nm: float, m_ratio: float) -> float:
@@ -93,19 +98,25 @@ def scale(p: PhysicalParams) -> ScaledParams:
     ValueError
         If ``bSLa > 0`` with ``B0 = 0``: the scaled Hamiltonian carries the
         slanting field only through bSLa/B0, so a finite gradient needs a
-        finite Zeeman field.
+        finite Zeeman field.  Also if finite but extreme inputs leave r_a
+        zero or infinite, or a coefficient of the Hamiltonian infinite.
     """
     if p.bSLa > 0 and p.B0 == 0:
         raise ValueError("bSLa > 0 requires B0 > 0 (scaled form divides by B0)")
-    r_a = confinement_energy_mev(p.a, p.m_ratio) / p.hw0
-    r_c = cyclotron_energy_mev(p.B0, p.m_ratio) / p.hw0
-    beta = p.bSLa / (2.0 * p.B0) if p.bSLa > 0 else 0.0
     assert p.b is not None
+    try:
+        r_a = confinement_energy_mev(p.a, p.m_ratio) / p.hw0
+        r_c = cyclotron_energy_mev(p.B0, p.m_ratio) / p.hw0
+        ab_ratio = (p.a / p.b) ** 2
+    except (OverflowError, ZeroDivisionError):  # a square over- or underflows
+        raise ValueError("hw0, a, b and m_ratio put the scaled Hamiltonian "
+                         "outside the floating-point range") from None
+    beta = p.bSLa / (2.0 * p.B0) if p.bSLa > 0 else 0.0
     return ScaledParams(
         r_a=r_a,
         r_c=r_c,
         beta=beta,
-        ab_ratio=(p.a / p.b) ** 2,
+        ab_ratio=ab_ratio,
         gamma=p.gamma,
     )
 

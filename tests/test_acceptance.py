@@ -252,7 +252,7 @@ def test_criterion_7_structural_properties(fig4_problem, fig4_solution):
     # the two off-diagonal spin blocks are equal (sigma_x structure)
     if np.max(np.abs(H[:ms, ms:] - H[ms:, :ms])) >= 1e-12:
         failures.append("spin-block structure")
-    if not (fig4_problem.s_min_eig > 0
+    if not (fig4_problem.overlap_eigh[0][0] > 0
             and np.isfinite(fig4_problem.s_condition)):
         failures.append("overlap positivity")
     # regression band around the recorded working-point conditioning

@@ -37,7 +37,7 @@ def test_validate_reports_clean(small_problem):
     H = small_problem.H
     ms = small_problem.size // 2
     assert np.max(np.abs(H[:ms, ms:] - H[ms:, :ms])) < 1e-12
-    assert small_problem.s_min_eig > 0
+    assert small_problem.overlap_eigh[0][0] > 0
     assert np.isfinite(small_problem.s_condition)
 
 

@@ -263,39 +263,13 @@ def test_contour_fit_lists_failed_points(tmp_path):
             if float(row[names.index("hw0_meV")]) == 1e-14] == ["failed"]
 
 
-def test_cli_main_subcommand_mismatch(tmp_path):
-    config = tmp_path / "cfg.txt"
-    config.write_text(SMALL_SWEEP)
-    assert cli.main(["solve", "--config", str(config)]) == 2
-
-
 def test_cli_main_runs_solve(tmp_path, capsys):
     config = tmp_path / "cfg.txt"
     config.write_text(MINIMAL + "B0 = 0.5\nL = 4\nN = 4\nn_track = 3\n")
-    code = cli.main(["solve", "--config", str(config), "--out",
-                     str(tmp_path / "out")])
+    code = cli.main(["--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 0
     printed = capsys.readouterr().out.splitlines()
     assert any(line.endswith("solve.csv") for line in printed)
-
-
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYBRIDQ_WORKERS", "not-a-number")
-    cfg = _load(MINIMAL + f"L = 4\nN = 4\nout_dir = {tmp_path}\n")
-    with pytest.raises(hq.ConfigError):
-        cli.run(cfg)
-    monkeypatch.setenv("HYBRIDQ_WORKERS", "1")
-    assert cli.run(cfg).status == 0
-
-
-@pytest.mark.parametrize("env", ["abc", "0", "-3"])
-def test_bad_worker_env_writes_nothing(tmp_path, monkeypatch, env):
-    monkeypatch.setenv("HYBRIDQ_WORKERS", env)
-    out = tmp_path / "out"
-    cfg = _load(MINIMAL + f"L = 2\nN = 2\nout_dir = {out}\n")
-    with pytest.raises(hq.ConfigError):
-        cli.run(cfg)
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("task, outer, outer_values, bsl_values", [
@@ -332,70 +306,81 @@ def test_run_outer_sweep(tmp_path, task, outer, outer_values, bsl_values):
 SMALL_2D = "hw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\nn_track = 2\n"
 
 
-@pytest.mark.parametrize("command, text, message", [
-    ("sweep", f"task = sweep-B0\n{SMALL_2D}B0_list = 0,0.5\n"
-              "bsl_grid = 0.5,1\n", "B0 = 0, bSLa = 0.5: bSLa > 0 requires"),
-    ("sweep", f"task = sweep-w0\n{SMALL_2D}hw0_list = -5,30\n"
-              "bsl_grid = 0,1\n", "hw0 = -5, bSLa = 0: hw0, a, b"),
-    ("quartic", "task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
-                "hw0_list = -5,30\na_grid = 20,30\n",
-     "hw0 = -5, a = 20: hw0, a, b"),
-    ("stabilize", f"task = stabilize\n{SMALL_2D}mu_grid = -1,0.5\n",
+def _small_solve(key: str, value: str) -> str:
+    """A ``solve`` config on the SMALL_2D point with one key set."""
+    lines = [line for line in SMALL_2D.splitlines()
+             if not line.startswith(f"{key} =")]
+    return "\n".join(["task = solve", *lines, f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"task = sweep-B0\n{SMALL_2D}B0_list = 0,0.5\nbsl_grid = 0.5,1\n",
+     "B0 = 0, bSLa = 0.5: bSLa > 0 requires"),
+    (f"task = sweep-w0\n{SMALL_2D}hw0_list = -5,30\nbsl_grid = 0,1\n",
+     "hw0 = -5, bSLa = 0: hw0, a, b"),
+    ("task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
+     "hw0_list = -5,30\na_grid = 20,30\n", "hw0 = -5, a = 20: hw0, a, b"),
+    (f"task = stabilize\n{SMALL_2D}mu_grid = -1,0.5\n",
      "mu_grid values must be positive"),
-    ("solve", "task = solve\nhw0 = nan\na = 30\n", "non-finite"),
-    ("solve", "task = solve\nhw0 = 30\na = 30\nL = inf\n",
-     "non-finite"),
-    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0:1:1e-300\n",
-     "more than"),
-    ("sweep", "task = sweep-bsl\nhw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\n"
-              "n_track = 1\nbsl_grid = 0.5,1\n", "n_track between 2 and"),
-    ("solve", "task = solve\nhw0 = 30\na = 30\nL = 1e300\n",
-     "basis size 4LN"),
-    ("quartic", "task = quartic-gap\nhw0 = 30\na = 30\nN = 4001\n"
-                "hw0_list = 20,30\na_grid = 20,30\n", "basis size 2N = 8002"),
-    ("solve", "task = solve\nhw0 = 30\na = 30\nL = 2\nN = 2\nworkers = 0\n",
+    ("task = solve\nhw0 = nan\na = 30\n", "non-finite"),
+    ("task = solve\nhw0 = 30\na = 30\nL = inf\n", "non-finite"),
+    (f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0:1:1e-300\n", "more than"),
+    ("task = sweep-bsl\nhw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\n"
+     "n_track = 1\nbsl_grid = 0.5,1\n", "n_track between 2 and"),
+    (_small_solve("n_track", "0"), "n_track between 1 and"),
+    (f"task = sweep-bsl\n{SMALL_2D.replace('n_track = 2', 'n_track = 1000')}"
+     "bsl_grid = 0.5,1\n", "4LN = 16, not 1000"),
+    ("task = solve\nhw0 = 30\na = 30\nL = 1e300\n", "basis size 4LN"),
+    ("task = quartic-gap\nhw0 = 30\na = 30\nN = 4001\n"
+     "hw0_list = 20,30\na_grid = 20,30\n", "basis size 2N = 8002"),
+    ("task = solve\nhw0 = 30\na = 30\nL = 2\nN = 2\nworkers = 0\n",
      "worker count 0 must be at least 1"),
-    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
-              "B0_list = 0.1,2\n", "task 'sweep-bsl' does not read B0_list"),
-    ("solve", f"task = solve\n{SMALL_2D}bsl_grid = 0.5,1\n",
+    (f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\nB0_list = 0.1,2\n",
+     "task 'sweep-bsl' does not read B0_list"),
+    (f"task = solve\n{SMALL_2D}bsl_grid = 0.5,1\n",
      "task 'solve' does not read bsl_grid"),
-    ("stabilize", f"task = stabilize\n{SMALL_2D}mu_grid = 0.5,0.6\n"
-                  "hw0_list = 20,30\n", "does not read hw0_list"),
-    ("quartic", "task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
-                "hw0_list = 20,30\na_grid = 20,30\ntargets = 1e-2\n",
+    (f"task = stabilize\n{SMALL_2D}mu_grid = 0.5,0.6\nhw0_list = 20,30\n",
+     "does not read hw0_list"),
+    ("task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
+     "hw0_list = 20,30\na_grid = 20,30\ntargets = 1e-2\n",
      "task 'quartic-gap' does not read targets"),
+    # finite but extreme physical inputs: a square or a quotient leaves the
+    # floating-point range, or a Hamiltonian coefficient is infinite
+    (_small_solve("a", "1e300"), "outside the floating-point range"),
+    (_small_solve("a", "1e-300"), "outside the floating-point range"),
+    (_small_solve("m_ratio", "1e-320"), "outside the floating-point range"),
+    (_small_solve("hw0", "1e-320"), "hw_a/hw0 must be positive and finite"),
+    (_small_solve("B0", "1e300"), "outside the floating-point range"),
+    (_small_solve("bSLa", "1e300"), "outside the floating-point range"),
 ], ids=["B0-zero-with-gradient", "sweep-negative-hw0",
         "quartic-negative-hw0", "stabilize-negative-mu", "nan", "L-inf",
-        "huge-range", "sweep-track-one", "L-huge", "quartic-N-huge",
-        "workers-zero", "sweep-bsl-unread-B0_list", "solve-unread-bsl_grid",
-        "stabilize-unread-hw0_list", "quartic-unread-targets"])
-def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, command,
-                                                text, message):
+        "huge-range", "sweep-track-one", "solve-track-zero",
+        "sweep-track-too-many", "L-huge", "quartic-N-huge", "workers-zero",
+        "sweep-bsl-unread-B0_list", "solve-unread-bsl_grid",
+        "stabilize-unread-hw0_list", "quartic-unread-targets", "a-huge",
+        "a-tiny", "m_ratio-tiny", "hw0-tiny", "B0-huge", "bSLa-huge"])
+def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, text,
+                                                message):
     config = tmp_path / "cfg.txt"
     config.write_text(text)
-    code = cli.main([command, "--config", str(config), "--out",
-                     str(tmp_path / "out")])
+    code = cli.main(["--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, text, extra, message", [
-    ("solve", MINIMAL + "L = 2\nN = 2\n", ["--track", "0"],
-     "n_track between 1 and"),
-    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n",
-     ["--track", "1000"], "4LN = 16, not 1000"),
-    ("sweep", f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n",
-     ["--track", "1"], "n_track between 2 and"),
-    ("solve", MINIMAL + "L = 2\nN = 2\n", ["--workers", "-3"],
+@pytest.mark.parametrize("text, extra, message", [
+    (MINIMAL + "L = 2\nN = 2\n", ["--workers", "-3"],
      "worker count -3 must be at least 1"),
-], ids=["solve-track-zero", "sweep-track-too-many", "sweep-track-one",
-        "workers-negative"])
-def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, command,
-                                                  text, extra, message):
+    # a valid override does not let the rest of the config skip its checks
+    (f"task = sweep-bsl\n{SMALL_2D.replace('n_track = 2', 'n_track = 1')}"
+     "bsl_grid = 0.5,1\n", ["--workers", "1"], "n_track between 2 and"),
+], ids=["workers-negative", "sweep-track-one"])
+def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, text,
+                                                  extra, message):
     config = tmp_path / "cfg.txt"
     config.write_text(text)
-    code = cli.main([command, "--config", str(config), "--out",
+    code = cli.main(["--config", str(config), "--out",
                      str(tmp_path / "out"), *extra])
     assert code == 2
     assert message in capsys.readouterr().err
@@ -404,12 +389,36 @@ def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, command,
 
 def test_overrides_reach_the_run(tmp_path):
     config = tmp_path / "cfg.txt"
-    config.write_text(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n")
+    config.write_text(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
+                      "workers = 2\n")
     out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", str(config), "--out", str(out),
-                     "--workers", "1", "--track", "3"]) == 0
+    assert cli.main(["--config", str(config), "--out", str(out),
+                     "--workers", "1"]) == 0
     cfg = cli.config_from_csv(out / "sweep-bsl.csv")
-    assert (cfg.n_track, cfg.workers, cfg.out_dir) == (3, 1, str(out))
+    assert (cfg.workers, cfg.out_dir) == (1, str(out))
+
+
+@pytest.mark.parametrize("key, value, table", [
+    ("eta", "1e300", "'dz2'"), ("mu", "1e300", "'dy2'"),
+    ("mu", "1e-300", "'y2'"),
+], ids=["eta-huge", "mu-huge", "mu-tiny"])
+def test_overflowing_table_fails_the_point(tmp_path, key, value, table):
+    cfg = _load(_small_solve(key, value) + f"out_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 1
+    names, rows = _read_csv(tmp_path / "solve.csv")
+    status = rows[0][names.index("status")]
+    assert status.startswith("failed: DegenerateBasisError")
+    assert f"{table} table overflows" in status
+
+
+def test_stabilize_flags_an_overflowing_grid_point(tmp_path):
+    cfg = _load(f"task = stabilize\n{SMALL_2D}mu_grid = 0.5,1e300\n"
+                f"out_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    names, rows = _read_csv(tmp_path / "stabilize.csv")
+    assert [row[names.index("status")] for row in rows] == ["ok", "failed"]
+    summary = (tmp_path / "stabilize_summary.txt").read_text()
+    assert "FAILED mu = 1e+300: DegenerateBasisError" in summary
 
 
 @pytest.mark.parametrize("task, target", [
@@ -458,9 +467,7 @@ CONFIGS = sorted(glob.glob(os.path.join(
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
 def test_shipped_config_loads(path):
     cfg = cli.load_config(path)
-    assert cli._TASK_TABLE[cfg.task].command in {"solve", "stabilize",
-                                                 "sweep", "quartic",
-                                                 "contour"}
+    assert cfg.task in cli.TASKS
     overridden = cli.load_config(path, {"workers": 2, "out_dir": "runs/x",
                                         "n_track": 5})
     assert (overridden.workers, overridden.out_dir, overridden.n_track) \
@@ -470,19 +477,17 @@ def test_shipped_config_loads(path):
         assert cli.parse_config_lines(text.splitlines()) == config
 
 
-def test_readme_runs_every_shipped_config_under_its_subcommand():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as handle:
+def test_readme_runs_every_shipped_config():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
         section = handle.read().split("## Command line", 1)[1]
     section = section.split("\n## ", 1)[0]
-    runs = re.findall(r"^hybridq (\S+) +--config configs/(\S+)", section,
-                      re.MULTILINE)
-    shipped = sorted(os.path.basename(path) for path in CONFIGS)
-    assert sorted(name for _, name in runs) == shipped
-    for command, name in runs:
-        cfg = cli.load_config(os.path.join(os.path.dirname(readme),
-                                           "configs", name))
-        assert command == cli._TASK_TABLE[cfg.task].command, name
+    runs = [cli._build_parser().parse_args(line.split()[1:])
+            for line in section.splitlines() if line.startswith("hybridq ")]
+    shipped = sorted(os.path.relpath(path, root) for path in CONFIGS)
+    assert sorted(os.path.normpath(args.config) for args in runs) == shipped
+    for args in runs:
+        cli.load_config(os.path.join(root, args.config))
 
 
 def test_every_task_has_a_shipped_config():

@@ -55,11 +55,6 @@ def test_b_defaults_to_a():
     assert hq.scale(q).ab_ratio == 4.0
 
 
-def test_ell0_identity():
-    s = hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0))
-    assert s.ell0_over_a ** 2 == pytest.approx(s.r_a, rel=1e-15)
-
-
 def test_scale_homogeneity_in_fields():
     base = hq.PhysicalParams(hw0=30.0, a=30.0, B0=0.5, bSLa=1.0)
     s = hq.scale(base)
