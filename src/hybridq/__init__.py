@@ -9,9 +9,9 @@ from .assembly import SpectralProblem, assemble
 from .basis import BasisSpec, cross_overlap, normalization
 from .errors import (ConfigError, DegenerateBasisError, HybridQError,
                      ReducedBasisError)
-from .model import PhysicalParams, ScaledParams, potential, scale
-from .observables import (AvoidedCrossing, QubitReport, StateReport,
-                          crossing_scan, qubit_report, state_report)
+from .model import PhysicalParams, ScaledParams, scale
+from .observables import (AvoidedCrossing, StateReport, crossing_scan,
+                          state_report)
 from .quartic1d import (ContourFit, GapSurface, classify_regimes, contour_fit,
                         gap_surface, solve_1d)
 from .solver import (EigenSolution, Plateau, StabilizationTable, solve,
@@ -22,10 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AvoidedCrossing", "BasisSpec", "ConfigError", "ContourFit",
     "DegenerateBasisError", "EigenSolution", "GapSurface", "HybridQError",
-    "PhysicalParams", "Plateau", "QubitReport", "ReducedBasisError",
-    "ScaledParams", "SpectralProblem", "StabilizationTable", "StateReport",
-    "assemble", "classify_regimes", "contour_fit", "cross_overlap",
-    "crossing_scan", "gap_surface", "normalization", "potential",
-    "qubit_report", "scale", "solve", "solve_1d", "stabilize",
-    "state_report",
+    "PhysicalParams", "Plateau", "ReducedBasisError", "ScaledParams",
+    "SpectralProblem", "StabilizationTable", "StateReport", "assemble",
+    "classify_regimes", "contour_fit", "cross_overlap", "crossing_scan",
+    "gap_surface", "normalization", "scale", "solve", "solve_1d",
+    "stabilize", "state_report",
 ]

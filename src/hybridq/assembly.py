@@ -6,13 +6,15 @@ L x L y-table.  In units of hw0 the spin-independent part is
 
     H0 = -(r_a/2) (d2/dz'2 + d2/dy'2)
          + ab_ratio/(8 r_a) (z'^2-1)^2 - gamma z'
-         - i r_c beta z'^2 d/dy'
+         + r_c beta z'^2 (-i d/dy')
          + r_c^2/(2 r_a) (y'^2/4 + beta^2 z'^4)
 
 and the spin blocks follow [[H0+H2, H1], [H1, H0-H2]] with
 H1 = -r_c beta z' (the sigma_x coupling) and H2 = -(r_c/2) S (the sigma_z
 Zeeman shift, which in a nonorthogonal basis carries the overlap pattern).
-The overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
+The y-ladder chi_k = i^k phi_k (``basis``) makes every y-table real, the
+one of -i d/dy' included, so every factor and H itself are real.  The
+overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
 The flat basis index follows the same order, (s, p, n, k) with k fastest
 (``basis``), so every dense matrix is the ``np.kron`` of its factors.
 
@@ -22,10 +24,9 @@ handled by the solve, which drops its near-null directions.
 the whole 1D problem of ``quartic1d.solve_1d``.
 ``orthonormal_hamiltonian`` turns the tables into one real symmetric
 standard problem: the z-basis is orthonormalized through the eigenpairs of
-S_z (Loewdin canonical orthogonalization), and the gauge phi_k -> i^k phi_k
-makes the y-factors real, mapping the only complex term to a real symmetric
-one.  ``to_basis`` maps its eigenvectors back to flat coefficients of the
-original complex gauge: the z-transform and the gauge phases, no reordering.
+S_z (Loewdin canonical orthogonalization).  ``to_basis`` maps its
+eigenvectors back to flat coefficients: the z-transform alone, no
+reordering.
 
 ``spin_block_forms`` evaluates expectation values of z-operators, such as
 <z'> and <sigma_x>, from one z-table and a coefficient column, which is
@@ -34,7 +35,7 @@ reshaped to one 2N x L block per spin.
 The dense M x M matrices ``H`` and ``S`` (M = 4LN) and the 2LN x 2LN
 per-spin-block ``s_spatial`` and ``z_spatial`` are built only on request,
 by tests and the traced benchmark, as the dense reference.  The
-Hermiticity of ``H`` is exact by construction: every 1D table is mirrored
+symmetry of ``H`` is exact by construction: every 1D table is mirrored
 from its upper triangle, and the assembled matrix is mirrored once more.
 """
 
@@ -65,9 +66,9 @@ class SpectralProblem:
     access and cached: the eigenpairs of the z-overlap, and the dense
     reference, which only tests and the traced benchmark ask for.  That is
     the per-spin-block overlap and z'-moment matrices ``s_spatial`` and
-    ``z_spatial``, the dense ``H`` (Hermitian, complex when the slanting
-    field couples orbit and spin) and ``S`` (real symmetric, block diagonal
-    in spin).  All arrays are read-only.
+    ``z_spatial``, the dense ``H`` and ``S`` (block diagonal in spin).
+    Every array is real, every square one symmetric, and all are
+    read-only.
     """
 
     z_tables: dict
@@ -137,37 +138,18 @@ def _dense_hamiltonian(problem: SpectralProblem) -> np.ndarray:
     h0 += (problem.scaled.ab_ratio / (8.0 * r_a)) * product("quartic", "1")
     h0 -= problem.scaled.gamma * z_spatial
     if r_c > 0:
-        h0 = h0 + (r_c * r_c / (8.0 * r_a)) * product("1", "y2")
+        h0 += (r_c * r_c / (8.0 * r_a)) * product("1", "y2")
         if beta > 0:
-            h0 = h0 + (r_c * r_c * beta * beta / (2.0 * r_a)) * \
+            h0 += (r_c * r_c * beta * beta / (2.0 * r_a)) * \
                 product("z4", "1")
-            # -i r_c beta z'^2 d/dy': symmetric (z) x antisymmetric (y),
-            # the only imaginary contribution
-            h0 = h0 - 1j * r_c * beta * product("z2", "dy")
+            h0 += (r_c * beta) * product("z2", "-idy")
 
     h1 = -(r_c * beta) * z_spatial      # sigma_x coupling
     h2 = -(0.5 * r_c) * problem.s_spatial       # sigma_z shift
 
     H = np.block([[h0 + h2, h1], [h1, h0 - h2]])
-    # mirror the upper triangle so H = H^dagger holds exactly
-    return np.triu(H) + np.triu(H, 1).conj().T
-
-
-def y_gauge(L: int) -> np.ndarray:
-    """Phases i^k of the real y-gauge phi_k -> i^k phi_k, exact in every
-    component."""
-    return np.array([(1, 1j, -1, -1j)[k % 4] for k in range(L)])
-
-
-def gauged_y_table(table: np.ndarray, unit: complex = 1) -> np.ndarray:
-    """``unit`` times an L x L y-table in the gauge phi_k -> i^k phi_k.
-
-    Even-offset tables keep real entries; ``unit = -1j`` makes the
-    antisymmetric d/dy' table real symmetric.  Every product is by 0 or
-    +-1, so the imaginary part of either is exactly zero.
-    """
-    phase = y_gauge(table.shape[0])
-    return unit * (phase.conj()[:, None] * table * phase)
+    # mirror the upper triangle so H = H^T holds exactly
+    return np.triu(H) + np.triu(H, 1).T
 
 
 def z_hamiltonian(scaled: ScaledParams, dz2: np.ndarray,
@@ -185,8 +167,8 @@ def orthonormal_hamiltonian(problem: SpectralProblem,
     """Real symmetric Hamiltonian in an orthonormal basis.
 
     ``transform`` (2N x r) orthonormalizes the z-basis, X^T S_z X = I.
-    The basis is spin x (X-directions) x (gauged y-ladder), ordered
-    (s, j, k) with k fastest, so every term is one ``np.kron`` of factors.
+    The basis is spin x (X-directions) x (y-ladder), ordered (s, j, k)
+    with k fastest, so every term is one ``np.kron`` of factors.
     """
     r_a, r_c = problem.scaled.r_a, problem.scaled.r_c
     beta = problem.scaled.beta
@@ -196,46 +178,40 @@ def orthonormal_hamiltonian(problem: SpectralProblem,
         t = transform.T @ tz[kind] @ transform
         return np.triu(t) + np.triu(t, 1).T
 
-    def y(kind: str, unit: complex = 1) -> np.ndarray:
-        return gauged_y_table(ty[kind], unit).real
-
     z_moment = z("z")
     z_part = z_hamiltonian(problem.scaled, z("dz2"), z("quartic"), z_moment)
-    y_part = -(0.5 * r_a) * y("dy2")
+    y_part = -(0.5 * r_a) * ty["dy2"]
     if r_c > 0:
-        y_part += (r_c * r_c / (8.0 * r_a)) * y("y2")
+        y_part += (r_c * r_c / (8.0 * r_a)) * ty["y2"]
         if beta > 0:
             z_part += (r_c * r_c * beta * beta / (2.0 * r_a)) * z("z4")
     eye_z, eye_y = np.eye(len(z_part)), np.eye(len(y_part))
     h0 = np.kron(z_part, eye_y) + np.kron(eye_z, y_part)
     if r_c > 0 and beta > 0:
-        h0 += (r_c * beta) * np.kron(z("z2"), y("dy", -1j))
+        h0 += (r_c * beta) * np.kron(z("z2"), ty["-idy"])
 
     h1 = -(r_c * beta) * np.kron(z_moment, eye_y)
     h2 = -(0.5 * r_c) * np.eye(len(h0))
     return np.block([[h0 + h2, h1], [h1, h0 - h2]])
 
 
-def to_basis(problem: SpectralProblem, transform: np.ndarray,
-             vectors: np.ndarray) -> np.ndarray:
+def to_basis(transform: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Columns of ``orthonormal_hamiltonian`` coordinates as coefficients
-    in the flat (s, p, n, k) ordering of the original complex gauge."""
-    L, count = problem.spec.L, vectors.shape[1]
-    c = transform @ vectors.reshape(2, transform.shape[1], L * count)
-    c = c.reshape(2, -1, L, count) * y_gauge(L)[:, None]
-    return c.reshape(-1, count)
+    in the flat (s, p, n, k) ordering."""
+    c = transform @ vectors.reshape(2, transform.shape[1], -1)
+    return c.reshape(-1, vectors.shape[1])
 
 
 def spin_block_forms(problem: SpectralProblem, c: np.ndarray,
                      z_kind: str) -> np.ndarray:
-    """2 x 2 matrix Re <c_a| T (x) I_y |c_b> over the spin blocks a, b of
-    one flat (s, p, n, k) coefficient column ``c``, with T the z-table of
-    ``z_kind``.
+    """2 x 2 matrix <c_a| T (x) I_y |c_b> over the spin blocks a, b of
+    one real flat (s, p, n, k) coefficient column ``c``, with T the z-table
+    of ``z_kind``.
 
     The y-ladder is orthonormal, so a z-operator needs no y-table: each
     spin block of ``c`` is C_s (2N x L, z rows, y columns) by a plain
-    reshape, and the form is Re vdot(C_a, T C_b).
+    reshape, and the form is vdot(C_a, T C_b).
     """
     C = c.reshape(2, -1, problem.spec.L)
     TC = problem.z_tables[z_kind] @ C
-    return np.tensordot(C.conj(), TC, axes=([1, 2], [1, 2])).real
+    return np.tensordot(C, TC, axes=([1, 2], [1, 2]))

@@ -2,8 +2,11 @@
 
 The spatial basis is a product of harmonic-oscillator-like functions:
 
-* along y': ``phi_k(y') = N_k H_k(mu y') exp(-mu^2 y'^2 / 2)``, k = 0..L-1,
-  an orthonormal oscillator ladder centered at the origin;
+* along y': ``chi_k(y') = i^k phi_k(y')``, k = 0..L-1, with
+  ``phi_k(y') = N_k H_k(mu y') exp(-mu^2 y'^2 / 2)`` the orthonormal
+  oscillator ladder centered at the origin.  The phase i^k makes every
+  y-table real, the one of the Hermitian operator -i d/dy' included, so
+  the whole Hamiltonian is real symmetric;
 * along z': even/odd combinations of single-well functions centered at the
   two potential minima z' = +1 and z' = -1,
 
@@ -40,9 +43,9 @@ from .errors import DegenerateBasisError
 
 # The 1D operator kinds the Hamiltonian is built from.  The z kinds act on
 # the double-well direction, the y kinds on the transverse oscillator
-# direction.
+# direction; "-idy" is the operator -i d/dy'.
 Z_KINDS = ("1", "z", "z2", "z4", "quartic", "dz2")
-Y_KINDS = ("1", "y2", "dy", "dy2")
+Y_KINDS = ("1", "y2", "-idy", "dy2")
 
 # Band growth of the widest z operator is 4 (z^4 and (z^2-1)^2); intermediate
 # matrix products need a little extra headroom so truncation never touches
@@ -56,7 +59,7 @@ class BasisSpec:
 
     eta: float   # Gaussian width parameter of the z-functions (scaled units)
     mu: float    # Gaussian width parameter of the y-functions (scaled units)
-    L: int       # number of y-functions phi_k
+    L: int       # number of y-functions chi_k
     N: int       # number of z-functions per parity psi_n^p
 
     def __post_init__(self) -> None:
@@ -179,13 +182,14 @@ def _z_operator(kind: str, eta: float, center: float, size: int) -> np.ndarray:
 
 
 def _y_operator(kind: str, mu: float, size: int) -> np.ndarray:
-    """Band matrix of a y-direction operator in the phi_k oscillator basis."""
+    """Real band matrix of a y-direction operator in the phi_k oscillator
+    basis; for "-idy" the matrix of d/dy', without the factor -i."""
     if kind == "1":
         return np.eye(size)
     if kind == "y2":
         w = _ladder_position(size) / mu
         return w @ w
-    if kind == "dy":
+    if kind == "-idy":
         return mu * _ladder_derivative(size)
     if kind == "dy2":
         d = mu * _ladder_derivative(size)
@@ -273,17 +277,24 @@ def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
 @lru_cache(maxsize=128)
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
 def y_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
-    """L x L table of <phi_k| kind |phi_l>; exactly (anti)symmetric,
-    read-only.  An extreme mu that overflows the table raises
-    ``DegenerateBasisError``."""
+    """L x L table of <chi_k| kind |chi_l>; exactly symmetric, read-only.
+
+    It is the phi_k table times the phase i^(l-k) of chi_k = i^k phi_k,
+    and times -i for "-idy".  Each kind couples only k, l of one offset
+    parity, where that phase is real: Re i^(l-k), or Re i^(l-k-1) for
+    "-idy", exactly 0 or +-1.  An extreme mu that overflows the table
+    raises ``DegenerateBasisError``.
+    """
     if kind not in Y_KINDS:
         raise ValueError(f"unsupported y operator kind: {kind!r}")
     size = spec.L + _PAD
-    table = _y_operator(kind, spec.mu, size)[:spec.L, :spec.L]
-    if kind == "dy":
-        table = np.triu(table, 1) - np.triu(table, 1).T
-    else:
-        table = np.triu(table) + np.triu(table, 1).T
+    k = np.arange(spec.L)
+    power = k - k[:, None]                # l - k at [k, l]
+    if kind == "-idy":
+        power -= 1                        # -i = i^(-1)
+    phase = np.array([1.0, 0.0, -1.0, 0.0])[power % 4]   # Re i^power
+    table = _y_operator(kind, spec.mu, size)[:spec.L, :spec.L] * phase
+    table = np.triu(table) + np.triu(table, 1).T
     return _finite_table(table, kind, f"mu = {spec.mu:g}")
 
 

@@ -120,12 +120,3 @@ def scale(p: PhysicalParams) -> ScaledParams:
         gamma=p.gamma,
     )
 
-
-def potential(zp, s: ScaledParams):
-    """Scaled double-well potential at z' = z/a, in units of hw0.
-
-    V(z')/hw0 = ab_ratio/(8 r_a) * (z'^2 - 1)^2 - gamma * z'.
-    Accepts scalars or numpy arrays.
-    """
-    quartic = (zp * zp - 1.0) ** 2
-    return s.ab_ratio / (8.0 * s.r_a) * quartic - s.gamma * zp

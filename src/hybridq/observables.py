@@ -1,7 +1,7 @@
-"""Per-state expectation values and qubit figures of merit.
+"""Per-state expectation values and avoided-crossing detection.
 
-All expectation values are generalized: for an S-normalized coefficient
-vector c, <A> = c^dagger A c with A expressed in the nonorthogonal basis.
+All expectation values are generalized: for a real S-normalized coefficient
+vector c, <A> = c^T A c with A expressed in the nonorthogonal basis.
 The operators act on z' alone and the y-ladder is orthonormal, so every
 value comes from one 2N x 2N z-table (``assembly.spin_block_forms``):
 <z'> from the z'-moment table within each spin block, <sigma_x> from the
@@ -19,9 +19,6 @@ from . import assembly
 from .assembly import SpectralProblem
 from .solver import EigenSolution
 
-# |<z'>| beyond which a state counts as localized in one well
-LOCALIZED_THRESHOLD = 0.5
-
 
 @dataclass(frozen=True)
 class StateReport:
@@ -32,17 +29,6 @@ class StateReport:
     z_mean: float          # <z>/a
     sx_mean: float         # <sigma_x>
     norm_check: float      # <state|S|state>, 1 for a healthy solve
-
-
-@dataclass(frozen=True)
-class QubitReport:
-    """Quality of the two lowest states viewed as a qubit pair."""
-
-    gap: float                        # (E1-E0) in units hw0
-    gap_uev: float | None             # same gap in micro-eV (needs hw0)
-    sx_contrast: float                # |<sigma_x>_0 - <sigma_x>_1|
-    localization: tuple[float, float]  # (<z'>_0, <z'>_1)
-    pair_flag: bool                   # True when the pair sits in opposite wells
 
 
 @dataclass(frozen=True)
@@ -67,29 +53,6 @@ def state_report(sol: EigenSolution, j: int,
                        z_mean=float(np.trace(z)),
                        sx_mean=float(2.0 * s[0, 1]),
                        norm_check=float(np.trace(s)))
-
-
-def qubit_report(sol: EigenSolution, problem: SpectralProblem,
-                 hw0_mev: float | None = None) -> QubitReport:
-    """Qubit metrics assembled from the two lowest states.
-
-    ``hw0_mev`` converts the gap to micro-eV when given.
-    """
-    if sol.n_states < 2:
-        raise ValueError("need at least two computed states")
-    ground = state_report(sol, 0, problem)
-    excited = state_report(sol, 1, problem)
-    gap = excited.energy - ground.energy
-    z0, z1 = ground.z_mean, excited.z_mean
-    flag = (abs(z0) > LOCALIZED_THRESHOLD and abs(z1) > LOCALIZED_THRESHOLD
-            and z0 * z1 < 0)
-    return QubitReport(
-        gap=gap,
-        gap_uev=None if hw0_mev is None else gap * hw0_mev * 1e3,
-        sx_contrast=abs(ground.sx_mean - excited.sx_mean),
-        localization=(z0, z1),
-        pair_flag=flag,
-    )
 
 
 def crossing_scan(xs, energies, z_means) -> list[AvoidedCrossing]:

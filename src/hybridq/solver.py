@@ -4,16 +4,15 @@ The 2D ``solve`` and the 1D ``_canonical_solve`` reduce H c = E S c by one
 rule, Loewdin canonical orthogonalization (Adv. Quantum Chem. 5, 185
 (1970)): ``_orthonormalizer`` keeps the overlap eigendirections above a
 relative floor, so a redundant basis loses its near-null directions instead
-of failing.  ``solve`` applies it to the 2N x 2N z-overlap, makes the
-y-basis real by a gauge and builds one real symmetric standard problem from
-Kronecker factors (``assembly.orthonormal_hamiltonian``).  LAPACK computes
-only the requested lowest eigenpairs, which are mapped back to
-S-orthonormal eigenvectors of the original basis with ascending
-eigenvalues; asking for more than the reduced basis holds is a
-``ReducedBasisError``, one of the ``POINT_ERRORS``.  ``stabilize``
-re-assembles and re-solves over a grid of one nonlinear variational
-parameter and summarizes per-level plateaus, the practical convergence
-check of the Ritz method.
+of failing.  ``solve`` applies it to the 2N x 2N z-overlap and builds one
+real symmetric standard problem from the real Kronecker factors
+(``assembly.orthonormal_hamiltonian``).  LAPACK computes only the
+requested lowest eigenpairs, which are mapped back to real S-orthonormal
+eigenvectors of the original basis with ascending eigenvalues; asking for
+more than the reduced basis holds is a ``ReducedBasisError``, one of the
+``POINT_ERRORS``.  ``stabilize`` re-assembles and re-solves over a grid of
+one nonlinear variational parameter and summarizes per-level plateaus, the
+practical convergence check of the Ritz method.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ class EigenSolution:
     """Lowest eigenpairs of a spectral problem.
 
     ``energies`` ascend and are in units of hw0; ``coefficients`` holds the
-    S-orthonormal eigenvectors as columns, in the flat (s, p, n, k) order.
+    real S-orthonormal eigenvectors as columns, in the flat (s, p, n, k)
+    order of the y-ladder chi_k = i^k phi_k (``basis``).
     ``n_dropped`` counts the z-overlap directions below
     ``DROP_FRACTION_2D`` that the reduction left out.
     """
@@ -123,8 +123,8 @@ def _canonical_solve(H: np.ndarray, S: np.ndarray) -> np.ndarray:
     one standard eigensolve of X^T H X, with X from ``_orthonormalizer``
     at ``DROP_FRACTION_1D``."""
     transform = _orthonormalizer(*scipy.linalg.eigh(S), DROP_FRACTION_1D)
-    h_red = transform.conj().T @ H @ transform
-    h_red = 0.5 * (h_red + h_red.conj().T)
+    h_red = transform.T @ H @ transform
+    h_red = 0.5 * (h_red + h_red.T)
     return scipy.linalg.eigh(h_red, eigvals_only=True)
 
 
@@ -149,7 +149,7 @@ def solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
                                 f"reduced basis size {size}")
     h = assembly.orthonormal_hamiltonian(problem, transform)
     vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, n_lowest - 1])
-    vecs = assembly.to_basis(problem, transform, vecs)
+    vecs = assembly.to_basis(transform, vecs)
     _order_ties(vals, vecs, problem)
     return EigenSolution(energies=vals, coefficients=vecs,
                          s_condition=problem.s_condition,

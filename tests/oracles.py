@@ -7,7 +7,9 @@ Nothing here shares code with the implementation paths it checks:
   polynomials pointwise (no ladder algebra, no overlap recurrences).
   Nodes, weights, normalization and the weighted sums are all in extended
   precision so the oracle itself stays accurate to ~1e-13 on the largest
-  elements.
+  elements.  ``quad_element_y`` works in the paper's ladder phi_k;
+  ``quad_element_chi`` multiplies it by the complex phase of the ladder
+  chi_k = i^k phi_k that ``basis`` tabulates.
 * ``fraction_displaced_overlap``: the displaced-oscillator overlap table in
   ``fractions.Fraction`` arithmetic, the reference for the integer
   recurrence of ``basis._displaced_overlap_cached``; both round each entry
@@ -197,9 +199,23 @@ def quad_element_z(kind: str, n: int, p: int, m: int, q: int,
 
 
 def quad_element_y(kind: str, k: int, l: int, mu: float) -> float:
-    """Quadrature value of <phi_k| kind |phi_l> over y'."""
+    """Quadrature value of <phi_k| kind |phi_l> over y'; "dy" is d/dy'."""
     z_kind = {"1": "1", "y2": "z2", "dy": "dz", "dy2": "dz2"}[kind]
     return _quad_single_center(z_kind, k, 0.0, l, 0.0, mu)
+
+
+def quad_element_chi(kind: str, k: int, l: int, mu: float) -> complex:
+    """Quadrature value of <chi_k| kind |chi_l> over y', chi_k = i^k phi_k,
+    for the kinds of ``basis.Y_KINDS``; "-idy" is -i d/dy'.
+
+    It is the phi_k value times the complex phase i^(l-k), and times -i
+    for "-idy", so a wrong sign or a nonzero imaginary part in the real
+    table of ``basis`` shows as a difference.
+    """
+    phase = (1, 1j, -1, -1j)[(l - k) % 4]
+    if kind == "-idy":
+        kind, phase = "dy", -1j * phase
+    return phase * quad_element_y(kind, k, l, mu)
 
 
 # ----------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_criterion_6_quadrature_oracle_y():
         mu = float(rng.uniform(0.3, 2.0))
         spec = hq.BasisSpec(eta=4.0, mu=mu, L=13, N=2)
         got = float(basis.y_element_table(kind, spec)[k, l])
-        want = oracles.quad_element_y(kind, k, l, mu)
+        want = oracles.quad_element_chi(kind, k, l, mu)
         worst = max(worst, abs(got - want))
     ok = worst <= 1e-12
     assert _report(ok, "criterion 6a(y)",

@@ -26,7 +26,7 @@ def test_dimension_is_4LN():
 
 def test_hermiticity_exact(small_problem):
     H = small_problem.H
-    assert np.max(np.abs(H - H.conj().T)) == 0.0
+    assert np.max(np.abs(H - H.T)) == 0.0
     S = small_problem.S
     assert np.max(np.abs(S - S.T)) == 0.0
 
@@ -41,13 +41,13 @@ def test_validate_reports_clean(small_problem):
     assert np.isfinite(small_problem.s_condition)
 
 
-def test_imaginary_part_only_from_slanting_field():
-    no_gradient = dataclasses.replace(PHYS, bSLa=0.0)
-    problem = hq.assemble(hq.scale(no_gradient), small_spec())
-    assert problem.H.dtype == np.float64
-    with_gradient = hq.assemble(hq.scale(PHYS), small_spec())
-    assert np.iscomplexobj(with_gradient.H)
-    assert np.max(np.abs(with_gradient.H.imag)) > 0
+def test_hamiltonian_is_real_in_every_branch():
+    # the y-ladder chi_k = i^k phi_k makes the slanting-field term real
+    for physics in (dataclasses.replace(PHYS, B0=0.0, bSLa=0.0),
+                    dataclasses.replace(PHYS, bSLa=0.0), PHYS):
+        problem = hq.assemble(hq.scale(physics), small_spec())
+        assert problem.H.dtype == np.float64
+        assert problem.S.dtype == np.float64
 
 
 def test_spin_blocks_decouple_without_gradient():
@@ -98,14 +98,14 @@ def test_spatial_factorization_against_elements():
     def y(kind: str, k: int, l: int) -> float:
         return float(basis.y_element_table(kind, spec)[k, l])
 
-    def h_entry(ia: int, ib: int) -> complex:
+    def h_entry(ia: int, ib: int) -> float:
         s_a, p_a, n_a, k_a = label(ia)
         s_b, p_b, n_b, k_b = label(ib)
 
         def z(kind: str) -> float:
             return z_element(kind, n_a, p_a, n_b, p_b, spec)
 
-        value = 0.0 + 0.0j
+        value = 0.0
         delta_y = float(k_a == k_b)
         if s_a == s_b:
             z_overlap = z("1")
@@ -115,7 +115,7 @@ def test_spatial_factorization_against_elements():
             value += -scaled.gamma * z("z") * delta_y
             value += (r_c ** 2 / (8 * r_a)) * z_overlap * y("y2", k_a, k_b)
             value += (r_c ** 2 * beta ** 2 / (2 * r_a)) * z("z4") * delta_y
-            value += -1j * r_c * beta * z("z2") * y("dy", k_a, k_b)
+            value += r_c * beta * z("z2") * y("-idy", k_a, k_b)
             value += -0.5 * r_c * s_a * z_overlap * delta_y
         else:
             value += -r_c * beta * z("z") * delta_y

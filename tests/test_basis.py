@@ -111,9 +111,15 @@ def test_parity_kills_odd_moment():
 
 def test_y_element_examples():
     spec = hq.BasisSpec(eta=4.0, mu=0.7, L=8, N=2)
-    assert basis.y_element_table("y2", spec)[0, 0] == pytest.approx(
-        1.0 / (2.0 * 0.7 ** 2), rel=1e-14)
-    assert basis.y_element_table("dy", spec)[0, 0] == 0.0
+    y2 = basis.y_element_table("y2", spec)
+    assert y2[0, 0] == pytest.approx(1.0 / (2.0 * 0.7 ** 2), rel=1e-14)
+    # <chi_0|y'^2|chi_2> = i^2 <phi_0|y'^2|phi_2>
+    assert y2[0, 2] == pytest.approx(-2 ** -0.5 / 0.7 ** 2, rel=1e-14)
+    idy = basis.y_element_table("-idy", spec)
+    assert idy[0, 0] == 0.0
+    # <chi_0|-i d/dy'|chi_1> = -i i <phi_0|d/dy'|phi_1> = mu / sqrt(2)
+    assert idy[0, 1] == idy[1, 0] == pytest.approx(0.7 * 2 ** -0.5,
+                                                   rel=1e-14)
     dy2 = basis.y_element_table("dy2", spec)
     for k in range(spec.L):
         assert -dy2[k, k] == pytest.approx(0.7 ** 2 * (k + 0.5), rel=1e-13)
@@ -163,7 +169,7 @@ def test_z_elements_match_quadrature_property(eta, n, m, p, q, kind):
 def test_y_elements_match_quadrature_property(mu, k, l, kind):
     spec = hq.BasisSpec(eta=4.0, mu=mu, L=13, N=2)
     got = float(basis.y_element_table(kind, spec)[k, l])
-    want = oracles.quad_element_y(kind, k, l, mu)
+    want = oracles.quad_element_chi(kind, k, l, mu)
     assert got == pytest.approx(want, abs=ORACLE_TOL)
 
 
@@ -184,10 +190,7 @@ def test_table_symmetries_exact():
         np.testing.assert_array_equal(table, table.T)
     for kind in basis.Y_KINDS:
         table = basis.y_element_table(kind, spec)
-        if kind == "dy":
-            np.testing.assert_array_equal(table, -table.T)
-        else:
-            np.testing.assert_array_equal(table, table.T)
+        np.testing.assert_array_equal(table, table.T)
 
 
 def test_basis_spec_validation():

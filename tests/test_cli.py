@@ -460,8 +460,8 @@ def test_value_error_inside_a_point_propagates(tmp_path, monkeypatch, task):
     assert not list(tmp_path.glob("*.csv"))
 
 
-CONFIGS = sorted(glob.glob(os.path.join(
-    os.path.dirname(__file__), os.pardir, "configs", "*.cfg")))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
@@ -477,17 +477,28 @@ def test_shipped_config_loads(path):
         assert cli.parse_config_lines(text.splitlines()) == config
 
 
+def _readme_section(title: str) -> str:
+    """The README text under the heading ``## title``."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split(f"## {title}\n", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
 def test_readme_runs_every_shipped_config():
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
-        section = handle.read().split("## Command line", 1)[1]
-    section = section.split("\n## ", 1)[0]
+    section = _readme_section("Command line")
     runs = [cli._build_parser().parse_args(line.split()[1:])
             for line in section.splitlines() if line.startswith("hybridq ")]
-    shipped = sorted(os.path.relpath(path, root) for path in CONFIGS)
+    shipped = sorted(os.path.relpath(path, ROOT) for path in CONFIGS)
     assert sorted(os.path.normpath(args.config) for args in runs) == shipped
     for args in runs:
-        cli.load_config(os.path.join(root, args.config))
+        cli.load_config(os.path.join(ROOT, args.config))
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = _readme_section("Library").split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```", 1)[0], {})
+    assert capsys.readouterr().out
 
 
 def test_every_task_has_a_shipped_config():

@@ -1,11 +1,6 @@
-"""Unit conversions, scaled coefficients and the double-well potential."""
+"""Unit conversions and scaled coefficients."""
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import hybridq as hq
 
@@ -68,40 +63,6 @@ def test_scale_homogeneity_in_fields():
     assert doubled_bsl.beta == pytest.approx(2.0 * s.beta, rel=1e-14)
 
 
-def test_potential_well_minimum_and_barrier():
-    s = hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0))
-    assert hq.potential(1.0, s) == 0.0
-    # barrier height 1/(8 r_a) at z' = 0
-    assert hq.potential(0.0, s) == pytest.approx(1.0 / (8.0 * s.r_a),
-                                                 rel=1e-14)
-    assert hq.potential(0.0, s) == pytest.approx(1.816, rel=1e-2)
-
-
-def test_potential_well_depth_difference_is_twice_gamma():
-    s = hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3))
-    # left well deeper by |2 gamma| for gamma < 0
-    assert hq.potential(-1.0, s) - hq.potential(1.0, s) \
-        == pytest.approx(2.0 * (-1e-3), abs=1e-18)
-
-
-@given(zp=st.floats(-3, 3), gamma=st.floats(-0.5, 0.5))
-@settings(max_examples=50, deadline=None)
-def test_potential_mirror_property(zp, gamma):
-    s = hq.ScaledParams(r_a=0.07, r_c=0.0, beta=0.0, ab_ratio=1.0,
-                        gamma=gamma)
-    mirrored = hq.ScaledParams(r_a=0.07, r_c=0.0, beta=0.0, ab_ratio=1.0,
-                               gamma=-gamma)
-    assert hq.potential(zp, s) == pytest.approx(
-        hq.potential(-zp, mirrored), rel=1e-12, abs=1e-12)
-
-
-def test_potential_even_without_tilt():
-    s = hq.ScaledParams(r_a=0.07, r_c=0.0, beta=0.0, ab_ratio=1.0,
-                        gamma=0.0)
-    z = np.linspace(-2, 2, 41)
-    np.testing.assert_array_equal(hq.potential(z, s), hq.potential(-z, s))
-
-
 def test_energy_ordering_at_working_point():
     # hw0 > hw_a > hw_c* at the Fig. 4 parameters
     p = hq.PhysicalParams(hw0=30.0, a=30.0, B0=0.5, bSLa=2.0)
@@ -116,11 +77,3 @@ def test_scaled_params_validation():
     with pytest.raises(ValueError):
         hq.ScaledParams(r_a=0.1, r_c=-1.0, beta=0.0, ab_ratio=1.0,
                         gamma=0.0)
-
-
-def test_potential_accepts_arrays():
-    s = hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3))
-    z = np.array([-1.0, 0.0, 1.0])
-    v = hq.potential(z, s)
-    assert v.shape == (3,)
-    assert math.isclose(v[2], hq.potential(1.0, s))

@@ -1,4 +1,4 @@
-"""Expectation values, qubit metrics and avoided-crossing detection."""
+"""Expectation values and avoided-crossing detection."""
 
 import dataclasses
 
@@ -46,43 +46,20 @@ def test_sx_strictly_inside_unit_interval(small_solution):
     assert 0.0 < abs(ground.sx_mean) < 1.0
 
 
-def test_qubit_report_fields(small_solution):
-    problem, sol = small_solution
-    report = hq.qubit_report(sol, problem, hw0_mev=PHYS.hw0)
-    assert report.gap >= 0.0
-    assert report.gap_uev == pytest.approx(report.gap * PHYS.hw0 * 1e3)
-    assert 0.0 <= report.sx_contrast <= 2.0
-    assert report.pair_flag
-    z0, z1 = report.localization
-    assert z0 < 0 < z1  # gamma < 0: ground in the left well
-
-
-def test_qubit_report_gap_uev_optional(small_solution):
-    problem, sol = small_solution
-    assert hq.qubit_report(sol, problem).gap_uev is None
-
-
 def test_tilt_sign_swap_mirrors_localization():
-    spec = small_spec(L=6, N=8)
-    left = hq.assemble(hq.scale(PHYS), spec)
-    sol_left = hq.solve(left, 2)
-    right = hq.assemble(hq.scale(dataclasses.replace(PHYS, gamma=1e-3)),
-                        spec)
-    sol_right = hq.solve(right, 2)
-    rep_l = hq.qubit_report(sol_left, left)
-    rep_r = hq.qubit_report(sol_right, right)
-    assert rep_l.gap == pytest.approx(rep_r.gap, rel=1e-8)
-    assert rep_l.localization[0] == pytest.approx(-rep_r.localization[0],
-                                                  rel=1e-6)
-    assert rep_l.localization[1] == pytest.approx(-rep_r.localization[1],
-                                                  rel=1e-6)
+    def lowest_pair(gamma: float) -> list:
+        physical = dataclasses.replace(PHYS, gamma=gamma)
+        problem = hq.assemble(hq.scale(physical), small_spec(L=6, N=8))
+        sol = hq.solve(problem, 2)
+        return [hq.state_report(sol, j, problem) for j in (0, 1)]
 
-
-def test_sx_contrast_zero_without_gradient():
-    no_gradient = dataclasses.replace(PHYS, bSLa=0.0)
-    problem = hq.assemble(hq.scale(no_gradient), small_spec(L=6, N=8))
-    sol = hq.solve(problem, 2)
-    assert hq.qubit_report(sol, problem).sx_contrast < 1e-10
+    left, right = lowest_pair(-1e-3), lowest_pair(1e-3)
+    # gamma < 0: the ground state in the left well, the excited in the right
+    assert left[0].z_mean < 0 < left[1].z_mean
+    assert left[1].energy - left[0].energy == pytest.approx(
+        right[1].energy - right[0].energy, rel=1e-8)
+    for j in (0, 1):
+        assert left[j].z_mean == pytest.approx(-right[j].z_mean, rel=1e-6)
 
 
 def test_crossing_scan_parallel_levels():

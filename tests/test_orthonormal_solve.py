@@ -2,7 +2,7 @@
 
 ``solve`` and ``state_report`` never build the dense matrices; these tests
 build them and check that the fast path returns the same eigenpairs as
-``scipy.linalg.eigh(H, S)``, in the original basis and gauge, and the same
+``scipy.linalg.eigh(H, S)``, in the original basis, and the same
 expectation values as the dense spin-block forms.  A redundant basis is
 checked against the dense pencil on the same kept subspace.
 """
@@ -14,16 +14,16 @@ import pytest
 import scipy.linalg
 
 import hybridq as hq
-from hybridq import assembly, basis, solver
+from hybridq import solver
 from conftest import small_spec
 
 import oracles
 
 BASE = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=1.5)
 
-# the three branches of the Hamiltonian: no Zeeman field (real, spin
-# degenerate), Zeeman field without gradient (real, spin split) and the
-# slanting field (complex) with either tilt
+# the three branches of the Hamiltonian: no Zeeman field (spin
+# degenerate), Zeeman field without gradient (spin split) and the
+# slanting field with either tilt
 PHYSICS = {
     "B0-zero": dataclasses.replace(BASE, B0=0.0, bSLa=0.0),
     "no-gradient": dataclasses.replace(BASE, bSLa=0.0),
@@ -38,12 +38,15 @@ SPECS = [(1, 1), (1, 4), (3, 1), (3, 4), (5, 3)]
 def test_fast_solve_matches_dense_reference(physics, L, N):
     problem = hq.assemble(hq.scale(PHYSICS[physics]), small_spec(L=L, N=N))
     sol = hq.solve(problem, problem.size)
+    # the y-ladder chi_k = i^k phi_k keeps every branch real
+    for array in (problem.H, problem.S, sol.coefficients):
+        assert array.dtype == np.float64
     reference = scipy.linalg.eigh(problem.H, problem.S, eigvals_only=True)
     np.testing.assert_allclose(sol.energies, reference, rtol=1e-12, atol=0)
 
     C, E = sol.coefficients, sol.energies
     SC = problem.S @ C
-    gram = C.conj().T @ SC
+    gram = C.T @ SC
     assert np.max(np.abs(gram - np.eye(problem.size))) <= 1e-10
     residual = np.linalg.norm(problem.H @ C - SC * E, axis=0) \
         / np.linalg.norm(SC, axis=0)
@@ -75,27 +78,8 @@ def test_redundant_basis_matches_kept_subspace_reference(physics, eta, L, N,
     np.testing.assert_allclose(sol.energies, reference[:8], rtol=rtol,
                                atol=0)
     C = sol.coefficients
-    gram = C.conj().T @ problem.S @ C
+    gram = C.T @ problem.S @ C
     assert np.max(np.abs(gram - np.eye(sol.n_states))) <= 1e-10
-
-
-@pytest.mark.parametrize("physics", PHYSICS, ids=list(PHYSICS))
-def test_gauge_makes_the_problem_exactly_real(physics):
-    spec = small_spec(L=5, N=3)
-    problem = hq.assemble(hq.scale(PHYSICS[physics]), spec)
-    # phi_k -> i^k phi_k on the dense H: flat index (s, p, n, k)
-    phase = np.tile(assembly.y_gauge(spec.L), 4 * spec.N)
-    gauged = phase.conj()[:, None] * problem.H * phase
-    assert np.all(gauged.imag == 0.0)
-    for kind in basis.Y_KINDS:
-        unit = -1j if kind == "dy" else 1
-        table = assembly.gauged_y_table(problem.y_tables[kind], unit)
-        assert np.all(table.imag == 0.0)
-    s_vals, s_vecs = problem.overlap_eigh
-    transform = s_vecs / np.sqrt(s_vals)
-    h = assembly.orthonormal_hamiltonian(problem, transform)
-    assert h.dtype == np.float64
-    assert np.array_equal(h, h.T)
 
 
 def test_solve_and_observables_leave_dense_matrices_unbuilt():
