@@ -6,7 +6,7 @@ Hermite-Gaussian well-pair basis.
 """
 
 from .assembly import SpectralProblem, assemble
-from .basis import BasisSpec, cross_overlap, normalization
+from .basis import BasisSpec
 from .errors import (ConfigError, DegenerateBasisError, HybridQError,
                      ReducedBasisError)
 from .model import PhysicalParams, ScaledParams, scale
@@ -24,7 +24,6 @@ __all__ = [
     "DegenerateBasisError", "EigenSolution", "GapSurface", "HybridQError",
     "PhysicalParams", "Plateau", "ReducedBasisError", "ScaledParams",
     "SpectralProblem", "StabilizationTable", "StateReport", "assemble",
-    "classify_regimes", "contour_fit", "cross_overlap", "crossing_scan",
-    "gap_surface", "normalization", "scale", "solve", "solve_1d",
-    "stabilize", "state_report",
+    "classify_regimes", "contour_fit", "crossing_scan", "gap_surface",
+    "scale", "solve", "solve_1d", "stabilize", "state_report",
 ]

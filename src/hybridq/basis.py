@@ -13,7 +13,8 @@ The spatial basis is a product of harmonic-oscillator-like functions:
   ``psi_n^p(z') = C_n^p (psi_n^{+}(z') + p * psi_n^{-}(z'))``,  p = +1/-1,
 
   where ``psi_n^{+-}(z') = N_n H_n(eta (z' -+ 1)) exp(-eta^2 (z' -+ 1)^2 / 2)``
-  are unit-normalized shifted oscillator functions, n = 0..N-1.
+  are unit-normalized shifted oscillator functions, n = 0..N-1.  The
+  norms C_n^p are computed inside ``z_element_table``.
 
 Each spatial function carries one of the two eigenstates of sigma_z, for a
 total dimension M = 4*L*N.  The flat ordering is lexicographic in
@@ -216,40 +217,18 @@ def _single_well_elements(kind: str, eta: float, c_bra: float, c_ket: float,
     return prod[:count, :count].astype(float)
 
 
-def cross_overlap(n: int, m: int, spec: BasisSpec) -> float:
-    """Overlap of unit-normalized single-well functions in opposite wells.
-
-    <psi_n at +1 | psi_m at -1>; for n = m = 0 this is exp(-eta^2).
-    """
-    if n < 0 or m < 0 or n >= spec.N or m >= spec.N:
-        raise ValueError("index outside the basis")
-    table = _displaced_overlap_cached(2.0 * spec.eta, spec.N + _PAD)
-    return float(table[n, m])
-
-
-def normalization(n: int, p: int, spec: BasisSpec) -> float:
-    """C_n^p = [2 (1 + p <psi_n^+|psi_n^->)]^(-1/2), so <psi_n^p|psi_n^p> = 1."""
-    if p not in (+1, -1):
-        raise ValueError("parity label must be +1 or -1")
-    arg = 2.0 * (1.0 + p * cross_overlap(n, n, spec))
-    if arg <= 0.0:
-        raise DegenerateBasisError(
-            f"well combination (n={n}, p={p:+d}) has no normalization; "
-            "the two well functions are (numerically) identical"
-        )
-    return arg ** -0.5
-
-
 @lru_cache(maxsize=128)
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
 def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
     """Full 2N x 2N table of <psi_n^p| kind |psi_m^q> over the z' basis.
 
     Row/column ordering is p-major: index = (0 if p = +1 else 1)*N + n.
-    Every kind is symmetric; the table is mirrored from its upper triangle
-    so that it is exactly symmetric.  The returned array is read-only
-    (cached).  An extreme eta that overflows the table raises
-    ``DegenerateBasisError``.
+    The table normalizes its own well pairs, with C_n^p from the
+    displaced-overlap table at 2 eta; a pair with no norm raises
+    ``DegenerateBasisError``.  Every kind is symmetric; the table is
+    mirrored from its upper triangle so that it is exactly symmetric.  The
+    returned array is read-only (cached).  An extreme eta that overflows
+    the table raises ``DegenerateBasisError``.
     """
     if kind not in Z_KINDS:
         raise ValueError(f"unsupported z operator kind: {kind!r}")
@@ -259,9 +238,19 @@ def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
     oe = _single_well_elements(kind, spec.eta, -1.0, +1.0, N)
     oo = _single_well_elements(kind, spec.eta, -1.0, -1.0, N)
 
-    c = np.empty((2, N))
-    for i, p in enumerate((+1, -1)):
-        c[i] = [normalization(n, p, spec) for n in range(N)]
+    # C_n^p = [2 (1 + p <psi_n^+|psi_n^->)]^(-1/2), so <psi_n^p|psi_n^p> = 1
+    cross = np.diagonal(_displaced_overlap_cached(2.0 * spec.eta, N + _PAD))
+    args = 2.0 * (1.0 + np.outer([1.0, -1.0], cross[:N]))
+    bad = np.argwhere(args <= 0.0)
+    if len(bad):
+        i, n = bad[0]
+        raise DegenerateBasisError(
+            f"well combination (n={n}, p={1 - 2 * i:+d}) has no "
+            "normalization; the two well functions are (numerically) "
+            "identical")
+    # a Python float power (C pow) per element: numpy's vectorized power
+    # differs from it in the last bit for some arguments
+    c = np.array([[arg ** -0.5 for arg in row] for row in args.tolist()])
 
     table = np.empty((2 * N, 2 * N))
     for i, p in enumerate((+1, -1)):

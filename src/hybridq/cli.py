@@ -428,7 +428,7 @@ def _run_stabilize(cfg: RunConfig, workers: int) -> _TaskOutput:
              "failed" if i in failed else "ok"]
             for i, value in enumerate(table.grid)]
     summary = [f"stabilization parameter: {parameter}",
-               f"window tolerance: {table.tolerance:g}"]
+               f"window tolerance: {solver.PLATEAU_TOLERANCE:g}"]
     summary += [
         f"level {plateau.level}: plateau [{plateau.lo:g}, {plateau.hi:g}]"
         f" ({plateau.n_points} pts, rel variation "
@@ -461,10 +461,11 @@ def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
                + [f"z{j}" for j in range(4)]
                + [f"sx{j}" for j in range(4)]
                + ["status"])
-    rows, n_failed = [], 0
+    rows, failed = [], []
     for (lead, point), res in zip(points, results):
         if res["error"] is not None:
-            n_failed += 1
+            where = ", ".join(f"{f} = {v:g}" for f, v in zip(fields, lead))
+            failed.append(f"FAILED {where}: {res['error']}")
             rows.append([*lead, *_nan_row(len(columns) - len(lead) - 1),
                          f"failed: {res['error'].replace(',', ';')}"])
             continue
@@ -508,8 +509,8 @@ def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
             plot = _plot_script(cfg.task, "b_SL a  [T]", "<sigma_x> ground",
                                 curves("sx0", "B0={:g} T"))
     return _TaskOutput(columns, rows, (note,),
-                       [f"{summary}; {n_failed} failed"], plot,
-                       status=int(n_failed == len(points)))
+                       [f"{summary}; {len(failed)} failed", *failed], plot,
+                       status=int(len(failed) == len(points)))
 
 
 def _quartic_point(args):
@@ -534,12 +535,8 @@ def _gap_surface(cfg: RunConfig, workers: int):
         len(cfg.hw0_list), len(cfg.a_grid))
     failures = [(*values, err) for (values, _), (_, err)
                 in zip(points, results) if err is not None]
-    surface = quartic1d.GapSurface(
-        hw0_values=np.asarray(cfg.hw0_list),
-        a_values=np.asarray(cfg.a_grid), gaps=gaps,
-        gamma=cfg.physical.gamma, b_over_a=cfg.physical.b / cfg.physical.a,
-        regimes=tuple(quartic1d.classify_regimes(cfg.a_grid, row)
-                      for row in gaps))
+    surface = quartic1d.GapSurface(np.asarray(cfg.hw0_list),
+                                   np.asarray(cfg.a_grid), gaps)
     return surface, failures
 
 

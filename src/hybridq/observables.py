@@ -22,9 +22,9 @@ from .solver import EigenSolution
 
 @dataclass(frozen=True)
 class StateReport:
-    """Energy and observables of a single eigenstate."""
+    """Energy and observables of the eigenstate ``j`` that the caller
+    passed to ``state_report``."""
 
-    index: int
     energy: float          # units hw0
     z_mean: float          # <z>/a
     sx_mean: float         # <sigma_x>
@@ -49,7 +49,7 @@ def state_report(sol: EigenSolution, j: int,
     c = sol.coefficients[:, j]
     z = assembly.spin_block_forms(problem, c, "z")
     s = assembly.spin_block_forms(problem, c, "1")
-    return StateReport(index=j, energy=float(sol.energies[j]),
+    return StateReport(energy=float(sol.energies[j]),
                        z_mean=float(np.trace(z)),
                        sx_mean=float(2.0 * s[0, 1]),
                        norm_check=float(np.trace(s)))

@@ -3,13 +3,15 @@
 The low part of this spectrum sets where the full 2D device has a useful
 qubit gap.  ``solve_1d`` is a Ritz solve in the z'-direction well-pair basis
 alone (2N functions, no transverse direction, no spin).  ``gap_surface``
-tabulates the scaled gap (E1-E0)/hw0 over (hw0, a) and classifies each
-curve into its three decay regimes; ``contour_fit`` extracts iso-gap lines
-a(hw0) and fits the power law a = A hw0^e.
+tabulates the scaled gap (E1-E0)/hw0 over (hw0, a), and the surface
+classifies each curve into its three decay regimes when they are first
+read; ``contour_fit`` extracts iso-gap lines a(hw0) and fits the power law
+a = A hw0^e.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,21 +43,28 @@ class CurveRegimes:
 
 @dataclass(frozen=True)
 class GapSurface:
-    """Scaled gap tabulated over hw0 (rows) and a (columns)."""
+    """Scaled gap tabulated over hw0 (rows) and a (columns).
+
+    ``regimes`` is derived from ``a_values`` and ``gaps`` on first read,
+    so it always agrees with the tabulated gaps.
+    """
 
     hw0_values: np.ndarray   # meV
     a_values: np.ndarray     # nm
     gaps: np.ndarray         # (E1-E0)/hw0, shape (n_hw0, n_a)
-    gamma: float
-    b_over_a: float          # barrier length as a fraction of a
-    regimes: tuple           # CurveRegimes per hw0 row
+
+    @functools.cached_property
+    def regimes(self) -> tuple:
+        """``classify_regimes`` of each hw0 row."""
+        return tuple(classify_regimes(self.a_values, row)
+                     for row in self.gaps)
 
 
 @dataclass(frozen=True)
 class ContourFit:
-    """Iso-gap contour a(hw0) and its power-law fit a = A hw0^exponent."""
+    """Iso-gap contour a(hw0) and its power-law fit a = A hw0^exponent,
+    for the target gap the caller passed to ``contour_fit``."""
 
-    target: float
     hw0_values: np.ndarray
     a_values: np.ndarray
     skipped_hw0: tuple       # hw0 rows that never reach the target or failed
@@ -143,7 +152,7 @@ def classify_regimes(a_values, gaps) -> CurveRegimes:
 def gap_surface(hw0_values, a_values, gamma: float = -1e-3,
                 b_over_a: float = 1.0, *, n_basis: int = 20,
                 m_ratio: float = M_RATIO) -> GapSurface:
-    """Tabulate the scaled gap over a (hw0, a) grid and classify regimes.
+    """Tabulate the scaled gap over a (hw0, a) grid.
 
     ``b_over_a`` scales the barrier length with a (the default b = a keeps
     the potential shape fixed); each point is a ``solve_1d``, so its basis
@@ -157,10 +166,7 @@ def gap_surface(hw0_values, a_values, gamma: float = -1e-3,
             levels = solve_1d(hw0, a, b=b_over_a * a, gamma=gamma,
                               n_basis=n_basis, n_lowest=2, m_ratio=m_ratio)
             gaps[i, j] = levels[1] - levels[0]
-    regimes = tuple(classify_regimes(a_values, gaps[i])
-                    for i in range(len(hw0_values)))
-    return GapSurface(hw0_values=hw0_values, a_values=a_values, gaps=gaps,
-                      gamma=gamma, b_over_a=b_over_a, regimes=regimes)
+    return GapSurface(hw0_values=hw0_values, a_values=a_values, gaps=gaps)
 
 
 def _first_index_at_or_below(values: np.ndarray, target: float) -> int | None:
@@ -213,8 +219,7 @@ def contour_fit(surface: GapSurface, target: float) -> ContourFit:
     total = float(np.sum((log_a - log_a.mean()) ** 2))
     ss_res = float(residuals[0]) if len(residuals) else 0.0
     r2 = 1.0 - ss_res / total if total > 0 else 1.0
-    return ContourFit(target=target,
-                      hw0_values=np.asarray(hw0_pts),
+    return ContourFit(hw0_values=np.asarray(hw0_pts),
                       a_values=np.asarray(a_pts),
                       skipped_hw0=tuple(skipped),
                       amplitude=math.exp(intercept),

@@ -18,8 +18,9 @@ practical convergence check of the Ritz method.
 from __future__ import annotations
 
 import dataclasses
+import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 import scipy.linalg
@@ -89,15 +90,15 @@ class StabilizationTable:
 
     ``energies`` has one row per grid point (NaN rows mark failed points);
     ``plateaus`` has one entry per tracked level, None when no window of at
-    least two points meets the tolerance.
+    least two points meets ``PLATEAU_TOLERANCE``; ``failures`` holds
+    (grid index, message) pairs.  The swept parameter is the one the
+    caller passed to ``stabilize``.
     """
 
-    parameter: str
     grid: np.ndarray
     energies: np.ndarray
     plateaus: tuple
     failures: tuple
-    tolerance: float
 
     def variation(self, level: int, lo: float, hi: float) -> float:
         """Relative variation (max-min over max |E|) of one level over
@@ -177,10 +178,17 @@ def _order_ties(vals: np.ndarray, vecs: np.ndarray,
 def parallel_map(func, items, workers: int) -> list:
     """``[func(item) for item in items]``, fanned out over a pool of
     ``min(workers, len(items))`` processes when that is more than one.
-    Results keep the order of ``items``."""
+    Results keep the order of ``items``.
+
+    Items go out in chunks of ``ceil(len(items) / (4 n))`` for ``n``
+    processes, ``multiprocessing.Pool.map``'s default.  A worker that dies,
+    for example by an OOM kill, raises ``BrokenProcessPool``, which is not
+    one of the ``POINT_ERRORS`` and so ends the run."""
     if workers > 1 and len(items) > 1:
-        with Pool(min(workers, len(items))) as pool:
-            return pool.map(func, items)
+        n = min(workers, len(items))
+        with ProcessPoolExecutor(n) as pool:
+            return list(pool.map(func, items,
+                                 chunksize=math.ceil(len(items) / (4 * n))))
     return [func(item) for item in items]
 
 
@@ -255,7 +263,5 @@ def stabilize(scaled: ScaledParams, spec: BasisSpec, parameter: str,
     plateaus = tuple(_widest_plateau(grid, energies[:, lev], lev,
                                      PLATEAU_TOLERANCE)
                      for lev in range(n_track))
-    return StabilizationTable(parameter=parameter, grid=grid,
-                              energies=energies, plateaus=plateaus,
-                              failures=tuple(failures),
-                              tolerance=PLATEAU_TOLERANCE)
+    return StabilizationTable(grid=grid, energies=energies,
+                              plateaus=plateaus, failures=tuple(failures))

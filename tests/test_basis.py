@@ -17,17 +17,6 @@ import oracles
 ORACLE_TOL = 1e-12
 
 
-def test_cross_overlap_ground_state():
-    spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=3)
-    assert hq.cross_overlap(0, 0, spec) == pytest.approx(math.exp(-16.0),
-                                                         rel=1e-12)
-
-
-def test_cross_overlap_vanishes_for_distant_wells():
-    spec = hq.BasisSpec(eta=40.0, mu=0.7, L=2, N=3)
-    assert abs(hq.cross_overlap(1, 1, spec)) < 1e-300
-
-
 def test_overlap_table_identity_at_zero_displacement():
     table = basis._displaced_overlap_cached(0.0, 8)
     np.testing.assert_array_equal(table, np.eye(8))
@@ -70,21 +59,9 @@ def test_degenerate_basis_raises():
     # exp(-eta^2) rounds to 1: the odd combination of the two well
     # functions vanishes and has no normalization
     spec = hq.BasisSpec(eta=1e-9, mu=0.7, L=2, N=3)
-    with pytest.raises(hq.DegenerateBasisError):
-        hq.normalization(0, -1, spec)
-    with pytest.raises(hq.DegenerateBasisError):
+    with pytest.raises(hq.DegenerateBasisError,
+                       match=r"\(n=0, p=-1\) has no normalization"):
         hq.assemble(hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0)), spec)
-
-
-def test_normalization_limits():
-    spec = hq.BasisSpec(eta=12.0, mu=0.7, L=2, N=3)
-    # negligible cross overlap: C -> 1/sqrt(2)
-    assert hq.normalization(0, +1, spec) == pytest.approx(2 ** -0.5,
-                                                          rel=1e-9)
-    spec4 = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=3)
-    expected = (2.0 * (1.0 + math.exp(-16.0))) ** -0.5
-    assert hq.normalization(0, +1, spec4) == pytest.approx(expected,
-                                                           rel=1e-13)
 
 
 def test_even_odd_combinations_are_orthogonal():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hybridq as hq
-from hybridq import cli
+from hybridq import cli, solver
 
 MINIMAL = """\
 task = solve
@@ -263,6 +263,13 @@ def test_contour_fit_lists_failed_points(tmp_path):
             if float(row[names.index("hw0_meV")]) == 1e-14] == ["failed"]
 
 
+def test_config_from_csv_needs_the_config_echo(tmp_path):
+    csv = tmp_path / "bare.csv"
+    csv.write_text("# a note\nstate,E_hw0\n0,1.5\n")
+    with pytest.raises(hq.ConfigError, match="carries no '# config:' echo"):
+        cli.config_from_csv(csv)
+
+
 def test_cli_main_runs_solve(tmp_path, capsys):
     config = tmp_path / "cfg.txt"
     config.write_text(MINIMAL + "B0 = 0.5\nL = 4\nN = 4\nn_track = 3\n")
@@ -352,13 +359,24 @@ def _small_solve(key: str, value: str) -> str:
     (_small_solve("hw0", "1e-320"), "hw_a/hw0 must be positive and finite"),
     (_small_solve("B0", "1e300"), "outside the floating-point range"),
     (_small_solve("bSLa", "1e300"), "outside the floating-point range"),
+    (_small_solve("hw0", "-5"), "hw0, a, b and m_ratio must be positive"),
+    (_small_solve("gamma", "1"), "tilt |gamma| must be < 1"),
+    (_small_solve("eta", "0"), "eta and mu must be positive"),
+    (_small_solve("N", "0"), "L and N must be at least 1"),
+    (f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0:2\n",
+     "range must be lo:hi:step"),
+    (f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 2:0:0.5\n",
+     "range needs hi >= lo and step > 0"),
+    (f"task = solve\n{SMALL_2D}L 2\n", "expected 'key = value'"),
 ], ids=["B0-zero-with-gradient", "sweep-negative-hw0",
         "quartic-negative-hw0", "stabilize-negative-mu", "nan", "L-inf",
         "huge-range", "sweep-track-one", "solve-track-zero",
         "sweep-track-too-many", "L-huge", "quartic-N-huge", "workers-zero",
         "sweep-bsl-unread-B0_list", "solve-unread-bsl_grid",
         "stabilize-unread-hw0_list", "quartic-unread-targets", "a-huge",
-        "a-tiny", "m_ratio-tiny", "hw0-tiny", "B0-huge", "bSLa-huge"])
+        "a-tiny", "m_ratio-tiny", "hw0-tiny", "B0-huge", "bSLa-huge",
+        "solve-negative-hw0", "gamma-one", "eta-zero", "N-zero",
+        "range-two-parts", "range-reversed", "line-without-equals"])
 def test_bad_config_fails_before_any_point_runs(tmp_path, capsys, text,
                                                 message):
     config = tmp_path / "cfg.txt"
@@ -419,6 +437,41 @@ def test_stabilize_flags_an_overflowing_grid_point(tmp_path):
     assert [row[names.index("status")] for row in rows] == ["ok", "failed"]
     summary = (tmp_path / "stabilize_summary.txt").read_text()
     assert "FAILED mu = 1e+300: DegenerateBasisError" in summary
+
+
+def test_sweep_lists_every_failed_point(tmp_path):
+    # at eta = 1e-9 the odd well combination has no normalization
+    cfg = _load(f"task = sweep-bsl\n{SMALL_2D}eta = 1e-9\nbsl_grid = 0.5,1\n"
+                f"workers = 1\nout_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 1
+    names, rows = _read_csv(tmp_path / "sweep-bsl.csv")
+    assert [row[names.index("status")].startswith(
+        "failed: DegenerateBasisError: well combination (n=0; p=-1)")
+        for row in rows] == [True, True]
+    summary = (tmp_path / "sweep-bsl_summary.txt").read_text()
+    assert "swept bSLa over 2 points; 2 failed" in summary
+    for bsl in ("0.5", "1"):
+        assert (f"FAILED bSLa = {bsl}: DegenerateBasisError: well "
+                "combination (n=0, p=-1)") in summary
+
+
+def test_sweep_lists_one_failed_point(tmp_path, monkeypatch):
+    real_solve = solver.solve
+
+    def solve(problem, n_lowest):
+        # beta = bSLa / (2 B0) = bSLa at B0 = 0.5 T
+        if problem.scaled.beta == 1.0:
+            raise hq.HybridQError("injected failure")
+        return real_solve(problem, n_lowest)
+
+    monkeypatch.setattr(solver, "solve", solve)
+    cfg = _load(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
+                f"workers = 1\nout_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    summary = (tmp_path / "sweep-bsl_summary.txt").read_text()
+    assert [line.strip() for line in summary.splitlines()
+            if "FAILED" in line] == [
+        "FAILED bSLa = 1: HybridQError: injected failure"]
 
 
 @pytest.mark.parametrize("task, target", [

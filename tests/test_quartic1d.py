@@ -99,8 +99,7 @@ def _step_surface(amplitude: float, target: float) -> hq.GapSurface:
     gaps = np.empty((len(hw0), len(a_grid)))
     for i, ai in enumerate(a_star):
         gaps[i] = np.where(a_grid >= ai, target, 2.0 * target)
-    return hq.GapSurface(hw0_values=hw0, a_values=a_grid, gaps=gaps,
-                         gamma=0.0, b_over_a=1.0, regimes=())
+    return hq.GapSurface(hw0, a_grid, gaps)
 
 
 def test_contour_fit_roundtrip_exact():
@@ -137,12 +136,13 @@ def test_contour_fit_skips_a_row_with_a_failed_point():
         hw0_values=np.array([10.0, 20.0, 30.0]),
         a_values=np.array([10.0, 20.0, 30.0]),
         gaps=np.array([[5e-2, 4e-3, 2e-3], [5e-2, 4e-2, np.nan],
-                       [5e-2, 2e-3, 1e-3]]),
-        gamma=0.0, b_over_a=1.0, regimes=())
+                       [5e-2, 2e-3, 1e-3]]))
     fit = hq.contour_fit(surface, 3e-3)
     assert fit.skipped_hw0 == (20.0,)
     assert list(fit.hw0_values) == [10.0, 30.0]
     assert list(fit.a_values) == [30.0, 20.0]
+    # the surface's regimes follow its gaps: the failed row has none
+    assert surface.regimes[1] == hq.quartic1d.CurveRegimes(None, None, None)
 
 
 def test_classify_regimes_rejects_a_curve_with_a_failed_point():

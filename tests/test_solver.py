@@ -1,6 +1,9 @@
 """Generalized eigensolver contract and stabilization machinery."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,11 +176,11 @@ def test_levels_never_rise_as_the_y_ladder_grows(eta, mu, N, L, physics):
 def test_pool_never_larger_than_the_work(monkeypatch):
     sizes = []
 
-    class SerialPool:
+    class SerialExecutor:
         """Records its size and maps in-process: no worker is started."""
 
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -185,15 +188,42 @@ def test_pool_never_larger_than_the_work(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, items):
+        def map(self, func, items, chunksize=1):
             return [func(item) for item in items]
 
-    monkeypatch.setattr(solver, "Pool", SerialPool)
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialExecutor)
     assert solver.parallel_map(abs, [-1, -2], 8) == [1, 2]
     assert solver.parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert solver.parallel_map(abs, [-1], 4) == [1]
     assert solver.parallel_map(abs, [-1, -2], 1) == [1, 2]
     assert sizes == [2, 2]
+
+
+DEAD_WORKER = """
+import os
+from hybridq import solver
+
+def item(i):
+    if i == 2:
+        os._exit(1)
+    return i
+
+solver.parallel_map(item, [0, 1, 2, 3], 2)
+"""
+
+
+def test_a_dead_worker_ends_the_run():
+    # a worker that dies mid-task, say by an OOM kill, must end the run
+    # with an error instead of leaving it waiting for the lost result
+    path = [os.path.dirname(os.path.dirname(hq.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    done = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "BrokenProcessPool" in done.stderr
 
 
 def test_plateau_scan_constant_level():
@@ -220,6 +250,8 @@ def test_stabilize_validation():
         hq.stabilize(scaled, small_spec(), "mu", [], 4)
     with pytest.raises(ValueError):
         hq.stabilize(scaled, small_spec(), "mu", [0.6, 0.5], 4)
+    with pytest.raises(ValueError, match="grid values must be positive"):
+        hq.stabilize(scaled, small_spec(), "mu", [0.0, 0.5], 4)
     for n_track in (0, small_spec().size + 1):
         with pytest.raises(ValueError, match="n_track"):
             hq.stabilize(scaled, small_spec(), "mu", [0.5, 0.6], n_track)
@@ -234,6 +266,9 @@ def test_stabilize_records_failures_not_fatal():
     assert table.failures[0][0] == 0
     assert np.all(np.isnan(table.energies[0]))
     assert not np.any(np.isnan(table.energies[1:]))
+    # a window that holds the failed point has no variation
+    assert np.isnan(table.variation(0, 1e-9, 3.0))
+    assert np.isfinite(table.variation(0, 3.0, 4.0))
 
 
 def test_stabilize_workers_agree_with_serial():

@@ -1,5 +1,6 @@
-"""The benchmark's layer spans still reach every eigensolve, and its
-eigenpair check accepts every 2D solve.
+"""The benchmark's layer spans still reach every eigensolve, in the main
+process and in pool workers, and its eigenpair check accepts every 2D
+solve.
 
 ``perfbench/tracing.py`` wraps module attributes (``solver.solve``,
 ``solver._canonical_solve`` and the copy ``quartic1d`` imports, ...) and
@@ -21,14 +22,17 @@ from hybridq import cli
 tracer = tracing.Tracer(sys.argv[1])
 tracing.install(tracer)
 status = cli.run(cli.parse_config_lines(sys.argv[2].splitlines())).status
+spooled = sum(totals["counts"].get("eigenproblems", 0)
+              for totals in tracer.spooled())
 print(json.dumps({"status": status, "counts": tracer.counts,
-                  "problems": tracer.problems}))
+                  "problems": tracer.problems, "spooled": spooled}))
 """
 
 
 def _traced_run(tmp_path, config: str) -> dict:
     """Run ``config`` through ``cli.run`` under the tracer, in a fresh
-    interpreter, and return its status, counters and eigenpair problems."""
+    interpreter, and return its status, counters and eigenpair problems,
+    and the eigenproblems that pool workers spooled."""
     spool = tmp_path / "spool"
     spool.mkdir()
     path = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
@@ -50,6 +54,16 @@ def test_tracer_counts_every_1d_eigensolve(tmp_path):
     result = _traced_run(tmp_path, config)
     assert result["status"] == 0
     assert result["counts"].get("eigenproblems", 0) == 2
+
+
+def test_pool_workers_reach_the_tracer_spool(tmp_path):
+    # every point runs in a worker, which spools its totals after each task
+    config = ("task = quartic-gap\nhw0 = 30\na = 30\ngamma = -1e-3\n"
+              "N = 22\nhw0_list = 20,30\na_grid = 30,40,45\nworkers = 2\n"
+              f"out_dir = {tmp_path / 'out'}\n")
+    result = _traced_run(tmp_path, config)
+    assert result["status"] == 0
+    assert result["spooled"] == 6
 
 
 def test_tracer_checks_every_2d_eigenpair_set(tmp_path):
