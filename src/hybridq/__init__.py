@@ -8,7 +8,7 @@ Hermite-Gaussian well-pair basis.
 from .assembly import SpectralProblem, assemble
 from .basis import BasisSpec
 from .errors import (ConfigError, DegenerateBasisError, HybridQError,
-                     ReducedBasisError)
+                     ReducedBasisError, UncertifiedSpectrumError)
 from .model import PhysicalParams, ScaledParams, scale
 from .observables import (AvoidedCrossing, StateReport, crossing_scan,
                           state_report)
@@ -23,7 +23,8 @@ __all__ = [
     "AvoidedCrossing", "BasisSpec", "ConfigError", "ContourFit",
     "DegenerateBasisError", "EigenSolution", "GapSurface", "HybridQError",
     "PhysicalParams", "Plateau", "ReducedBasisError", "ScaledParams",
-    "SpectralProblem", "StabilizationTable", "StateReport", "assemble",
-    "classify_regimes", "contour_fit", "crossing_scan", "gap_surface",
-    "scale", "solve", "solve_1d", "stabilize", "state_report",
+    "SpectralProblem", "StabilizationTable", "StateReport",
+    "UncertifiedSpectrumError", "assemble", "classify_regimes",
+    "contour_fit", "crossing_scan", "gap_surface", "scale", "solve",
+    "solve_1d", "stabilize", "state_report",
 ]

@@ -22,11 +22,15 @@ The flat basis index follows the same order, (s, p, n, k) with k fastest
 handled by the solve, which drops its near-null directions.
 ``z_hamiltonian`` combines z-tables into the z-part of H0, which is also
 the whole 1D problem of ``quartic1d.solve_1d``.
-``orthonormal_hamiltonian`` turns the tables into one real symmetric
-standard problem: the z-basis is orthonormalized through the eigenpairs of
-S_z (Loewdin canonical orthogonalization).  ``to_basis`` maps its
-eigenvectors back to flat coefficients: the z-transform alone, no
-reordering.
+``reduced_terms`` turns the tables into one real symmetric standard
+problem, with the z-basis orthonormalized through the eigenpairs of S_z
+(Loewdin canonical orthogonalization), and keeps it as three Kronecker
+terms in the (k, s, j) order: y-index k slowest, then spin, then the r
+kept z-directions j.  ``block_columns`` and ``lower_band`` build it, block
+pentadiagonal in k with blocks of size 2r, straight into LAPACK lower-band
+storage of bandwidth 4r; no dense M x M matrix is formed.  ``to_basis``
+maps its eigenvectors back to flat coefficients: the z-transform, with k
+moved from slowest to fastest.
 
 ``spin_block_forms`` evaluates expectation values of z-operators, such as
 <z'> and <sigma_x>, from one z-table and a coefficient column, which is
@@ -162,13 +166,20 @@ def z_hamiltonian(scaled: ScaledParams, dz2: np.ndarray,
             - scaled.gamma * z)
 
 
-def orthonormal_hamiltonian(problem: SpectralProblem,
-                            transform: np.ndarray) -> np.ndarray:
-    """Real symmetric Hamiltonian in an orthonormal basis.
+def reduced_terms(problem: SpectralProblem, transform: np.ndarray):
+    """Kronecker factors of the Hamiltonian in an orthonormal basis.
 
-    ``transform`` (2N x r) orthonormalizes the z-basis, X^T S_z X = I.
-    The basis is spin x (X-directions) x (y-ladder), ordered (s, j, k)
-    with k fastest, so every term is one ``np.kron`` of factors.
+    ``transform`` (2N x r) orthonormalizes the z-basis, X^T S_z X = I.  In
+    the basis y-ladder x spin x (X-directions), ordered (k, s, j) with j
+    fastest, the reduced real symmetric Hamiltonian is
+
+        h = I_L (x) d + y (x) I_b + ("-idy" table) (x) f,
+
+    with b = 2r: ``d`` (b x b) holds the z-part of H0 per spin, the Zeeman
+    shift and the sigma_x coupling, ``y`` (L x L) the y-part of H0, and
+    ``f`` (b x b) the slanting-field factor I_spin (x) r_c beta X^T z'^2 X.
+    Returns ``(d, y, f)``; ``f`` is None without the slanting field, when
+    ``d`` is block diagonal in spin and h separates.
     """
     r_a, r_c = problem.scaled.r_a, problem.scaled.r_c
     beta = problem.scaled.beta
@@ -181,25 +192,57 @@ def orthonormal_hamiltonian(problem: SpectralProblem,
     z_moment = z("z")
     z_part = z_hamiltonian(problem.scaled, z("dz2"), z("quartic"), z_moment)
     y_part = -(0.5 * r_a) * ty["dy2"]
+    slanting = r_c > 0 and beta > 0
     if r_c > 0:
         y_part += (r_c * r_c / (8.0 * r_a)) * ty["y2"]
-        if beta > 0:
+        if slanting:
             z_part += (r_c * r_c * beta * beta / (2.0 * r_a)) * z("z4")
-    eye_z, eye_y = np.eye(len(z_part)), np.eye(len(y_part))
-    h0 = np.kron(z_part, eye_y) + np.kron(eye_z, y_part)
-    if r_c > 0 and beta > 0:
-        h0 += (r_c * beta) * np.kron(z("z2"), ty["-idy"])
+    eye = np.eye(len(z_part))
+    h1 = -(r_c * beta) * z_moment       # sigma_x coupling
+    h2 = -(0.5 * r_c) * eye             # sigma_z shift
+    d = np.block([[z_part + h2, h1], [h1, z_part - h2]])
+    f = np.kron(np.eye(2), (r_c * beta) * z("z2")) if slanting else None
+    return d, y_part, f
 
-    h1 = -(r_c * beta) * np.kron(z_moment, eye_y)
-    h2 = -(0.5 * r_c) * np.eye(len(h0))
-    return np.block([[h0 + h2, h1], [h1, h0 - h2]])
+
+def block_columns(d: np.ndarray, y: np.ndarray, t: np.ndarray,
+                  f: np.ndarray) -> np.ndarray:
+    """The blocks of h = I_L (x) d + y (x) I_b + t (x) f below and on its
+    block diagonal: an L x 3 x b x b array G with G[k, o] the block
+    (k + o, k), zero where k + o >= L.
+
+    ``y`` couples only the even offsets 0 and +-2 and ``t``, the "-idy"
+    table, only +-1 (``basis.y_element_table``), so these are all the
+    blocks, and the offset-2 blocks are multiples of the identity.
+    """
+    L, b = len(y), len(d)
+    G = np.zeros((L, 3, b, b))
+    eye = np.eye(b)
+    G[:, 0] = d + y.diagonal()[:, None, None] * eye
+    G[:L - 1, 1] = t.diagonal(-1)[:, None, None] * f
+    G[:L - 2, 2] = y.diagonal(-2)[:, None, None] * eye
+    return G
+
+
+def lower_band(G: np.ndarray) -> np.ndarray:
+    """h from its ``block_columns`` in LAPACK lower-band storage,
+    ab[i - j, j] = h[i, j] for 0 <= i - j <= 2b: the offset-2 blocks are
+    diagonal, so the lower bandwidth is 2b = 4r."""
+    L, _, b, _ = G.shape
+    width = min(2 * b, L * b - 1)
+    diag = np.arange(width + 1)[:, None]
+    col = np.arange(b)
+    # column c of block column k holds h[k b + c + diag, k b + c]
+    ab = G.reshape(L, 3 * b, b)[:, diag + col, col]
+    return ab.transpose(1, 0, 2).reshape(width + 1, L * b)
 
 
 def to_basis(transform: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Columns of ``orthonormal_hamiltonian`` coordinates as coefficients
-    in the flat (s, p, n, k) ordering."""
-    c = transform @ vectors.reshape(2, transform.shape[1], -1)
-    return c.reshape(-1, vectors.shape[1])
+    """Columns of ``reduced_terms`` coordinates, in the (k, s, j) order, as
+    coefficients in the flat (s, p, n, k) ordering."""
+    v = vectors.reshape(-1, 2, transform.shape[1], vectors.shape[1])
+    c = np.tensordot(transform, v, axes=(1, 2))     # (p n), k, s, column
+    return c.transpose(2, 0, 1, 3).reshape(-1, vectors.shape[1])
 
 
 def spin_block_forms(problem: SpectralProblem, c: np.ndarray,

@@ -26,6 +26,13 @@ class ReducedBasisError(HybridQError, ValueError):
     solve keeps, with r the z-overlap directions above its floor."""
 
 
+class UncertifiedSpectrumError(HybridQError):
+    """The banded 2D solve could not certify its levels: the count of
+    eigenvalues below a point between the returned levels and the next one
+    (the inertia of h - tau I) disagreed with the Lanczos levels twice, or
+    no shift below the spectrum was found."""
+
+
 class ConfigError(HybridQError):
     """A run-configuration file could not be parsed or validated.
 

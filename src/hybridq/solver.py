@@ -4,15 +4,25 @@ The 2D ``solve`` and the 1D ``_canonical_solve`` reduce H c = E S c by one
 rule, Loewdin canonical orthogonalization (Adv. Quantum Chem. 5, 185
 (1970)): ``_orthonormalizer`` keeps the overlap eigendirections above a
 relative floor, so a redundant basis loses its near-null directions instead
-of failing.  ``solve`` applies it to the 2N x 2N z-overlap and builds one
-real symmetric standard problem from the real Kronecker factors
-(``assembly.orthonormal_hamiltonian``).  LAPACK computes only the
-requested lowest eigenpairs, which are mapped back to real S-orthonormal
-eigenvectors of the original basis with ascending eigenvalues; asking for
-more than the reduced basis holds is a ``ReducedBasisError``, one of the
-``POINT_ERRORS``.  ``stabilize`` re-assembles and re-solves over a grid of
-one nonlinear variational parameter and summarizes per-level plateaus, the
-practical convergence check of the Ritz method.
+of failing.  ``solve`` applies it to the 2N x 2N z-overlap and holds the
+real symmetric reduced Hamiltonian as Kronecker factors in the (k, s, j)
+order (``assembly.reduced_terms``), block pentadiagonal in the y-index k
+with lower bandwidth 4r.  Its lowest levels come from shift-invert Lanczos
+on the band (ARPACK on (h - sigma I)^-1, sigma proven below the spectrum
+by a band Cholesky factorization), certified by Sylvester's law of
+inertia: a block LDL^T of h - tau I over pairs of adjacent k must count
+exactly the levels found below tau (Ericsson and Ruhe, Math. Comp. 35,
+1251 (1980); Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 228
+(1994)).  A failed count is retried once with more Lanczos vectors, then
+is an ``UncertifiedSpectrumError``.  Small problems take LAPACK's
+``eig_banded`` on the same band, and without the slanting field h
+separates into y and spin-resolved z factors.  The eigenvectors are mapped
+back to real S-orthonormal eigenvectors of the original basis with
+ascending eigenvalues; asking for more than the reduced basis holds is a
+``ReducedBasisError``.  Both errors are ``POINT_ERRORS``.  ``stabilize``
+re-assembles and re-solves over a grid of one nonlinear variational
+parameter and summarizes per-level plateaus, the practical convergence
+check of the Ritz method.
 """
 
 from __future__ import annotations
@@ -24,11 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsysv
 
 from . import assembly
 from .assembly import SpectralProblem
 from .basis import BasisSpec
-from .errors import HybridQError, ReducedBasisError
+from .errors import (HybridQError, ReducedBasisError,
+                     UncertifiedSpectrumError)
 from .model import ScaledParams
 
 # eigenvalues closer than this (units hw0) count as an exact tie and are
@@ -43,6 +56,11 @@ TIE_THRESHOLD = 1e-12
 # levels move by 7.7e-12 relative.
 DROP_FRACTION_1D = 1e-10
 DROP_FRACTION_2D = 1e-12
+
+# reduced sizes below which the banded 2D solve calls LAPACK's eig_banded
+# instead of shift-invert Lanczos.  Measured at 8 and 32 levels on two BLAS
+# threads: both take 6-10 ms at 192; Lanczos is 1.3-1.9x faster at 256.
+LANCZOS_MIN_SIZE = 200
 
 # relative variation within which ``stabilize`` counts a level as flat
 PLATEAU_TOLERANCE = 1e-4
@@ -142,19 +160,165 @@ def solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
     ReducedBasisError
         If ``n_lowest`` is not between 1 and the reduced basis size; it is
         also a ``ValueError``.
+    UncertifiedSpectrumError
+        If the band solve cannot certify its levels (inertia count).
     """
     transform = _orthonormalizer(*problem.overlap_eigh, DROP_FRACTION_2D)
     size = 2 * transform.shape[1] * problem.spec.L
     if not 1 <= n_lowest <= size:
         raise ReducedBasisError(f"n_lowest must be between 1 and the "
                                 f"reduced basis size {size}")
-    h = assembly.orthonormal_hamiltonian(problem, transform)
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, n_lowest - 1])
+    d, y, f = assembly.reduced_terms(problem, transform)
+    if f is None:
+        vals, vecs = _separable_lowest(d, y, n_lowest)
+    else:
+        vals, vecs = _banded_lowest(d, y, problem.y_tables["-idy"], f,
+                                    n_lowest)
     vecs = assembly.to_basis(transform, vecs)
     _order_ties(vals, vecs, problem)
     return EigenSolution(energies=vals, coefficients=vecs,
                          s_condition=problem.s_condition,
                          n_dropped=2 * problem.spec.N - transform.shape[1])
+
+
+def _separable_lowest(d: np.ndarray, y: np.ndarray,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n eigenpairs of h = I_L (x) d + y (x) I_b, in the (k, s, j)
+    order, when ``d`` is block diagonal in spin: each is a product of an
+    eigenvector of y and one of a spin block of d, and each has one spin."""
+    r = len(d) // 2
+    d_vals, d_vecs = zip(*(np.linalg.eigh(d[s * r:(s + 1) * r,
+                                            s * r:(s + 1) * r])
+                           for s in range(2)))
+    y_vals, y_vecs = np.linalg.eigh(y)
+    levels = np.add.outer(np.stack(d_vals), y_vals)       # [s, i, k-level]
+    order = np.argsort(levels, axis=None, kind="stable")[:n]
+    s, i, j = np.unravel_index(order, levels.shape)
+    vecs = np.zeros((len(y), 2, r, n))
+    vecs[:, s, :, np.arange(n)] = (y_vecs[:, j].T[:, :, None]
+                                   * np.stack(d_vecs)[s, :, i][:, None, :])
+    return levels.ravel()[order], vecs.reshape(-1, n)
+
+
+def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
+                   f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n eigenpairs of h = I_L (x) d + y (x) I_b + t (x) f, in the
+    (k, s, j) order, by shift-invert Lanczos on its band, certified by an
+    inertia count; ``eig_banded`` below ``LANCZOS_MIN_SIZE``."""
+    G = assembly.block_columns(d, y, t, f)
+    ab = assembly.lower_band(G)
+    size = ab.shape[1]
+    if n + 1 >= size or size < LANCZOS_MIN_SIZE:
+        return scipy.linalg.eig_banded(ab, lower=True, select="i",
+                                       select_range=(0, n - 1))
+    sigma, factor = _shift(ab, d, y, t, f, G)
+    for extra in (1, 2):
+        # the retry asks for one more level and twice the Lanczos vectors
+        k = min(n + extra, size - 1)
+        found = _lanczos(factor, sigma, k,
+                         min(size, extra * max(2 * k + 1, 20)))
+        if found is None:
+            continue
+        vals, vecs = found
+        # certify at the widest gap after the n-th level
+        m = n + int(np.argmax(np.diff(vals[n - 1:])))
+        if _count_below(G, 0.5 * (vals[m - 1] + vals[m])) == m:
+            return vals[:n], vecs[:, :n]
+    raise UncertifiedSpectrumError(
+        f"two Lanczos runs for {n} levels (sigma = {sigma:.6g}) failed "
+        f"the inertia count")
+
+
+def _shift(ab: np.ndarray, d, y, t, f, G):
+    """A shift sigma below the spectrum of h, with the band Cholesky factor
+    of h - sigma I.
+
+    E_0 lies between Weyl's lower bound over the three terms of h and the
+    lowest eigenvalue of its first diagonal block (Cauchy interlacing).
+    The first try lies 1/16 of the way from the upper to the lower bound;
+    each failed factorization lowers sigma four times as far, and the third
+    try is the lower bound.  Success proves sigma < E_0."""
+    eig = scipy.linalg.eigvalsh
+    t_ends, f_ends = eig(t)[[0, -1]], eig(f)[[0, -1]]
+    lower = eig(d)[0] + eig(y)[0] + np.outer(t_ends, f_ends).min()
+    upper = eig(G[0, 0])[0]
+    step = max(upper - lower, 1e-12 * max(1.0, abs(upper))) / 16
+    shifted = ab.copy()
+    for tries in range(4):
+        sigma = upper - step * 4 ** tries
+        shifted[0] = ab[0] - sigma
+        factor, info = dpbtrf(shifted, lower=1)
+        if info == 0:
+            return sigma, factor
+    raise UncertifiedSpectrumError(
+        f"h - sigma I is not positive definite down to sigma = {sigma:.6g}")
+
+
+def _lanczos(factor: np.ndarray, sigma: float, k: int, ncv: int):
+    """The k lowest eigenpairs of h, ascending, by ARPACK on the operator
+    (h - sigma I)^-1, applied through its band Cholesky ``factor``; None if
+    ARPACK does not converge."""
+    # scipy.sparse.linalg costs 32 ms and 2.2 MB per process to import;
+    # importing it here keeps it out of the 1D runs and the pool workers
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh)
+
+    size = factor.shape[1]
+    inverse = LinearOperator((size, size), dtype=float,
+                             matvec=lambda x: dpbtrs(factor, x, lower=1)[0])
+    start = np.random.default_rng(0).standard_normal(size)
+    try:
+        theta, vecs = eigsh(inverse, k, which="LA", ncv=ncv, tol=0,
+                            v0=start)
+    except ArpackNoConvergence:
+        return None
+    return sigma + 1.0 / theta[::-1], vecs[:, ::-1]
+
+
+def _count_below(G: np.ndarray, tau: float) -> int:
+    """The number of eigenvalues of h below ``tau``, from the inertia of
+    h - tau I (Sylvester's law).
+
+    Pairs of adjacent k make h - tau I block tridiagonal, with diagonal
+    blocks A_m and subdiagonal blocks B_m of size 2b.  The block LDL^T
+    D_m = A_m - B_m D_{m-1}^-1 B_m^T keeps the inertia, and each D_m is
+    factored by Bunch-Kaufman (dsytrf), whose 2 x 2 pivots always have a
+    negative determinant (Math. Comp. 31, 163 (1977)): each adds one
+    negative eigenvalue, each 1 x 1 pivot its sign.  -1 if some D_m is
+    exactly singular.
+    """
+    L, _, b, _ = G.shape
+    pairs = (L + 1) // 2
+    Gp = np.zeros((2 * pairs, 3, b, b))
+    Gp[:L] = G
+    A = np.zeros((pairs, 2 * b, 2 * b))
+    A[:, :b, :b] = Gp[0::2, 0]
+    A[:, b:, :b] = Gp[0::2, 1]
+    A[:, :b, b:] = Gp[0::2, 1].transpose(0, 2, 1)
+    A[:, b:, b:] = Gp[1::2, 0]
+    A[:, range(2 * b), range(2 * b)] -= tau
+    if L % 2:
+        A[-1, b:, b:] = np.eye(b)       # the padding k, positive definite
+    B = np.zeros((pairs, 2 * b, 2 * b))   # block (m + 1, m); the last 0
+    B[:-1, :b, :b] = Gp[0:-2:2, 2]
+    B[:-1, :b, b:] = Gp[1:-1:2, 1]
+    B[:-1, b:, b:] = Gp[1:-1:2, 2]
+
+    count = 0
+    schur = A[0]
+    for m in range(pairs):
+        # blocked dsytrf inside dsysv, and scipy's own dgemm below: the
+        # unblocked default, or numpy's separate OpenBLAS in between, is
+        # 5-20x slower on two BLAS threads (measured)
+        ldu, ipiv, solved, info = dsysv(schur, B[m].T, lower=1,
+                                        lwork=64 * len(schur))
+        if info > 0:
+            return -1
+        count += int(np.sum(ldu.diagonal()[ipiv > 0] < 0)
+                     + np.sum(ipiv < 0) // 2)
+        if m + 1 < pairs:
+            schur = dgemm(-1.0, B[m], solved, 1.0, A[m + 1])
+    return count
 
 
 def _order_ties(vals: np.ndarray, vecs: np.ndarray,

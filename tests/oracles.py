@@ -18,6 +18,9 @@ Nothing here shares code with the implementation paths it checks:
   eigenstate from the dense per-spin-block matrices ``s_spatial`` and
   ``z_spatial``, the reference for ``observables.state_report``, which
   reads the 2N x 2N z-tables instead.
+* ``orthonormal_hamiltonian``: the dense reduced Hamiltonian, built with
+  ``np.kron`` from the same reduced factors, the reference for the band
+  storage and the banded solve of ``solver.solve``.
 * ``kept_subspace_energies``: the dense pencil (V^H H V, V^H S V) on the
   subspace V = I_spin x X x I_y that ``solver.solve`` keeps, solved by
   ``scipy.linalg.eigh``, the reference for the Kronecker-factor reduction
@@ -256,6 +259,46 @@ def kept_subspace_energies(problem, floor: float) -> np.ndarray:
     V = np.kron(np.eye(2), np.kron(X, np.eye(problem.spec.L)))
     return scipy.linalg.eigh(V.T @ problem.H @ V, V.T @ problem.S @ V,
                              eigvals_only=True)
+
+
+def orthonormal_hamiltonian(problem, transform: np.ndarray) -> np.ndarray:
+    """The dense reduced Hamiltonian h of ``solver.solve``.
+
+    ``transform`` (2N x r) orthonormalizes the z-basis, X^T S_z X = I.
+    The basis is spin x (X-directions) x (y-ladder), ordered (s, j, k)
+    with k fastest, so every term is one ``np.kron`` of factors.
+    ``orthonormal_order`` maps it to the (k, s, j) order of the band.
+    """
+    scaled, tz, ty = problem.scaled, problem.z_tables, problem.y_tables
+    r_a, r_c, beta = scaled.r_a, scaled.r_c, scaled.beta
+
+    def z(kind: str) -> np.ndarray:
+        t = transform.T @ tz[kind] @ transform
+        return np.triu(t) + np.triu(t, 1).T
+
+    z_moment = z("z")
+    z_part = (-(0.5 * r_a) * z("dz2")
+              + (scaled.ab_ratio / (8.0 * r_a)) * z("quartic")
+              - scaled.gamma * z_moment)
+    y_part = -(0.5 * r_a) * ty["dy2"]
+    if r_c > 0:
+        y_part += (r_c * r_c / (8.0 * r_a)) * ty["y2"]
+        if beta > 0:
+            z_part += (r_c * r_c * beta * beta / (2.0 * r_a)) * z("z4")
+    eye_z, eye_y = np.eye(len(z_part)), np.eye(len(y_part))
+    h0 = np.kron(z_part, eye_y) + np.kron(eye_z, y_part)
+    if r_c > 0 and beta > 0:
+        h0 += (r_c * beta) * np.kron(z("z2"), ty["-idy"])
+
+    h1 = -(r_c * beta) * np.kron(z_moment, eye_y)
+    h2 = -(0.5 * r_c) * np.eye(len(h0))
+    return np.block([[h0 + h2, h1], [h1, h0 - h2]])
+
+
+def orthonormal_order(r: int, L: int) -> np.ndarray:
+    """Permutation p with h[p][:, p] in the (k, s, j) order of the band
+    for h in the (s, j, k) order of ``orthonormal_hamiltonian``."""
+    return np.arange(2 * r * L).reshape(2, r, L).transpose(2, 0, 1).ravel()
 
 
 # ----------------------------------------------------------------------

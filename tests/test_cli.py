@@ -499,18 +499,43 @@ def test_programming_error_is_not_a_failed_point(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("task", ["solve", "sweep-bsl", "stabilize"])
 def test_value_error_inside_a_point_propagates(tmp_path, monkeypatch, task):
-    # a ValueError from a broken array operation is a bug, not a failed point
+    # a ValueError from a broken array operation is a bug, not a failed
+    # point; at bSLa = 1 every point takes the banded path, whose band
+    # builder is broken here
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr("hybridq.assembly.to_basis", broken)
+    monkeypatch.setattr("hybridq.assembly.lower_band", broken)
     grid = {"solve": "", "sweep-bsl": "bsl_grid = 0.5,1\n",
             "stabilize": "mu_grid = 0.5,0.6\n"}[task]
-    cfg = _load(f"task = {task}\n{SMALL_2D}{grid}"
+    cfg = _load(f"task = {task}\n{SMALL_2D}bSLa = 1\n{grid}"
                 f"workers = 1\nout_dir = {tmp_path}\n")
     with pytest.raises(ValueError, match="broadcast"):
         cli.run(cfg)
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_uncertified_spectrum_is_a_failed_point(tmp_path, monkeypatch,
+                                                   workers):
+    # a Lanczos run that loses a level fails the inertia count twice
+    real = solver._lanczos
+
+    def lanczos(factor, sigma, k, ncv):
+        vals, vecs = real(factor, sigma, k + 1, max(ncv, 2 * k + 3))
+        return np.delete(vals, 1), np.delete(vecs, 1, axis=1)
+
+    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
+    monkeypatch.setattr(solver, "_lanczos", lanczos)
+    cfg = _load(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
+                f"workers = {workers}\nout_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 1
+    names, rows = _read_csv(tmp_path / "sweep-bsl.csv")
+    assert [row[names.index("status")].startswith(
+        "failed: UncertifiedSpectrumError") for row in rows] == [True, True]
+    summary = (tmp_path / "sweep-bsl_summary.txt").read_text()
+    for bsl in ("0.5", "1"):
+        assert f"FAILED bSLa = {bsl}: UncertifiedSpectrumError: " in summary
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)

@@ -4,7 +4,10 @@
 build them and check that the fast path returns the same eigenpairs as
 ``scipy.linalg.eigh(H, S)``, in the original basis, and the same
 expectation values as the dense spin-block forms.  A redundant basis is
-checked against the dense pencil on the same kept subspace.
+checked against the dense pencil on the same kept subspace.  The band
+storage and the inertia count are checked against the dense reduced
+Hamiltonian of ``oracles``, and the Lanczos path at the working point
+against its ``eigh``; a Lanczos run that loses a level must not pass.
 """
 
 import dataclasses
@@ -14,8 +17,8 @@ import pytest
 import scipy.linalg
 
 import hybridq as hq
-from hybridq import solver
-from conftest import small_spec
+from hybridq import assembly, solver
+from conftest import FIG4_PHYSICAL, FIG4_SPEC, small_spec
 
 import oracles
 
@@ -131,3 +134,135 @@ def test_state_report_matches_dense_forms(physics, L, N):
 def test_state_report_matches_dense_forms_at_working_point(fig4_problem,
                                                            fig4_solution):
     _assert_matches_dense(fig4_solution, fig4_problem, range(8))
+
+
+def _reduction(problem):
+    transform = solver._orthonormalizer(*problem.overlap_eigh,
+                                        solver.DROP_FRACTION_2D)
+    d, y, f = assembly.reduced_terms(problem, transform)
+    return transform, d, y, f
+
+
+@pytest.mark.parametrize("L, N", [(1, 3), (2, 2), (5, 3), (4, 4)],
+                         ids=["L1N3", "L2N2", "L5N3", "L4N4"])
+def test_lower_band_is_the_permuted_dense_reduction(L, N):
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
+    transform, d, y, f = _reduction(problem)
+    r = transform.shape[1]
+    dense = oracles.orthonormal_hamiltonian(problem, transform)
+    order = oracles.orthonormal_order(r, L)
+    h = dense[np.ix_(order, order)]
+    ab = assembly.lower_band(
+        assembly.block_columns(d, y, problem.y_tables["-idy"], f))
+    width = ab.shape[0] - 1
+    assert width == min(4 * r, 2 * r * L - 1)
+    scale = np.abs(h).max()
+    for offset in range(width + 1):
+        np.testing.assert_allclose(ab[offset, :len(h) - offset],
+                                   np.diagonal(h, -offset), rtol=0,
+                                   atol=1e-15 * scale)
+    # nothing lies outside the band
+    assert not np.any(np.tril(h, -width - 1))
+
+
+@pytest.mark.parametrize("L, N", [(4, 3), (5, 3)], ids=["L4N3", "L5N3"])
+def test_inertia_count_matches_dense_spectrum(L, N):
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
+    transform, d, y, f = _reduction(problem)
+    G = assembly.block_columns(d, y, problem.y_tables["-idy"], f)
+    dense = oracles.orthonormal_hamiltonian(problem, transform)
+    levels = np.linalg.eigvalsh(dense)
+    for m in (1, 2, 7, len(levels) // 2, len(levels) - 1):
+        tau = 0.5 * (levels[m - 1] + levels[m])
+        assert solver._count_below(G, tau) == m
+    assert solver._count_below(G, levels[0] - 1.0) == 0
+    assert solver._count_below(G, levels[-1] + 1.0) == len(levels)
+
+
+# the working point's sweep ends (bSLa = 2, and 0 with its 4.4e-13 near
+# tie), and B0 = 0, where every level is an exact spin pair
+WORKING = {
+    "fig4": FIG4_PHYSICAL,
+    "bSLa-zero": dataclasses.replace(FIG4_PHYSICAL, bSLa=0.0),
+    "B0-zero": dataclasses.replace(FIG4_PHYSICAL, B0=0.0, bSLa=0.0),
+}
+
+
+@pytest.mark.parametrize("physics, n_lowest", [
+    ("fig4", 8), ("fig4", 32), ("fig4", 40), ("bSLa-zero", 40),
+    ("B0-zero", 40)], ids=["fig4-8", "fig4-32", "fig4-40", "bSLa-zero-40",
+                           "B0-zero-40"])
+def test_band_solve_matches_dense_reference_at_working_point(
+        monkeypatch, physics, n_lowest):
+    problem = hq.assemble(hq.scale(WORKING[physics]), FIG4_SPEC)
+    paths = []
+    for name in ("_lanczos", "_separable_lowest"):
+        real = getattr(solver, name)
+
+        def spy(*args, name=name, real=real):
+            paths.append(name)
+            return real(*args)
+        monkeypatch.setattr(solver, name, spy)
+    sol = hq.solve(problem, n_lowest)
+    # the slanting field couples spin and y; without it h separates
+    assert paths == (["_lanczos"] if physics == "fig4"
+                     else ["_separable_lowest"])
+
+    transform = _reduction(problem)[0]
+    reference = scipy.linalg.eigh(
+        oracles.orthonormal_hamiltonian(problem, transform),
+        subset_by_index=[0, n_lowest - 1], eigvals_only=True)
+    np.testing.assert_allclose(sol.energies, reference, rtol=1e-12, atol=0)
+
+    C, E = sol.coefficients, sol.energies
+    SC = problem.S @ C
+    assert np.max(np.abs(C.T @ SC - np.eye(n_lowest))) <= 1e-10
+    residual = np.linalg.norm(problem.H @ C - SC * E, axis=0) \
+        / np.linalg.norm(SC, axis=0)
+    assert residual.max() <= 1e-10 * np.abs(E).max()
+
+    reports = [hq.state_report(sol, j, problem) for j in range(n_lowest)]
+    z_mean = np.array([report.z_mean for report in reports])
+    ties = np.diff(E) < solver.TIE_THRESHOLD
+    assert np.all(np.diff(z_mean)[ties] >= 0)
+    if physics == "B0-zero":
+        assert ties[0::2].all()
+    if physics != "fig4":
+        # one spin per level
+        assert all(report.sx_mean == 0.0 for report in reports)
+
+
+def _drop_level_one(real, calls):
+    """A ``solver._lanczos`` that loses the second level."""
+    def lanczos(factor, sigma, k, ncv):
+        calls.append(k)
+        vals, vecs = real(factor, sigma, k + 1, max(ncv, 2 * k + 3))
+        keep = np.arange(k + 1) != 1
+        return vals[keep], vecs[:, keep]
+    return lanczos
+
+
+def test_a_lost_level_is_retried_then_an_error(monkeypatch):
+    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    calls = []
+    monkeypatch.setattr(solver, "_lanczos",
+                        _drop_level_one(solver._lanczos, calls))
+    with pytest.raises(hq.UncertifiedSpectrumError, match="inertia"):
+        hq.solve(problem, 6)
+    assert calls == [7, 8]
+
+
+def test_the_retry_recovers_a_lost_level(monkeypatch):
+    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    reference = hq.solve(problem, 6).energies
+    real, calls = solver._lanczos, []
+    lossy = _drop_level_one(real, calls)
+
+    def first_call_loses_a_level(*args):
+        return (lossy if not calls else real)(*args)
+    monkeypatch.setattr(solver, "_lanczos", first_call_loses_a_level)
+    sol = hq.solve(problem, 6)
+    assert calls == [7]
+    np.testing.assert_allclose(sol.energies, reference, rtol=1e-12, atol=0)

@@ -226,6 +226,21 @@ def test_a_dead_worker_ends_the_run():
     assert "BrokenProcessPool" in done.stderr
 
 
+def test_the_library_and_cli_leave_sparse_linalg_unloaded():
+    # scipy.sparse.linalg, which only the 2D Lanczos path needs, costs
+    # every 1D run and every pool worker 32 ms and 2.2 MB when imported
+    path = [os.path.dirname(os.path.dirname(hq.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, hybridq, hybridq.cli; "
+         "print('scipy.sparse.linalg' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_plateau_scan_constant_level():
     grid = np.linspace(0.4, 1.0, 7)
     values = np.full(7, 0.5)
