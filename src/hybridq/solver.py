@@ -19,7 +19,10 @@ is an ``UncertifiedSpectrumError``.  Small problems take LAPACK's
 separates into y and spin-resolved z factors.  The eigenvectors are mapped
 back to real S-orthonormal eigenvectors of the original basis with
 ascending eigenvalues; asking for more than the reduced basis holds is a
-``ReducedBasisError``.  Both errors are ``POINT_ERRORS``.  ``stabilize``
+``ReducedBasisError``.  Both errors are ``POINT_ERRORS``.  The band work
+is many small BLAS calls, which run faster on one thread than on two,
+so ``solve`` sets numpy's and scipy's OpenBLAS to one thread while it
+runs and restores the caller's counts on exit.  ``stabilize``
 re-assembles and re-solves over a grid of one nonlinear variational
 parameter and summarizes per-level plateaus, the practical convergence
 check of the Ritz method.
@@ -27,8 +30,13 @@ check of the Ritz method.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import importlib
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -58,8 +66,10 @@ DROP_FRACTION_1D = 1e-10
 DROP_FRACTION_2D = 1e-12
 
 # reduced sizes below which the banded 2D solve calls LAPACK's eig_banded
-# instead of shift-invert Lanczos.  Measured at 8 and 32 levels on two BLAS
-# threads: both take 6-10 ms at 192; Lanczos is 1.3-1.9x faster at 256.
+# instead of shift-invert Lanczos.  Measured per solve at 8 and 32 levels
+# on one BLAS thread, the one ``solve`` runs on: eig_banded is 1.2-1.6x
+# faster at 160, the two are within 1.3x either way at 192, and Lanczos is
+# up to 1.4x faster at 224 and 1.2-2.5x faster at 256.
 LANCZOS_MIN_SIZE = 200
 
 # relative variation within which ``stabilize`` counts a level as flat
@@ -147,13 +157,66 @@ def _canonical_solve(H: np.ndarray, S: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigh(h_red, eigvals_only=True)
 
 
+# for numpy's and scipy's own OpenBLAS: an extension module that links it,
+# and the name of its thread-count functions
+_OPENBLAS = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_%s_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_%s_num_threads"))
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list = []
+
+
+@functools.cache
+def _blas_thread_functions() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS that numpy and
+    scipy load, found through dlsym on the extension module that links it;
+    a library without them (MKL, a system BLAS) is left out."""
+    found = []
+    for module, stem in _OPENBLAS:
+        try:
+            library = ctypes.CDLL(importlib.import_module(module).__file__)
+            get, set_ = (getattr(library, stem % verb)
+                         for verb in ("get", "set"))
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread per library; the outermost exit
+    restores the counts found on the outermost entry.  The counts are
+    process-wide, so concurrent callers share one depth count."""
+    global _blas_depth
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved[:] = [(set_, get())
+                              for get, set_ in _blas_thread_functions()]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, threads in _blas_saved:
+                    set_(threads)
+
+
 def solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
     """Solve H c = E S c for the ``n_lowest`` eigenpairs.
 
     Eigenvalues ascend; exact ties are broken by ascending <z'> of the
     eigenvector.  The z-overlap directions below ``DROP_FRACTION_2D`` are
     dropped, so the reduced basis holds 2 r L functions, with r the kept
-    z-directions.
+    z-directions.  The linear algebra runs on one BLAS thread, and the
+    caller's thread counts are restored on return.
 
     Raises
     ------
@@ -163,6 +226,11 @@ def solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
     UncertifiedSpectrumError
         If the band solve cannot certify its levels (inertia count).
     """
+    with _one_blas_thread():
+        return _solve(problem, n_lowest)
+
+
+def _solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
     transform = _orthonormalizer(*problem.overlap_eigh, DROP_FRACTION_2D)
     size = 2 * transform.shape[1] * problem.spec.L
     if not 1 <= n_lowest <= size:
@@ -258,8 +326,9 @@ def _lanczos(factor: np.ndarray, sigma: float, k: int, ncv: int):
     """The k lowest eigenpairs of h, ascending, by ARPACK on the operator
     (h - sigma I)^-1, applied through its band Cholesky ``factor``; None if
     ARPACK does not converge."""
-    # scipy.sparse.linalg costs 32 ms and 2.2 MB per process to import;
-    # importing it here keeps it out of the 1D runs and the pool workers
+    # scipy.sparse.linalg costs about 32 ms and 2.2 MB per process to
+    # import; importing it here keeps it out of the 1D runs and the pool
+    # workers
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh)
 
@@ -307,9 +376,11 @@ def _count_below(G: np.ndarray, tau: float) -> int:
     count = 0
     schur = A[0]
     for m in range(pairs):
-        # blocked dsytrf inside dsysv, and scipy's own dgemm below: the
-        # unblocked default, or numpy's separate OpenBLAS in between, is
-        # 5-20x slower on two BLAS threads (measured)
+        # scipy's own dgemm below keeps the whole count in one OpenBLAS.
+        # On one thread numpy's matmul costs the same (19-23 ms per count
+        # at the working point, measured), but where a library's thread
+        # count cannot be set, numpy's separate OpenBLAS on two threads in
+        # between makes the count 5.6x slower
         ldu, ipiv, solved, info = dsysv(schur, B[m].T, lower=1,
                                         lwork=64 * len(schur))
         if info > 0:

@@ -8,9 +8,16 @@ checked against the dense pencil on the same kept subspace.  The band
 storage and the inertia count are checked against the dense reduced
 Hamiltonian of ``oracles``, and the Lanczos path at the working point
 against its ``eigh``; a Lanczos run that loses a level must not pass.
+``solve`` runs on one BLAS thread: it must give the default thread count's
+result and leave the caller's counts as they were.
 """
 
+import contextlib
+import ctypes
 import dataclasses
+import importlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -266,3 +273,128 @@ def test_the_retry_recovers_a_lost_level(monkeypatch):
     sol = hq.solve(problem, 6)
     assert calls == [7]
     np.testing.assert_allclose(sol.energies, reference, rtol=1e-12, atol=0)
+
+
+# the thread-count functions of numpy's and scipy's OpenBLAS, looked up here
+# rather than through ``solver``
+OPENBLAS = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_%s_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_%s_num_threads"))
+# a count no default takes on a 1- or 2-core machine
+PROBE_THREADS = 3
+
+
+@pytest.fixture
+def blas_threads():
+    """Set both OpenBLAS thread counts to ``PROBE_THREADS`` and give a
+    reader of the counts; the counts found are restored afterwards.  Skips
+    where either library lacks the functions."""
+    functions = []
+    for module, name in OPENBLAS:
+        try:
+            library = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(library, name % "get")
+            set_ = getattr(library, name % "set")
+        except (ImportError, OSError, AttributeError):
+            pytest.skip(f"no OpenBLAS thread functions in {module}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        functions.append((get, set_))
+    found = [get() for get, _ in functions]
+    for _, set_ in functions:
+        set_(PROBE_THREADS)
+    yield lambda: [get() for get, _ in functions]
+    for (_, set_), threads in zip(functions, found):
+        set_(threads)
+
+
+def _record_threads(monkeypatch, blas_threads, before=lambda: None):
+    """Patch ``solver._solve`` to record the thread counts it runs on."""
+    real, inside = solver._solve, []
+
+    def spy(*args):
+        before()
+        inside.append(blas_threads())
+        return real(*args)
+    monkeypatch.setattr(solver, "_solve", spy)
+    return inside
+
+
+@pytest.mark.parametrize("physics, n_lowest", [
+    ("fig4", 8), ("fig4", 32), ("fig4", 40), ("bSLa-zero", 40)],
+    ids=["fig4-8", "fig4-32", "fig4-40", "bSLa-zero-40"])
+def test_one_blas_thread_gives_the_default_threads_result(
+        monkeypatch, physics, n_lowest):
+    problem = hq.assemble(hq.scale(WORKING[physics]), FIG4_SPEC)
+    sol = hq.solve(problem, n_lowest)
+    monkeypatch.setattr(solver, "_one_blas_thread", contextlib.nullcontext)
+    threaded = hq.solve(problem, n_lowest)
+    # bit-identical, not merely within the 1e-12 a reordered sum would allow
+    assert np.array_equal(sol.energies, threaded.energies)
+    assert np.array_equal(sol.coefficients, threaded.coefficients)
+
+
+def test_solve_restores_the_blas_thread_counts(monkeypatch, blas_threads):
+    inside = _record_threads(monkeypatch, blas_threads)
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    hq.solve(problem, 6)
+    assert blas_threads() == [PROBE_THREADS] * 2
+    with pytest.raises(hq.ReducedBasisError):
+        hq.solve(problem, 0)
+    assert blas_threads() == [PROBE_THREADS] * 2
+    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
+    monkeypatch.setattr(solver, "_lanczos",
+                        _drop_level_one(solver._lanczos, []))
+    with pytest.raises(hq.UncertifiedSpectrumError):
+        hq.solve(problem, 6)
+    assert blas_threads() == [PROBE_THREADS] * 2
+    assert inside == [[1, 1]] * 3
+
+
+def test_concurrent_solves_restore_the_blas_thread_counts(monkeypatch,
+                                                          blas_threads):
+    # more threads than cores, all inside the scope at once: only the last
+    # one out may restore the counts
+    n = 4
+    barrier = threading.Barrier(n, timeout=30)
+    inside = _record_threads(monkeypatch, blas_threads, barrier.wait)
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    results = []
+
+    def run():
+        results.append(hq.solve(problem, 6).energies)
+    threads = [threading.Thread(target=run) for _ in range(n)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert inside == [[1, 1]] * n
+    assert blas_threads() == [PROBE_THREADS] * 2
+    assert len(results) == n
+    assert all(np.array_equal(vals, results[0]) for vals in results)
+
+
+def test_solve_without_thread_functions_leaves_the_counts(monkeypatch,
+                                                          blas_threads):
+    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    reference = hq.solve(problem, 6).energies
+    monkeypatch.setattr(solver, "_OPENBLAS", (
+        ("numpy._core._multiarray_umath", "no_such_%s_num_threads"),
+        ("no_such_module", "scipy_openblas_%s_num_threads")))
+    solver._blas_thread_functions.cache_clear()
+    try:
+        assert solver._blas_thread_functions() == ()
+        inside = _record_threads(monkeypatch, blas_threads)
+        energies = hq.solve(problem, 6).energies
+    finally:
+        solver._blas_thread_functions.cache_clear()
+    assert inside == [[PROBE_THREADS] * 2]
+    assert blas_threads() == [PROBE_THREADS] * 2
+    assert np.array_equal(energies, reference)

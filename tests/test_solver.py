@@ -226,19 +226,42 @@ def test_a_dead_worker_ends_the_run():
     assert "BrokenProcessPool" in done.stderr
 
 
+# reads the OpenBLAS thread counts of numpy and scipy, where it finds them,
+# before and after the import
+IMPORT_GUARD = """
+import ctypes, importlib, sys
+def counts():
+    found = []
+    for module, name in [
+            ("numpy._core._multiarray_umath",
+             "scipy_openblas_get_num_threads64_"),
+            ("scipy.linalg._fblas", "scipy_openblas_get_num_threads")]:
+        try:
+            library = ctypes.CDLL(importlib.import_module(module).__file__)
+            found.append(getattr(library, name)())
+        except (ImportError, OSError, AttributeError):
+            pass
+    return found
+before = counts()
+import hybridq, hybridq.cli
+print('scipy.sparse.linalg' in sys.modules, counts() == before,
+      hybridq.solver._blas_thread_functions.cache_info().currsize)
+"""
+
+
 def test_the_library_and_cli_leave_sparse_linalg_unloaded():
     # scipy.sparse.linalg, which only the 2D Lanczos path needs, costs
-    # every 1D run and every pool worker 32 ms and 2.2 MB when imported
+    # every 1D run and every pool worker about 32 ms and 2.2 MB when
+    # imported; the BLAS thread functions are looked up by the first solve
     path = [os.path.dirname(os.path.dirname(hq.__file__))]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, hybridq, hybridq.cli; "
-         "print('scipy.sparse.linalg' in sys.modules)"],
+        [sys.executable, "-c", IMPORT_GUARD],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "True", "0"]
 
 
 def test_plateau_scan_constant_level():
