@@ -8,24 +8,25 @@ of failing.  ``solve`` applies it to the 2N x 2N z-overlap and holds the
 real symmetric reduced Hamiltonian as Kronecker factors in the (k, s, j)
 order (``assembly.reduced_terms``), block pentadiagonal in the y-index k
 with lower bandwidth 4r.  Its lowest levels come from shift-invert Lanczos
-on the band (ARPACK on (h - sigma I)^-1, sigma proven below the spectrum
-by a band Cholesky factorization), certified by Sylvester's law of
-inertia: a block LDL^T of h - tau I over pairs of adjacent k must count
-exactly the levels found below tau (Ericsson and Ruhe, Math. Comp. 35,
-1251 (1980); Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 228
-(1994)).  A failed count is retried once with more Lanczos vectors, then
-is an ``UncertifiedSpectrumError``.  Small problems take LAPACK's
-``eig_banded`` on the same band, and without the slanting field h
-separates into y and spin-resolved z factors.  The eigenvectors are mapped
-back to real S-orthonormal eigenvectors of the original basis with
-ascending eigenvalues; asking for more than the reduced basis holds is a
-``ReducedBasisError``.  Both errors are ``POINT_ERRORS``.  The band work
-is many small BLAS calls, which run faster on one thread than on two,
-so ``solve`` sets numpy's and scipy's OpenBLAS to one thread while it
-runs and restores the caller's counts on exit.  ``stabilize``
-re-assembles and re-solves over a grid of one nonlinear variational
-parameter and summarizes per-level plateaus, the practical convergence
-check of the Ritz method.
+on the band (a plain Lanczos in numpy on (h - sigma I)^-1 through the band
+Cholesky factor, whose existence proves sigma below the spectrum),
+certified by Sylvester's law of inertia: a block LDL^T of h - tau I over
+pairs of adjacent k must count exactly the levels found below tau
+(Ericsson and Ruhe, Math. Comp. 35, 1251 (1980); Grimes, Lewis and Simon,
+SIAM J. Matrix Anal. Appl. 15, 228 (1994)).  A failed count, or a Lanczos
+run that does not converge within its step cap, is retried once with one
+more level and twice the cap, then is an ``UncertifiedSpectrumError``.
+Small problems take LAPACK's ``eig_banded`` on the same band, and without
+the slanting field h separates into y and spin-resolved z factors.  The
+eigenvectors are mapped back to real S-orthonormal eigenvectors of the
+original basis with ascending eigenvalues; asking for more than the
+reduced basis holds is a ``ReducedBasisError``.  Both errors are
+``POINT_ERRORS``.  The band work is many small BLAS calls, which run
+faster on one thread than on two, so ``solve`` sets numpy's and scipy's
+OpenBLAS to one thread while it runs and restores the caller's counts on
+exit.  ``stabilize`` re-assembles and re-solves over a grid of one
+nonlinear variational parameter and summarizes per-level plateaus, the
+practical convergence check of the Ritz method.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dgemv, dnrm2
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dsysv
 
 from . import assembly
@@ -67,10 +68,24 @@ DROP_FRACTION_2D = 1e-12
 
 # reduced sizes below which the banded 2D solve calls LAPACK's eig_banded
 # instead of shift-invert Lanczos.  Measured per solve at 8 and 32 levels
-# on one BLAS thread, the one ``solve`` runs on: eig_banded is 1.2-1.6x
-# faster at 160, the two are within 1.3x either way at 192, and Lanczos is
-# up to 1.4x faster at 224 and 1.2-2.5x faster at 256.
+# on one BLAS thread, the one ``solve`` runs on, 10 basis shapes: eig_banded
+# is up to 1.5x faster at 160, the two are within 1.3x either way at 192
+# and 200, and Lanczos is up to 1.35x faster at 224 and 1.0-1.7x faster at
+# 240 and 256.
 LANCZOS_MIN_SIZE = 200
+
+# the first Lanczos run for k levels stops after 2 k + LANCZOS_SLACK steps,
+# the retry after twice as many.  The k levels needed at most 2 k + 59
+# steps (k = 2, 5, 9, 17, 33, 41; the bSLa, mu, hw0 and B0 ranges of the
+# shipped configs at L = N = 20, and L = N = 8, 10, 14)
+LANCZOS_SLACK = 80
+
+# a Lanczos convergence check (eigh_tridiagonal) costs one to two steps.
+# Once the wanted pairs converge, their worst residual ratio falls 0.55-0.6
+# decades per step (measured at the working point and at bSLa = 0.3 T, 9
+# and 33 levels), so the next check comes this many steps per decade left
+# after the last one
+LANCZOS_STEPS_PER_DECADE = 2
 
 # relative variation within which ``stabilize`` counts a level as flat
 PLATEAU_TOLERANCE = 1e-4
@@ -281,10 +296,10 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
                                        select_range=(0, n - 1))
     sigma, factor = _shift(ab, d, y, t, f, G)
     for extra in (1, 2):
-        # the retry asks for one more level and twice the Lanczos vectors
+        # the retry asks for one more level and twice the Lanczos steps
         k = min(n + extra, size - 1)
         found = _lanczos(factor, sigma, k,
-                         min(size, extra * max(2 * k + 1, 20)))
+                         min(size, extra * (2 * k + LANCZOS_SLACK)))
         if found is None:
             continue
         vals, vecs = found
@@ -323,25 +338,53 @@ def _shift(ab: np.ndarray, d, y, t, f, G):
 
 
 def _lanczos(factor: np.ndarray, sigma: float, k: int, ncv: int):
-    """The k lowest eigenpairs of h, ascending, by ARPACK on the operator
-    (h - sigma I)^-1, applied through its band Cholesky ``factor``; None if
-    ARPACK does not converge."""
-    # scipy.sparse.linalg costs about 32 ms and 2.2 MB per process to
-    # import; importing it here keeps it out of the 1D runs and the pool
-    # workers
-    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                     eigsh)
+    """The k lowest eigenpairs of h, ascending, by symmetric Lanczos on
+    (h - sigma I)^-1, applied through its band Cholesky ``factor``; None
+    if they have not converged within ``ncv`` steps.
 
+    Each new vector is orthogonalized against all earlier ones by two
+    classical Gram-Schmidt passes, with no restarts.  Ritz pair i of the
+    m-step tridiagonal matrix, (theta_i, s_i), has the residual norm
+    |beta_m s_{m,i}|; the run stops when that is at most eps |theta_i| for
+    all k wanted pairs, ARPACK's tol = 0 rule.  A breakdown, beta_m zero to
+    working precision (at most eps times the norm of the new vector before
+    orthogonalization), leaves an invariant Krylov space, whose Ritz pairs
+    are exact; there the run stops, short of k pairs or not.
+    """
     size = factor.shape[1]
-    inverse = LinearOperator((size, size), dtype=float,
-                             matvec=lambda x: dpbtrs(factor, x, lower=1)[0])
+    V = np.empty((ncv + 1, size))
+    alpha, beta = np.empty(ncv), np.empty(ncv)
     start = np.random.default_rng(0).standard_normal(size)
-    try:
-        theta, vecs = eigsh(inverse, k, which="LA", ncv=ncv, tol=0,
-                            v0=start)
-    except ArpackNoConvergence:
-        return None
-    return sigma + 1.0 / theta[::-1], vecs[:, ::-1]
+    V[0] = start / dnrm2(start)
+    check = k
+    eps = np.finfo(float).eps
+    for m in range(ncv):
+        w = dpbtrs(factor, V[m], lower=1)[0]
+        w_norm = dnrm2(w)
+        # scipy's dgemv keeps the loop in the OpenBLAS of dpbtrs, as in
+        # _count_below; it takes the earlier vectors in Fortran order
+        earlier = V[:m + 1].T
+        alpha[m] = 0.0
+        for _ in range(2):
+            c = dgemv(1.0, earlier, w, trans=1)
+            w = dgemv(-1.0, earlier, c, 1.0, w, overwrite_y=1)
+            alpha[m] += c[m]
+        beta[m] = dnrm2(w)
+        steps = m + 1
+        breakdown = beta[m] <= eps * w_norm
+        if breakdown or steps in (check, ncv):
+            if steps < k:
+                return None
+            theta, s = scipy.linalg.eigh_tridiagonal(alpha[:steps], beta[:m])
+            theta, s = theta[-k:], s[:, -k:]
+            ratio = np.max(np.abs(beta[m] * s[-1]) / (eps * np.abs(theta)))
+            if breakdown or ratio <= 1:
+                return (sigma + 1.0 / theta[::-1],
+                        (V[:steps].T @ s)[:, ::-1])
+            check = steps + math.ceil(LANCZOS_STEPS_PER_DECADE
+                                      * math.log10(ratio))
+        V[m + 1] = w / beta[m]
+    return None
 
 
 def _count_below(G: np.ndarray, tau: float) -> int:

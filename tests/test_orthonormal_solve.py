@@ -6,8 +6,9 @@ build them and check that the fast path returns the same eigenpairs as
 expectation values as the dense spin-block forms.  A redundant basis is
 checked against the dense pencil on the same kept subspace.  The band
 storage and the inertia count are checked against the dense reduced
-Hamiltonian of ``oracles``, and the Lanczos path at the working point
-against its ``eigh``; a Lanczos run that loses a level must not pass.
+Hamiltonian of ``oracles``, ``solver._lanczos`` against ``eig_banded`` on
+the same band, and the Lanczos path at the working point against its
+``eigh``; a Lanczos run that loses a level must not pass.
 ``solve`` runs on one BLAS thread: it must give the default thread count's
 result and leave the caller's counts as they were.
 """
@@ -22,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dsbmv
 
 import hybridq as hq
 from hybridq import assembly, solver
@@ -273,6 +275,72 @@ def test_the_retry_recovers_a_lost_level(monkeypatch):
     sol = hq.solve(problem, 6)
     assert calls == [7]
     np.testing.assert_allclose(sol.energies, reference, rtol=1e-12, atol=0)
+
+
+def _shifted_band(problem):
+    """The lower band of h, and the shift and band Cholesky factor of
+    h - sigma I that ``solver._banded_lowest`` takes."""
+    _, d, y, f = _reduction(problem)
+    t = problem.y_tables["-idy"]
+    G = assembly.block_columns(d, y, t, f)
+    ab = assembly.lower_band(G)
+    return (ab, *solver._shift(ab, d, y, t, f, G))
+
+
+@pytest.mark.parametrize("band, k, cap", [
+    ("fig4", 9, None), ("fig4", 33, None), ("fig4", 41, None),
+    ("L4N4", 7, None), ("L4N4", 33, None),
+    # 2 levels converge within 20 steps, but the first check, at step 2,
+    # schedules the next one after step 30: the cap itself is checked
+    ("L4N4", 2, 20)],
+    ids=["fig4-9", "fig4-33", "fig4-41", "L4N4-7", "L4N4-33", "L4N4-2-cap"])
+def test_lanczos_matches_eig_banded(request, band, k, cap):
+    problem = (request.getfixturevalue("fig4_problem") if band == "fig4"
+               else hq.assemble(hq.scale(BASE), small_spec(L=4, N=4)))
+    ab, sigma, factor = _shifted_band(problem)
+    size = ab.shape[1]
+    vals, vecs = solver._lanczos(
+        factor, sigma, k, cap or min(size, 2 * k + solver.LANCZOS_SLACK))
+    reference = scipy.linalg.eig_banded(ab, lower=True, select="i",
+                                        select_range=(0, k - 1),
+                                        eigvals_only=True)
+    np.testing.assert_allclose(vals, reference, rtol=1e-12, atol=0)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-12
+    residual = [np.linalg.norm(dsbmv(len(ab) - 1, 1.0, ab, v, lower=1)
+                               - e * v) for e, v in zip(vals, vecs.T)]
+    assert max(residual) <= 1e-10 * np.abs(vals).max()
+
+
+def test_a_short_lanczos_cap_fails_both_tries(monkeypatch, fig4_problem):
+    # 9 levels at the working point need more than 40 Lanczos steps
+    ab, sigma, factor = _shifted_band(fig4_problem)
+    assert solver._lanczos(factor, sigma, 9, 40) is None
+    monkeypatch.setattr(solver, "LANCZOS_SLACK", 0)
+    real, calls = solver._lanczos, []
+
+    def counted(factor, sigma, k, ncv):
+        found = real(factor, sigma, k, ncv)
+        calls.append((k, ncv, found is None))
+        return found
+    monkeypatch.setattr(solver, "_lanczos", counted)
+    with pytest.raises(hq.UncertifiedSpectrumError, match="inertia"):
+        hq.solve(fig4_problem, 8)
+    # the retry asks for one more level and doubles the cap
+    assert calls == [(9, 18, True), (10, 40, True)]
+
+
+def test_a_lanczos_breakdown_returns_the_invariant_space():
+    # h - sigma I = 5 I: the start vector spans an invariant space, and
+    # after the first step beta is rounding noise, not an exact zero
+    factor = np.full((1, 4), np.sqrt(5.0))
+    vals, vecs = solver._lanczos(factor, 1.0, 1, 4)
+    np.testing.assert_allclose(vals, [6.0], rtol=1e-15, atol=0)
+    start = np.random.default_rng(0).standard_normal(4)
+    np.testing.assert_allclose(np.abs(vecs[:, 0]),
+                               np.abs(start) / np.linalg.norm(start),
+                               rtol=1e-15, atol=0)
+    # it holds fewer levels than asked for
+    assert solver._lanczos(factor, 1.0, 2, 4) is None
 
 
 # the thread-count functions of numpy's and scipy's OpenBLAS, looked up here

@@ -227,7 +227,7 @@ def test_a_dead_worker_ends_the_run():
 
 
 # reads the OpenBLAS thread counts of numpy and scipy, where it finds them,
-# before and after the import
+# before and after the import, then solves once on the Lanczos path
 IMPORT_GUARD = """
 import ctypes, importlib, sys
 def counts():
@@ -246,13 +246,25 @@ before = counts()
 import hybridq, hybridq.cli
 print('scipy.sparse.linalg' in sys.modules, counts() == before,
       hybridq.solver._blas_thread_functions.cache_info().currsize)
+# a 2D solve on the Lanczos path: reduced size 256 at L = N = 8
+solver, lanczos, calls = hybridq.solver, hybridq.solver._lanczos, []
+def spy(*args):
+    calls.append(args)
+    return lanczos(*args)
+solver._lanczos = spy
+physical = hybridq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5,
+                                  bSLa=2.0)
+spec = hybridq.BasisSpec(eta=4.0, mu=0.7, L=8, N=8)
+hybridq.solve(hybridq.assemble(hybridq.scale(physical), spec), 8)
+print(len(calls), calls[0][0].shape[1] >= solver.LANCZOS_MIN_SIZE,
+      'scipy.sparse.linalg' in sys.modules)
 """
 
 
-def test_the_library_and_cli_leave_sparse_linalg_unloaded():
-    # scipy.sparse.linalg, which only the 2D Lanczos path needs, costs
-    # every 1D run and every pool worker about 32 ms and 2.2 MB when
-    # imported; the BLAS thread functions are looked up by the first solve
+def test_the_library_cli_and_a_lanczos_solve_leave_sparse_linalg_unloaded():
+    # the solve runs its own Lanczos: scipy.sparse.linalg (ARPACK) would
+    # cost every process that solves in 2D a 22-37 ms import; the BLAS
+    # thread functions are looked up by the first solve
     path = [os.path.dirname(os.path.dirname(hq.__file__))]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
@@ -261,7 +273,8 @@ def test_the_library_and_cli_leave_sparse_linalg_unloaded():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True", "0"]
+    assert done.stdout.split() == ["False", "True", "0",
+                                   "1", "True", "False"]
 
 
 def test_plateau_scan_constant_level():
