@@ -27,10 +27,12 @@ class ReducedBasisError(HybridQError, ValueError):
 
 
 class UncertifiedSpectrumError(HybridQError):
-    """The banded 2D solve could not certify its levels: the count of
-    eigenvalues below a point between the returned levels and the next one
-    (the inertia of h - tau I) disagreed with the Lanczos levels twice, or
-    no shift below the spectrum was found."""
+    """The banded 2D solve could not certify its levels: in each of its two
+    Lanczos runs the levels did not converge within the step cap, or the
+    count of eigenvalues below a point between the returned levels and the
+    next one (the inertia of h - tau I, -1 where it is singular) disagreed
+    with them; or no shift below the spectrum was found.  The message says
+    which failed on the last run."""
 
 
 class ConfigError(HybridQError):

@@ -10,12 +10,12 @@ order (``assembly.reduced_terms``), block pentadiagonal in the y-index k
 with lower bandwidth 4r.  Its lowest levels come from shift-invert Lanczos
 on the band (a plain Lanczos in numpy on (h - sigma I)^-1 through the band
 Cholesky factor, whose existence proves sigma below the spectrum),
-certified by Sylvester's law of inertia: a block LDL^T of h - tau I over
-pairs of adjacent k must count exactly the levels found below tau
-(Ericsson and Ruhe, Math. Comp. 35, 1251 (1980); Grimes, Lewis and Simon,
-SIAM J. Matrix Anal. Appl. 15, 228 (1994)).  A failed count, or a Lanczos
-run that does not converge within its step cap, is retried once with one
-more level and twice the cap, then is an ``UncertifiedSpectrumError``.
+certified by Sylvester's law of inertia: a block LDL^T of h - tau I, one
+k at a time, must count exactly the levels found below tau (Ericsson and
+Ruhe, Math. Comp. 35, 1251 (1980); Grimes, Lewis and Simon, SIAM J. Matrix
+Anal. Appl. 15, 228 (1994)).  A failed count, or a Lanczos run that does
+not converge within its step cap, is retried once with one more level and
+twice the cap, then is an ``UncertifiedSpectrumError``.
 Small problems take LAPACK's ``eig_banded`` on the same band, and without
 the slanting field h separates into y and spin-resolved z factors.  The
 eigenvectors are mapped back to real S-orthonormal eigenvectors of the
@@ -239,7 +239,8 @@ def solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
         If ``n_lowest`` is not between 1 and the reduced basis size; it is
         also a ``ValueError``.
     UncertifiedSpectrumError
-        If the band solve cannot certify its levels (inertia count).
+        If the band solve cannot certify its levels: Lanczos did not
+        converge, or the inertia count disagreed, twice.
     """
     with _one_blas_thread():
         return _solve(problem, n_lowest)
@@ -298,18 +299,24 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
     for extra in (1, 2):
         # the retry asks for one more level and twice the Lanczos steps
         k = min(n + extra, size - 1)
-        found = _lanczos(factor, sigma, k,
-                         min(size, extra * (2 * k + LANCZOS_SLACK)))
+        ncv = min(size, extra * (2 * k + LANCZOS_SLACK))
+        found = _lanczos(factor, sigma, k, ncv)
         if found is None:
+            failure = f"did not converge within {ncv} steps"
             continue
         vals, vecs = found
         # certify at the widest gap after the n-th level
         m = n + int(np.argmax(np.diff(vals[n - 1:])))
-        if _count_below(G, 0.5 * (vals[m - 1] + vals[m])) == m:
+        tau = 0.5 * (vals[m - 1] + vals[m])
+        count = _count_below(G, tau)
+        if count == m:
             return vals[:n], vecs[:, :n]
+        failure = (f"failed the inertia count: {count} eigenvalues below "
+                   f"tau = {tau:.6g} where Lanczos found {m}")
+    # no commas: a CLI dataset writes them as semicolons
     raise UncertifiedSpectrumError(
-        f"two Lanczos runs for {n} levels (sigma = {sigma:.6g}) failed "
-        f"the inertia count")
+        f"two Lanczos runs for {n} levels (sigma = {sigma:.6g}) failed; "
+        f"the last ({k} levels) {failure}")
 
 
 def _shift(ab: np.ndarray, d, y, t, f, G):
@@ -391,47 +398,36 @@ def _count_below(G: np.ndarray, tau: float) -> int:
     """The number of eigenvalues of h below ``tau``, from the inertia of
     h - tau I (Sylvester's law).
 
-    Pairs of adjacent k make h - tau I block tridiagonal, with diagonal
-    blocks A_m and subdiagonal blocks B_m of size 2b.  The block LDL^T
-    D_m = A_m - B_m D_{m-1}^-1 B_m^T keeps the inertia, and each D_m is
-    factored by Bunch-Kaufman (dsytrf), whose 2 x 2 pivots always have a
-    negative determinant (Math. Comp. 31, 163 (1977)): each adds one
-    negative eigenvalue, each 1 x 1 pivot its sign.  -1 if some D_m is
-    exactly singular.
+    h - tau I is block pentadiagonal in k, with the blocks of its
+    ``block_columns`` G.  A block LDL^T eliminates one k at a time: the
+    pivot P_k is G[k, 0] - tau I less the Schur updates of steps k - 1 and
+    k - 2, and its column holds the block (k + 1, k), G[k, 1] less the
+    update of step k - 1, and the block (k + 2, k), G[k, 2].  Step k
+    subtracts C_k P_k^-1 C_k^T from the blocks (k + 1, k + 1),
+    (k + 2, k + 1) and (k + 2, k + 2).  The pivots keep the inertia, and
+    each is factored by Bunch-Kaufman (dsysv), whose 2 x 2 pivots always
+    have a negative determinant (Math. Comp. 31, 163 (1977)): each adds
+    one negative eigenvalue, each 1 x 1 pivot its sign.  -1 if some P_k
+    is exactly singular.
     """
     L, _, b, _ = G.shape
-    pairs = (L + 1) // 2
-    Gp = np.zeros((2 * pairs, 3, b, b))
-    Gp[:L] = G
-    A = np.zeros((pairs, 2 * b, 2 * b))
-    A[:, :b, :b] = Gp[0::2, 0]
-    A[:, b:, :b] = Gp[0::2, 1]
-    A[:, :b, b:] = Gp[0::2, 1].transpose(0, 2, 1)
-    A[:, b:, b:] = Gp[1::2, 0]
-    A[:, range(2 * b), range(2 * b)] -= tau
-    if L % 2:
-        A[-1, b:, b:] = np.eye(b)       # the padding k, positive definite
-    B = np.zeros((pairs, 2 * b, 2 * b))   # block (m + 1, m); the last 0
-    B[:-1, :b, :b] = Gp[0:-2:2, 2]
-    B[:-1, :b, b:] = Gp[1:-1:2, 1]
-    B[:-1, b:, b:] = Gp[1:-1:2, 2]
-
     count = 0
-    schur = A[0]
-    for m in range(pairs):
-        # scipy's own dgemm below keeps the whole count in one OpenBLAS.
-        # On one thread numpy's matmul costs the same (19-23 ms per count
-        # at the working point, measured), but where a library's thread
-        # count cannot be set, numpy's separate OpenBLAS on two threads in
-        # between makes the count 5.6x slower
-        ldu, ipiv, solved, info = dsysv(schur, B[m].T, lower=1,
-                                        lwork=64 * len(schur))
+    update = np.zeros((2 * b, 2 * b))    # -C P^-1 C^T of step k - 1
+    carried = np.zeros((b, b))           # step k - 2's update of (k, k)
+    for k in range(L):
+        pivot = G[k, 0] + update[:b, :b] + carried
+        pivot.flat[::b + 1] -= tau
+        column = np.concatenate((G[k, 1] + update[b:, :b], G[k, 2]))
+        carried = update[b:, b:]
+        ldu, ipiv, solved, info = dsysv(pivot, column.T, lower=1,
+                                        lwork=64 * b)
         if info > 0:
             return -1
         count += int(np.sum(ldu.diagonal()[ipiv > 0] < 0)
                      + np.sum(ipiv < 0) // 2)
-        if m + 1 < pairs:
-            schur = dgemm(-1.0, B[m], solved, 1.0, A[m + 1])
+        # scipy's own dgemm keeps the whole count in the OpenBLAS of
+        # dsysv, so it runs on the threads that library is set to
+        update = dgemm(-1.0, column, solved)
     return count
 
 

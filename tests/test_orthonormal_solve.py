@@ -19,11 +19,14 @@ import dataclasses
 import importlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import dsbmv
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hybridq as hq
 from hybridq import assembly, solver
@@ -174,18 +177,68 @@ def test_lower_band_is_the_permuted_dense_reduction(L, N):
     assert not np.any(np.tril(h, -width - 1))
 
 
-@pytest.mark.parametrize("L, N", [(4, 3), (5, 3)], ids=["L4N3", "L5N3"])
-def test_inertia_count_matches_dense_spectrum(L, N):
-    problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
+@given(L=st.sampled_from([1, 2, 3, 4, 5, 7]), N=st.integers(2, 4),
+       bsl=st.floats(0.0, 2.0, exclude_min=True),
+       kind=st.sampled_from(["midpoint", "uniform", "eigenvalue"]),
+       where=st.floats(0.0, 1.0))
+@example(L=4, N=3, bsl=1.5, kind="midpoint", where=0.5)
+@example(L=5, N=3, bsl=1.5, kind="midpoint", where=0.5)
+# fails if the count drops a 2 x 2 pivot, flips the Schur update, drops
+# the update carried to (k + 2, k + 2) or takes (k + 2, k) from G[k, 1]
+@example(L=3, N=2, bsl=1.5, kind="midpoint", where=0.1)
+@example(L=7, N=4, bsl=2.0, kind="uniform", where=0.0)
+@example(L=7, N=4, bsl=2.0, kind="uniform", where=1.0)
+@example(L=7, N=4, bsl=2.0, kind="eigenvalue", where=0.3)
+@settings(max_examples=100, deadline=None)
+def test_inertia_count_matches_dense_spectrum(L, N, bsl, kind, where):
+    # L = 1 and 2 have no offset-2 blocks, L = 1 no offset-1 block either
+    physics = dataclasses.replace(BASE, bSLa=bsl)
+    problem = hq.assemble(hq.scale(physics), small_spec(L=L, N=N))
     transform, d, y, f = _reduction(problem)
     G = assembly.block_columns(d, y, problem.y_tables["-idy"], f)
-    dense = oracles.orthonormal_hamiltonian(problem, transform)
-    levels = np.linalg.eigvalsh(dense)
-    for m in (1, 2, 7, len(levels) // 2, len(levels) - 1):
+    levels = np.linalg.eigvalsh(
+        oracles.orthonormal_hamiltonian(problem, transform))
+    if kind == "midpoint":
+        m = 1 + round(where * (len(levels) - 2))
         tau = 0.5 * (levels[m - 1] + levels[m])
-        assert solver._count_below(G, tau) == m
-    assert solver._count_below(G, levels[0] - 1.0) == 0
-    assert solver._count_below(G, levels[-1] + 1.0) == len(levels)
+    elif kind == "uniform":
+        # over the spectrum and a tenth of its width on either side
+        spread = 1.2 * np.ptp(levels)
+        tau = levels[0] - spread / 12 + where * spread
+    else:
+        tau = levels[round(where * (len(levels) - 1))]
+    # within 1e-9 max|E| of a level, either count on its sides is exact
+    tol = 1e-9 * np.abs(levels).max()
+    lo, hi = np.sum(levels < tau - tol), np.sum(levels < tau + tol)
+    count = solver._count_below(G, tau)
+    if lo == hi:
+        assert count == lo
+    else:
+        assert count == -1 or lo <= count <= hi
+
+
+def test_an_exactly_singular_pivot_counts_minus_one():
+    L = 5
+    zero = np.zeros((L, L))
+    G = assembly.block_columns(np.diag([1.0, 2.0, 3.0, 4.0]), zero, zero,
+                               np.zeros((4, 4)))
+    assert solver._count_below(G, 2.0) == -1
+    assert solver._count_below(G, 2.5) == 2 * L
+
+
+def test_one_inertia_count_needs_less_memory_than_the_blocks(
+        fig4_problem, fig4_solution):
+    _, d, y, f = _reduction(fig4_problem)
+    G = assembly.block_columns(d, y, fig4_problem.y_tables["-idy"], f)
+    tau = 0.5 * (fig4_solution.energies[7] + fig4_solution.energies[8])
+    assert solver._count_below(G, tau) == 8
+    tracemalloc.start()
+    try:
+        solver._count_below(G, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < G.nbytes / 2
 
 
 # the working point's sweep ends (bSLa = 2, and 0 with its 4.4e-13 near
@@ -257,7 +310,10 @@ def test_a_lost_level_is_retried_then_an_error(monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "_lanczos",
                         _drop_level_one(solver._lanczos, calls))
-    with pytest.raises(hq.UncertifiedSpectrumError, match="inertia"):
+    with pytest.raises(hq.UncertifiedSpectrumError,
+                       match=r"the last \(8 levels\) failed the inertia "
+                             r"count: 8 eigenvalues below tau = \S+ where "
+                             r"Lanczos found 7$"):
         hq.solve(problem, 6)
     assert calls == [7, 8]
 
@@ -323,7 +379,9 @@ def test_a_short_lanczos_cap_fails_both_tries(monkeypatch, fig4_problem):
         calls.append((k, ncv, found is None))
         return found
     monkeypatch.setattr(solver, "_lanczos", counted)
-    with pytest.raises(hq.UncertifiedSpectrumError, match="inertia"):
+    with pytest.raises(hq.UncertifiedSpectrumError,
+                       match=r"the last \(10 levels\) did not converge "
+                             r"within 40 steps$"):
         hq.solve(fig4_problem, 8)
     # the retry asks for one more level and doubles the cap
     assert calls == [(9, 18, True), (10, 40, True)]
