@@ -177,6 +177,20 @@ def test_lower_band_is_the_permuted_dense_reduction(L, N):
     assert not np.any(np.tril(h, -width - 1))
 
 
+@pytest.mark.parametrize("L, N", [(4, 3), (5, 3)], ids=["L4N3", "L5N3"])
+def test_inertia_count_matches_dense_spectrum(L, N):
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
+    transform, d, y, f = _reduction(problem)
+    G = assembly.block_columns(d, y, problem.y_tables["-idy"], f)
+    dense = oracles.orthonormal_hamiltonian(problem, transform)
+    levels = np.linalg.eigvalsh(dense)
+    for m in (1, 2, 7, len(levels) // 2, len(levels) - 1):
+        tau = 0.5 * (levels[m - 1] + levels[m])
+        assert solver._count_below(G, tau) == m
+    assert solver._count_below(G, levels[0] - 1.0) == 0
+    assert solver._count_below(G, levels[-1] + 1.0) == len(levels)
+
+
 @given(L=st.sampled_from([1, 2, 3, 4, 5, 7]), N=st.integers(2, 4),
        bsl=st.floats(0.0, 2.0, exclude_min=True),
        kind=st.sampled_from(["midpoint", "uniform", "eigenvalue"]),
@@ -190,7 +204,8 @@ def test_lower_band_is_the_permuted_dense_reduction(L, N):
 @example(L=7, N=4, bsl=2.0, kind="uniform", where=1.0)
 @example(L=7, N=4, bsl=2.0, kind="eigenvalue", where=0.3)
 @settings(max_examples=100, deadline=None)
-def test_inertia_count_matches_dense_spectrum(L, N, bsl, kind, where):
+def test_inertia_count_matches_dense_spectrum_anywhere(L, N, bsl, kind,
+                                                     where):
     # L = 1 and 2 have no offset-2 blocks, L = 1 no offset-1 block either
     physics = dataclasses.replace(BASE, bSLa=bsl)
     problem = hq.assemble(hq.scale(physics), small_spec(L=L, N=N))
