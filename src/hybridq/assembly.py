@@ -26,11 +26,11 @@ the whole 1D problem of ``quartic1d.solve_1d``.
 problem, with the z-basis orthonormalized through the eigenpairs of S_z
 (Loewdin canonical orthogonalization), and keeps it as three Kronecker
 terms in the (k, s, j) order: y-index k slowest, then spin, then the r
-kept z-directions j.  ``block_columns`` and ``lower_band`` build it, block
-pentadiagonal in k with blocks of size 2r, straight into LAPACK lower-band
-storage of bandwidth 4r; no dense M x M matrix is formed.  ``to_basis``
-maps its eigenvectors back to flat coefficients: the z-transform, with k
-moved from slowest to fastest.
+kept z-directions j.  It is block pentadiagonal in k with blocks of size
+2r, and ``lower_band`` writes it from the factors straight into LAPACK
+lower-band storage of bandwidth 4r, column-major; no dense M x M matrix is
+formed.  ``to_basis`` maps its eigenvectors back to flat coefficients: the
+z-transform, with k moved from slowest to fastest.
 
 ``spin_block_forms`` evaluates expectation values of z-operators, such as
 <z'> and <sigma_x>, from one z-table and a coefficient column, which is
@@ -205,36 +205,31 @@ def reduced_terms(problem: SpectralProblem, transform: np.ndarray):
     return d, y_part, f
 
 
-def block_columns(d: np.ndarray, y: np.ndarray, t: np.ndarray,
-                  f: np.ndarray) -> np.ndarray:
-    """The blocks of h = I_L (x) d + y (x) I_b + t (x) f below and on its
-    block diagonal: an L x 3 x b x b array G with G[k, o] the block
-    (k + o, k), zero where k + o >= L.
+def lower_band(d: np.ndarray, y: np.ndarray, t: np.ndarray,
+               f: np.ndarray) -> np.ndarray:
+    """h = I_L (x) d + y (x) I_b + t (x) f in LAPACK lower-band storage,
+    ab[i - j, j] = h[i, j] for 0 <= i - j <= 2b, in the column-major
+    layout LAPACK reads.
 
     ``y`` couples only the even offsets 0 and +-2 and ``t``, the "-idy"
-    table, only +-1 (``basis.y_element_table``), so these are all the
-    blocks, and the offset-2 blocks are multiples of the identity.
+    table, only +-1 (``basis.y_element_table``), so block column k of h
+    holds the blocks d + y_kk I, t_(k+1,k) f and y_(k+2,k) I, and the
+    lower bandwidth is 2b = 4r.  Column j = k b + c of the band holds row
+    c + i of that stack at offset i.
     """
     L, b = len(y), len(d)
-    G = np.zeros((L, 3, b, b))
-    eye = np.eye(b)
-    G[:, 0] = d + y.diagonal()[:, None, None] * eye
-    G[:L - 1, 1] = t.diagonal(-1)[:, None, None] * f
-    G[:L - 2, 2] = y.diagonal(-2)[:, None, None] * eye
-    return G
-
-
-def lower_band(G: np.ndarray) -> np.ndarray:
-    """h from its ``block_columns`` in LAPACK lower-band storage,
-    ab[i - j, j] = h[i, j] for 0 <= i - j <= 2b: the offset-2 blocks are
-    diagonal, so the lower bandwidth is 2b = 4r."""
-    L, _, b, _ = G.shape
     width = min(2 * b, L * b - 1)
-    diag = np.arange(width + 1)[:, None]
-    col = np.arange(b)
-    # column c of block column k holds h[k b + c + diag, k b + c]
-    ab = G.reshape(L, 3 * b, b)[:, diag + col, col]
-    return ab.transpose(1, 0, 2).reshape(width + 1, L * b)
+    row = np.arange(b)[:, None] + np.arange(width + 1)
+    col = np.broadcast_to(np.arange(b)[:, None], row.shape)
+    ab = np.zeros((L, b, width + 1))
+    in_d = row < b
+    ab[:, in_d] = d[row[in_d], col[in_d]]
+    ab[:, :, 0] += y.diagonal()[:, None]
+    in_f = (row >= b) & (row < 2 * b)
+    ab[:L - 1, in_f] = t.diagonal(-1)[:, None] * f[row[in_f] - b, col[in_f]]
+    if width == 2 * b:
+        ab[:L - 2, :, 2 * b] = y.diagonal(-2)[:, None]
+    return ab.reshape(L * b, width + 1).T
 
 
 def to_basis(transform: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -11,11 +11,12 @@ with lower bandwidth 4r.  Its lowest levels come from shift-invert Lanczos
 on the band (a plain Lanczos in numpy on (h - sigma I)^-1 through the band
 Cholesky factor, whose existence proves sigma below the spectrum),
 certified by Sylvester's law of inertia: a block LDL^T of h - tau I, one
-k at a time, must count exactly the levels found below tau (Ericsson and
-Ruhe, Math. Comp. 35, 1251 (1980); Grimes, Lewis and Simon, SIAM J. Matrix
-Anal. Appl. 15, 228 (1994)).  A failed count, or a Lanczos run that does
-not converge within its step cap, is retried once with one more level and
-twice the cap, then is an ``UncertifiedSpectrumError``.
+k at a time and straight from the Kronecker factors, must count exactly
+the levels found below tau (Ericsson and Ruhe, Math. Comp. 35, 1251
+(1980); Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 228
+(1994)).  A failed count, or a Lanczos run that does not converge within
+its step cap, is retried once with one more level and twice the cap, then
+is an ``UncertifiedSpectrumError``.
 Small problems take LAPACK's ``eig_banded`` on the same band, and without
 the slanting field h separates into y and spin-resolved z factors.  The
 eigenvectors are mapped back to real S-orthonormal eigenvectors of the
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm, dgemv, dnrm2
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dsysv
+from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsymm
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytri
 
 from . import assembly
 from .assembly import SpectralProblem
@@ -69,8 +70,8 @@ DROP_FRACTION_2D = 1e-12
 # reduced sizes below which the banded 2D solve calls LAPACK's eig_banded
 # instead of shift-invert Lanczos.  Measured per solve at 8 and 32 levels
 # on one BLAS thread, the one ``solve`` runs on, 10 basis shapes: eig_banded
-# is up to 1.5x faster at 160, the two are within 1.3x either way at 192
-# and 200, and Lanczos is up to 1.35x faster at 224 and 1.0-1.7x faster at
+# is up to 1.6x faster at 160, the two are within 1.3x either way at 192,
+# and Lanczos is 1.0-1.5x faster at 200, 0.95-1.7x at 224 and 1.1-1.9x at
 # 240 and 256.
 LANCZOS_MIN_SIZE = 200
 
@@ -289,13 +290,12 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
     """Lowest n eigenpairs of h = I_L (x) d + y (x) I_b + t (x) f, in the
     (k, s, j) order, by shift-invert Lanczos on its band, certified by an
     inertia count; ``eig_banded`` below ``LANCZOS_MIN_SIZE``."""
-    G = assembly.block_columns(d, y, t, f)
-    ab = assembly.lower_band(G)
+    ab = assembly.lower_band(d, y, t, f)
     size = ab.shape[1]
     if n + 1 >= size or size < LANCZOS_MIN_SIZE:
         return scipy.linalg.eig_banded(ab, lower=True, select="i",
                                        select_range=(0, n - 1))
-    sigma, factor = _shift(ab, d, y, t, f, G)
+    sigma, factor = _shift(ab, d, y, t, f)
     for extra in (1, 2):
         # the retry asks for one more level and twice the Lanczos steps
         k = min(n + extra, size - 1)
@@ -308,7 +308,7 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
         # certify at the widest gap after the n-th level
         m = n + int(np.argmax(np.diff(vals[n - 1:])))
         tau = 0.5 * (vals[m - 1] + vals[m])
-        count = _count_below(G, tau)
+        count = _count_below(d, y, t, f, tau)
         if count == m:
             return vals[:n], vecs[:, :n]
         failure = (f"failed the inertia count: {count} eigenvalues below "
@@ -319,25 +319,26 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
         f"the last ({k} levels) {failure}")
 
 
-def _shift(ab: np.ndarray, d, y, t, f, G):
+def _shift(ab: np.ndarray, d, y, t, f):
     """A shift sigma below the spectrum of h, with the band Cholesky factor
     of h - sigma I.
 
     E_0 lies between Weyl's lower bound over the three terms of h and the
-    lowest eigenvalue of its first diagonal block (Cauchy interlacing).
-    The first try lies 1/16 of the way from the upper to the lower bound;
-    each failed factorization lowers sigma four times as far, and the third
-    try is the lower bound.  Success proves sigma < E_0."""
+    lowest eigenvalue of its first diagonal block, d + y_00 I (Cauchy
+    interlacing).  The first try lies 1/16 of the way from the upper to the
+    lower bound; each failed factorization lowers sigma four times as far,
+    and the third try is the lower bound.  Success proves sigma < E_0.
+    Each try factors a fresh column-major copy of the band in place."""
     eig = scipy.linalg.eigvalsh
     t_ends, f_ends = eig(t)[[0, -1]], eig(f)[[0, -1]]
     lower = eig(d)[0] + eig(y)[0] + np.outer(t_ends, f_ends).min()
-    upper = eig(G[0, 0])[0]
+    upper = eig(d + y[0, 0] * np.eye(len(d)))[0]
     step = max(upper - lower, 1e-12 * max(1.0, abs(upper))) / 16
-    shifted = ab.copy()
     for tries in range(4):
         sigma = upper - step * 4 ** tries
-        shifted[0] = ab[0] - sigma
-        factor, info = dpbtrf(shifted, lower=1)
+        shifted = ab.copy(order="F")
+        shifted[0] -= sigma
+        factor, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
         if info == 0:
             return sigma, factor
     raise UncertifiedSpectrumError(
@@ -394,40 +395,51 @@ def _lanczos(factor: np.ndarray, sigma: float, k: int, ncv: int):
     return None
 
 
-def _count_below(G: np.ndarray, tau: float) -> int:
-    """The number of eigenvalues of h below ``tau``, from the inertia of
-    h - tau I (Sylvester's law).
+def _count_below(d: np.ndarray, y: np.ndarray, t: np.ndarray,
+                 f: np.ndarray, tau: float) -> int:
+    """The number of eigenvalues of h = I_L (x) d + y (x) I_b + t (x) f
+    below ``tau``, from the inertia of h - tau I (Sylvester's law).
 
-    h - tau I is block pentadiagonal in k, with the blocks of its
-    ``block_columns`` G.  A block LDL^T eliminates one k at a time: the
-    pivot P_k is G[k, 0] - tau I less the Schur updates of steps k - 1 and
-    k - 2, and its column holds the block (k + 1, k), G[k, 1] less the
-    update of step k - 1, and the block (k + 2, k), G[k, 2].  Step k
-    subtracts C_k P_k^-1 C_k^T from the blocks (k + 1, k + 1),
-    (k + 2, k + 1) and (k + 2, k + 2).  The pivots keep the inertia, and
-    each is factored by Bunch-Kaufman (dsysv), whose 2 x 2 pivots always
-    have a negative determinant (Math. Comp. 31, 163 (1977)): each adds
-    one negative eigenvalue, each 1 x 1 pivot its sign.  -1 if some P_k
-    is exactly singular.
+    h - tau I is block pentadiagonal in k: block column k holds
+    d + (y_kk - tau) I, t_(k+1,k) f and g_k I, with g_k = y_(k+2,k)
+    (``assembly.lower_band``).  A block LDL^T eliminates one k at a time.
+    The pivot P_k is the first of these less the Schur updates of steps
+    k - 1 and k - 2, C_k the second less that of step k - 1, and no earlier
+    step changes the third.  With W = P_k^-1 C_k^T, step k subtracts C_k W
+    from (k + 1, k + 1), g_k W from (k + 2, k + 1) and g_k^2 P_k^-1 from
+    (k + 2, k + 2).  The pivots keep the inertia.  Each is factored by
+    Bunch-Kaufman (dsytrf), whose 2 x 2 pivots always have a negative
+    determinant (Math. Comp. 31, 163 (1977)): each adds one negative
+    eigenvalue, each 1 x 1 pivot its sign; dsytri inverts it from that
+    factorization.  dsytrf, dsytri and dsymm read only lower triangles, so
+    no block is made symmetric.  -1 if some P_k is exactly singular.
     """
-    L, _, b, _ = G.shape
+    L, b = len(y), len(d)
+    # in the column-major layout of LAPACK, which then copies no block
+    d, f = np.asfortranarray(d), np.asfortranarray(f)
     count = 0
-    update = np.zeros((2 * b, 2 * b))    # -C P^-1 C^T of step k - 1
-    carried = np.zeros((b, b))           # step k - 2's update of (k, k)
+    update = np.zeros((b, b))    # steps k - 1 and k - 2 on (k, k)
+    below = np.zeros((b, b))     # step k - 1 on (k + 1, k)
+    carried = np.zeros((b, b))   # step k - 1 on (k + 1, k + 1)
     for k in range(L):
-        pivot = G[k, 0] + update[:b, :b] + carried
-        pivot.flat[::b + 1] -= tau
-        column = np.concatenate((G[k, 1] + update[b:, :b], G[k, 2]))
-        carried = update[b:, b:]
-        ldu, ipiv, solved, info = dsysv(pivot, column.T, lower=1,
-                                        lwork=64 * b)
+        pivot = d + update
+        pivot.flat[::b + 1] += y[k, k] - tau
+        ldu, ipiv, info = dsytrf(pivot, lower=1, lwork=64 * b)
         if info > 0:
             return -1
         count += int(np.sum(ldu.diagonal()[ipiv > 0] < 0)
                      + np.sum(ipiv < 0) // 2)
-        # scipy's own dgemm keeps the whole count in the OpenBLAS of
-        # dsysv, so it runs on the threads that library is set to
-        update = dgemm(-1.0, column, solved)
+        if k + 1 == L:
+            break
+        inverse, _ = dsytri(ldu, ipiv, lower=1, overwrite_a=1)
+        column = t[k + 1, k] * f + below
+        w = dsymm(1.0, inverse, column.T, lower=1)
+        # scipy's own BLAS keeps the whole count in the OpenBLAS of
+        # dsytrf, so it runs on the threads that library is set to
+        update = dgemm(-1.0, column, w, 1.0, carried)
+        g = y[k + 2, k] if k + 2 < L else 0.0
+        below = -g * w
+        carried = (-g * g) * inverse
     return count
 
 

@@ -155,17 +155,23 @@ def _reduction(problem):
     return transform, d, y, f
 
 
-@pytest.mark.parametrize("L, N", [(1, 3), (2, 2), (5, 3), (4, 4)],
-                         ids=["L1N3", "L2N2", "L5N3", "L4N4"])
+# L = 1 and 2 have a band narrower than 2b; at eta = 4, N = 24 the
+# reduction drops 2 z-directions
+@pytest.mark.parametrize("L, N", [(1, 3), (1, 4), (2, 2), (2, 4), (5, 3),
+                                  (4, 4), (3, 24)],
+                         ids=["L1N3", "L1N4", "L2N2", "L2N4", "L5N3", "L4N4",
+                              "L3N24"])
 def test_lower_band_is_the_permuted_dense_reduction(L, N):
     problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
     transform, d, y, f = _reduction(problem)
     r = transform.shape[1]
+    assert r == (2 * N - 2 if N == 24 else 2 * N)
     dense = oracles.orthonormal_hamiltonian(problem, transform)
     order = oracles.orthonormal_order(r, L)
     h = dense[np.ix_(order, order)]
-    ab = assembly.lower_band(
-        assembly.block_columns(d, y, problem.y_tables["-idy"], f))
+    ab = assembly.lower_band(d, y, problem.y_tables["-idy"], f)
+    # the layout dpbtrf reads, so that f2py passes it without a copy
+    assert ab.flags.f_contiguous
     width = ab.shape[0] - 1
     assert width == min(4 * r, 2 * r * L - 1)
     scale = np.abs(h).max()
@@ -181,14 +187,14 @@ def test_lower_band_is_the_permuted_dense_reduction(L, N):
 def test_inertia_count_matches_dense_spectrum(L, N):
     problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
     transform, d, y, f = _reduction(problem)
-    G = assembly.block_columns(d, y, problem.y_tables["-idy"], f)
+    terms = (d, y, problem.y_tables["-idy"], f)
     dense = oracles.orthonormal_hamiltonian(problem, transform)
     levels = np.linalg.eigvalsh(dense)
     for m in (1, 2, 7, len(levels) // 2, len(levels) - 1):
         tau = 0.5 * (levels[m - 1] + levels[m])
-        assert solver._count_below(G, tau) == m
-    assert solver._count_below(G, levels[0] - 1.0) == 0
-    assert solver._count_below(G, levels[-1] + 1.0) == len(levels)
+        assert solver._count_below(*terms, tau) == m
+    assert solver._count_below(*terms, levels[0] - 1.0) == 0
+    assert solver._count_below(*terms, levels[-1] + 1.0) == len(levels)
 
 
 @given(L=st.sampled_from([1, 2, 3, 4, 5, 7]), N=st.integers(2, 4),
@@ -198,8 +204,12 @@ def test_inertia_count_matches_dense_spectrum(L, N):
 @example(L=4, N=3, bsl=1.5, kind="midpoint", where=0.5)
 @example(L=5, N=3, bsl=1.5, kind="midpoint", where=0.5)
 # fails if the count drops a 2 x 2 pivot, flips the Schur update, drops
-# the update carried to (k + 2, k + 2) or takes (k + 2, k) from G[k, 1]
+# the update carried to (k + 2, k + 2), scales it by g_k instead of g_k^2,
+# takes g_k from t, subtracts W instead of g_k W from (k + 2, k + 1), or
+# reads the upper triangle of P_k^-1
 @example(L=3, N=2, bsl=1.5, kind="midpoint", where=0.1)
+# fails if the update of (k + 2, k + 2) is applied to (k + 1, k + 1)
+@example(L=4, N=2, bsl=1.5, kind="midpoint", where=0.2)
 @example(L=7, N=4, bsl=2.0, kind="uniform", where=0.0)
 @example(L=7, N=4, bsl=2.0, kind="uniform", where=1.0)
 @example(L=7, N=4, bsl=2.0, kind="eigenvalue", where=0.3)
@@ -210,7 +220,6 @@ def test_inertia_count_matches_dense_spectrum_anywhere(L, N, bsl, kind,
     physics = dataclasses.replace(BASE, bSLa=bsl)
     problem = hq.assemble(hq.scale(physics), small_spec(L=L, N=N))
     transform, d, y, f = _reduction(problem)
-    G = assembly.block_columns(d, y, problem.y_tables["-idy"], f)
     levels = np.linalg.eigvalsh(
         oracles.orthonormal_hamiltonian(problem, transform))
     if kind == "midpoint":
@@ -225,7 +234,7 @@ def test_inertia_count_matches_dense_spectrum_anywhere(L, N, bsl, kind,
     # within 1e-9 max|E| of a level, either count on its sides is exact
     tol = 1e-9 * np.abs(levels).max()
     lo, hi = np.sum(levels < tau - tol), np.sum(levels < tau + tol)
-    count = solver._count_below(G, tau)
+    count = solver._count_below(d, y, problem.y_tables["-idy"], f, tau)
     if lo == hi:
         assert count == lo
     else:
@@ -235,25 +244,25 @@ def test_inertia_count_matches_dense_spectrum_anywhere(L, N, bsl, kind,
 def test_an_exactly_singular_pivot_counts_minus_one():
     L = 5
     zero = np.zeros((L, L))
-    G = assembly.block_columns(np.diag([1.0, 2.0, 3.0, 4.0]), zero, zero,
-                               np.zeros((4, 4)))
-    assert solver._count_below(G, 2.0) == -1
-    assert solver._count_below(G, 2.5) == 2 * L
+    terms = (np.diag([1.0, 2.0, 3.0, 4.0]), zero, zero, np.zeros((4, 4)))
+    assert solver._count_below(*terms, 2.0) == -1
+    assert solver._count_below(*terms, 2.5) == 2 * L
 
 
 def test_one_inertia_count_needs_less_memory_than_the_blocks(
         fig4_problem, fig4_solution):
     _, d, y, f = _reduction(fig4_problem)
-    G = assembly.block_columns(d, y, fig4_problem.y_tables["-idy"], f)
+    terms = (d, y, fig4_problem.y_tables["-idy"], f)
+    ab = assembly.lower_band(*terms)
     tau = 0.5 * (fig4_solution.energies[7] + fig4_solution.energies[8])
-    assert solver._count_below(G, tau) == 8
+    assert solver._count_below(*terms, tau) == 8
     tracemalloc.start()
     try:
-        solver._count_below(G, tau)
+        solver._count_below(*terms, tau)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < G.nbytes / 2
+    assert peak < ab.nbytes / 2
 
 
 # the working point's sweep ends (bSLa = 2, and 0 with its 4.4e-13 near
@@ -353,9 +362,23 @@ def _shifted_band(problem):
     h - sigma I that ``solver._banded_lowest`` takes."""
     _, d, y, f = _reduction(problem)
     t = problem.y_tables["-idy"]
-    G = assembly.block_columns(d, y, t, f)
-    ab = assembly.lower_band(G)
-    return (ab, *solver._shift(ab, d, y, t, f, G))
+    ab = assembly.lower_band(d, y, t, f)
+    return (ab, *solver._shift(ab, d, y, t, f))
+
+
+def test_the_band_reaches_dpbtrf_column_major_and_is_factored_in_place(
+        monkeypatch, fig4_problem):
+    real, calls = solver.dpbtrf, []
+
+    def spy(ab, **kwargs):
+        factor, info = real(ab, **kwargs)
+        calls.append((ab.flags.f_contiguous, kwargs.get("overwrite_ab"),
+                      np.shares_memory(factor, ab)))
+        return factor, info
+    monkeypatch.setattr(solver, "dpbtrf", spy)
+    hq.solve(fig4_problem, 8)
+    # f2py copies a band in any other layout, or without overwrite_ab
+    assert calls == [(True, 1, True)]
 
 
 @pytest.mark.parametrize("band, k, cap", [
