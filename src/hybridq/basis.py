@@ -131,7 +131,11 @@ def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
     P 2^53 / (R[n][m] 2^(s(n+m))), with R from ``_norm_roots``, times the
     float exp(-delta^2/4).  Q(-delta) is the transpose of Q(delta) and R is
     symmetric, so a negative delta returns the transposed view of the
-    |delta| table: X(-delta) = X(delta).T holds bit for bit.
+    |delta| table: X(-delta) = X(delta).T holds bit for bit.  As Q[n, m]
+    has the parity n + m in delta, Q[m, n] = (-1)^(n+m) Q[n, m], so only
+    the upper triangle m >= n is computed (row n + 1 reads row n at m >= n).
+    Each lower entry is its upper float, negated where n + m is odd: the
+    rounding is symmetric, so that is bit for bit, signed zeros included.
     """
     arg = -0.25 * delta * delta
     if arg < -350.0:
@@ -146,16 +150,17 @@ def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
     roots = _norm_roots(size)
     pref = math.exp(arg)
     X = np.zeros((size, size))
-    row = [num ** m for m in range(size)]
+    row = [num ** m for m in range(size)]          # P[n, m] for m >= n
     for n in range(size):
         if n:
-            row = [-num * row[0]] + [
-                ((m * row[m - 1]) << (2 * s + 1)) - num * row[m]
-                for m in range(1, size)
-            ]
-        for m, p in enumerate(row):
+            row = [((m * a) << (2 * s + 1)) - num * b
+                   for m, a, b in zip(range(n, size), row, row[1:])]
+        for j, p in enumerate(row):
             if p:
-                X[n, m] = ((p << 53) / (roots[n][m] << (s * (n + m)))) * pref
+                m = n + j
+                x = ((p << 53) / (roots[n][m] << (s * (n + m)))) * pref
+                X[n, m] = x
+                X[m, n] = -x if j & 1 else x
     X.setflags(write=False)
     return X
 
@@ -198,33 +203,18 @@ def _y_operator(kind: str, mu: float, size: int) -> np.ndarray:
     raise ValueError(f"unsupported y operator kind: {kind!r}")
 
 
-def _single_well_elements(kind: str, eta: float, c_bra: float, c_ket: float,
-                          count: int) -> np.ndarray:
-    """<psi_n at c_bra | kind | psi_m at c_ket> for all n, m < count.
-
-    Exact: the operator is banded in the ket's oscillator basis and the
-    displaced overlap table couples it to the bra's.  The padded working size
-    guarantees intermediate products never lose band entries of kept columns.
-    Cross-center products cancel strongly, so they are accumulated in
-    extended precision before rounding to float64.
-    """
-    size = count + _PAD
-    op = _z_operator(kind, eta, c_ket, size)
-    if c_bra == c_ket:
-        return op[:count, :count].copy()
-    table = _displaced_overlap_cached(eta * (c_bra - c_ket), size)
-    prod = table.astype(np.longdouble) @ op.astype(np.longdouble)
-    return prod[:count, :count].astype(float)
-
-
 @lru_cache(maxsize=128)
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
 def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
     """Full 2N x 2N table of <psi_n^p| kind |psi_m^q> over the z' basis.
 
     Row/column ordering is p-major: index = (0 if p = +1 else 1)*N + n.
-    The table normalizes its own well pairs, with C_n^p from the
-    displaced-overlap table at 2 eta; a pair with no norm raises
+    The operator is banded in each well's padded oscillator ladder and
+    built once per center; its N x N corner holds the same-well elements.
+    The cross-well ones are the N x N block of X op, X the displaced
+    overlap table at 2 eta (X.T from -1 to +1), summed over the padded
+    ladder in extended precision, since they cancel strongly.  C_n^p comes
+    from the diagonal of X; a pair with no norm raises
     ``DegenerateBasisError``.  Every kind is symmetric; the table is
     mirrored from its upper triangle so that it is exactly symmetric.  The
     returned array is read-only (cached).  An extreme eta that overflows
@@ -233,14 +223,18 @@ def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
     if kind not in Z_KINDS:
         raise ValueError(f"unsupported z operator kind: {kind!r}")
     N = spec.N
-    ee = _single_well_elements(kind, spec.eta, +1.0, +1.0, N)
-    eo = _single_well_elements(kind, spec.eta, +1.0, -1.0, N)
-    oe = _single_well_elements(kind, spec.eta, -1.0, +1.0, N)
-    oo = _single_well_elements(kind, spec.eta, -1.0, -1.0, N)
+    size = N + _PAD
+    plus = _z_operator(kind, spec.eta, +1.0, size)
+    minus = _z_operator(kind, spec.eta, -1.0, size)
+    # X[n, m] = <u_n at +1 | u_m at -1>; the pair (-1, +1) reads X.T
+    X = _displaced_overlap_cached(2.0 * spec.eta, size)
+    ld = np.longdouble
+    ee, oo = plus[:N, :N], minus[:N, :N]
+    eo = (X[:N].astype(ld) @ minus[:, :N].astype(ld)).astype(float)
+    oe = (X.T[:N].astype(ld) @ plus[:, :N].astype(ld)).astype(float)
 
     # C_n^p = [2 (1 + p <psi_n^+|psi_n^->)]^(-1/2), so <psi_n^p|psi_n^p> = 1
-    cross = np.diagonal(_displaced_overlap_cached(2.0 * spec.eta, N + _PAD))
-    args = 2.0 * (1.0 + np.outer([1.0, -1.0], cross[:N]))
+    args = 2.0 * (1.0 + np.outer([1.0, -1.0], np.diagonal(X)[:N]))
     bad = np.argwhere(args <= 0.0)
     if len(bad):
         i, n = bad[0]

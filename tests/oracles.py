@@ -14,6 +14,12 @@ Nothing here shares code with the implementation paths it checks:
   ``fractions.Fraction`` arithmetic, the reference for the integer
   recurrence of ``basis._displaced_overlap_cached``; both round each entry
   once, so they must agree bit for bit.
+* ``reference_z_element_table``: the 2N x 2N z-table built element block
+  by element block, four single-well blocks per kind, each cross block the
+  full padded product of a ``fraction_displaced_overlap`` table and the
+  ket's operator, the reference for ``basis.z_element_table``.  It shares
+  the band operators ``basis._z_operator`` and the padding with it, and
+  must agree with it bit for bit.
 * ``dense_state_observables``: <z'>, <sigma_x> and the norm check of one
   eigenstate from the dense per-spin-block matrices ``s_spatial`` and
   ``z_spatial``, the reference for ``observables.state_report``, which
@@ -42,6 +48,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh_tridiagonal
+
+from hybridq import basis
+from hybridq.errors import DegenerateBasisError
 
 
 def fraction_displaced_overlap(delta: float, size: int) -> np.ndarray:
@@ -90,6 +99,54 @@ def fraction_displaced_overlap(delta: float, size: int) -> np.ndarray:
             X[n, m] = float(q / root) * pref
     X.setflags(write=False)
     return X
+
+
+def _single_well_block(kind: str, eta: float, c_bra: float, c_ket: float,
+                       count: int) -> np.ndarray:
+    """<psi_n at c_bra | kind | psi_m at c_ket> for n, m < count, from the
+    full padded product in extended precision."""
+    size = count + basis._PAD
+    op = basis._z_operator(kind, eta, c_ket, size)
+    if c_bra == c_ket:
+        return op[:count, :count].copy()
+    table = fraction_displaced_overlap(eta * (c_bra - c_ket), size)
+    prod = table.astype(np.longdouble) @ op.astype(np.longdouble)
+    return prod[:count, :count].astype(float)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_z_element_table(kind: str, spec) -> np.ndarray:
+    """The 2N x 2N table of <psi_n^p| kind |psi_m^q>, p-major, as
+    ``basis.z_element_table`` defines it, including its
+    ``DegenerateBasisError`` messages."""
+    N, eta = spec.N, spec.eta
+    ee = _single_well_block(kind, eta, +1.0, +1.0, N)
+    eo = _single_well_block(kind, eta, +1.0, -1.0, N)
+    oe = _single_well_block(kind, eta, -1.0, +1.0, N)
+    oo = _single_well_block(kind, eta, -1.0, -1.0, N)
+
+    cross = np.diagonal(fraction_displaced_overlap(2.0 * eta, N + basis._PAD))
+    args = 2.0 * (1.0 + np.outer([1.0, -1.0], cross[:N]))
+    bad = np.argwhere(args <= 0.0)
+    if len(bad):
+        i, n = bad[0]
+        raise DegenerateBasisError(
+            f"well combination (n={n}, p={1 - 2 * i:+d}) has no "
+            "normalization; the two well functions are (numerically) "
+            "identical")
+    c = np.array([[arg ** -0.5 for arg in row] for row in args.tolist()])
+
+    table = np.empty((2 * N, 2 * N))
+    for i, p in enumerate((+1, -1)):
+        for j, q in enumerate((+1, -1)):
+            block = ee + q * eo + p * oe + (p * q) * oo
+            table[i * N:(i + 1) * N, j * N:(j + 1) * N] = \
+                np.outer(c[i], c[j]) * block
+    table = np.triu(table) + np.triu(table, 1).T
+    if not np.isfinite(table).all():
+        raise DegenerateBasisError(
+            f"the {kind!r} table overflows at basis width eta = {eta:g}")
+    return table
 
 
 def _orthonormal_hermite(n: int, x: np.ndarray):

@@ -55,6 +55,43 @@ def test_overlap_table_reversed_displacement_is_transpose(delta):
                           basis._displaced_overlap_cached(delta, 30).T)
 
 
+@pytest.mark.parametrize("delta", [5e-324, -5e-324, 1e-3, 2.75,
+                                   SHIPPED_DELTA, -SHIPPED_DELTA, 37.4,
+                                   -37.4, 0.0, 37.5, -37.5])
+def test_overlap_table_lower_triangle_is_the_parity_signed_upper(delta):
+    # Q[m, n] = (-1)^(n+m) Q[n, m]: each lower entry is its upper entry,
+    # negated where n + m is odd, sign bits included.  At 5e-324 most
+    # entries underflow to zeros that keep the sign of their integer.  An
+    # exact zero (delta = 0 off the diagonal, or fully decoupled wells at
+    # |delta| = 37.5) is +0.0 on both sides.
+    X = basis._displaced_overlap_cached(delta, 30)
+    odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
+    exact_zero = delta == 0.0 or abs(delta) == 37.5
+    _assert_bitwise_equal(X.T, np.where(odd & ~exact_zero, -X, X))
+
+
+@given(kind=st.sampled_from(basis.Z_KINDS),
+       eta=st.floats(0.29, 9.85),
+       N=st.integers(1, 24))
+@example(kind="quartic", eta=4.0, N=20)
+@example(kind="dz2", eta=SHIPPED_DELTA / 2, N=22)
+@example(kind="z", eta=SHIPPED_DELTA / 2, N=24)
+@example(kind="1", eta=1e-9, N=3)          # no norm for (n=0, p=-1)
+@example(kind="dz2", eta=1e200, N=3)       # the table overflows
+@settings(max_examples=30, deadline=None)
+def test_z_element_table_matches_the_block_reference(kind, eta, N):
+    # eta spans the quartic-gap surface, hw0 in 10-50 meV and a in 4-60 nm
+    spec = hq.BasisSpec(eta=eta, mu=0.7, L=1, N=N)
+    try:
+        want = oracles.reference_z_element_table(kind, spec)
+    except hq.DegenerateBasisError as err:
+        with pytest.raises(hq.DegenerateBasisError) as got:
+            basis.z_element_table(kind, spec)
+        assert str(got.value) == str(err)
+        return
+    _assert_bitwise_equal(basis.z_element_table(kind, spec), want)
+
+
 def test_degenerate_basis_raises():
     # exp(-eta^2) rounds to 1: the odd combination of the two well
     # functions vanishes and has no normalization
