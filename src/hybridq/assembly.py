@@ -18,8 +18,10 @@ overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
 The flat basis index follows the same order, (s, p, n, k) with k fastest
 (``basis``), so every dense matrix is the ``np.kron`` of its factors.
 
-``assemble`` only builds the factor tables; a redundant z-overlap is
-handled by the solve, which drops its near-null directions.
+``assemble`` only builds the factor tables, each read from the cache of
+``basis``, which keys the z-tables by (eta, N) and the y-tables by (mu, L);
+the overlap eigenpairs, the condition number and the drop of a redundant
+z-overlap's near-null directions all belong to the solve.
 ``z_hamiltonian`` combines z-tables into the z-part of H0, which is also
 the whole 1D problem of ``quartic1d.solve_1d``.
 ``reduced_terms`` turns the tables into one real symmetric standard
@@ -66,13 +68,12 @@ class SpectralProblem:
 
     ``z_tables`` maps the kinds of ``basis.Z_KINDS`` to 2N x 2N z-tables,
     ``y_tables`` the kinds of ``basis.Y_KINDS`` to L x L y-tables; the
-    y "1" table is the identity.  Everything else is derived on first
-    access and cached: the eigenpairs of the z-overlap, and the dense
-    reference, which only tests and the traced benchmark ask for.  That is
-    the per-spin-block overlap and z'-moment matrices ``s_spatial`` and
-    ``z_spatial``, the dense ``H`` and ``S`` (block diagonal in spin).
-    Every array is real, every square one symmetric, and all are
-    read-only.
+    y "1" table is the identity.  The only derived arrays are the dense
+    reference, built on first access and cached, which only tests and the
+    traced benchmark ask for: the per-spin-block overlap and z'-moment
+    matrices ``s_spatial`` and ``z_spatial``, the dense ``H`` and ``S``
+    (block diagonal in spin).  Every array is real, every square one
+    symmetric, and all are read-only.
     """
 
     z_tables: dict
@@ -83,22 +84,6 @@ class SpectralProblem:
     @property
     def size(self) -> int:
         return self.spec.size
-
-    @cached_property
-    def overlap_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of the z-overlap S_z.
-
-        The spectrum of the full overlap is this one, L times over.
-        """
-        vals, vecs = np.linalg.eigh(self.z_tables["1"])
-        return _read_only(vals), _read_only(vecs)
-
-    @property
-    def s_condition(self) -> float:
-        """Condition number of S_z; inf when rounding leaves its smallest
-        eigenvalue at or below zero."""
-        vals = self.overlap_eigh[0]
-        return float(vals[-1] / vals[0]) if vals[0] > 0 else np.inf
 
     @cached_property
     def s_spatial(self) -> np.ndarray:
@@ -124,9 +109,9 @@ class SpectralProblem:
 def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
     """Build the spectral problem for the given scaled parameters and basis."""
     return SpectralProblem(
-        z_tables={k: basis_mod.z_element_table(k, spec)
+        z_tables={k: basis_mod.z_element_table(k, spec.eta, spec.N)
                   for k in basis_mod.Z_KINDS},
-        y_tables={k: basis_mod.y_element_table(k, spec)
+        y_tables={k: basis_mod.y_element_table(k, spec.mu, spec.L)
                   for k in basis_mod.Y_KINDS},
         spec=spec, scaled=scaled)
 

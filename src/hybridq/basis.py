@@ -205,29 +205,30 @@ def _y_operator(kind: str, mu: float, size: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
-def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
-    """Full 2N x 2N table of <psi_n^p| kind |psi_m^q> over the z' basis.
+def z_element_table(kind: str, eta: float, N: int) -> np.ndarray:
+    """Full 2N x 2N table of <psi_n^p| kind |psi_m^q> over the z' basis of
+    width ``eta``.
 
-    Row/column ordering is p-major: index = (0 if p = +1 else 1)*N + n.
-    The operator is banded in each well's padded oscillator ladder and
-    built once per center; its N x N corner holds the same-well elements.
-    The cross-well ones are the N x N block of X op, X the displaced
-    overlap table at 2 eta (X.T from -1 to +1), summed over the padded
-    ladder in extended precision, since they cancel strongly.  C_n^p comes
-    from the diagonal of X; a pair with no norm raises
-    ``DegenerateBasisError``.  Every kind is symmetric; the table is
-    mirrored from its upper triangle so that it is exactly symmetric.  The
-    returned array is read-only (cached).  An extreme eta that overflows
-    the table raises ``DegenerateBasisError``.
+    It reads no other basis parameter, so it is cached by (kind, eta, N)
+    alone: a sweep of mu or L reuses it.  Row/column ordering is p-major:
+    index = (0 if p = +1 else 1)*N + n.  The operator is banded in each
+    well's padded oscillator ladder and built once per center; its N x N
+    corner holds the same-well elements.  The cross-well ones are the
+    N x N block of X op, X the displaced overlap table at 2 eta (X.T from
+    -1 to +1), summed over the padded ladder in extended precision, since
+    they cancel strongly.  C_n^p comes from the diagonal of X; a pair with
+    no norm raises ``DegenerateBasisError``.  Every kind is symmetric; the
+    table is mirrored from its upper triangle so that it is exactly
+    symmetric.  The returned array is read-only (cached).  An extreme eta
+    that overflows the table raises ``DegenerateBasisError``.
     """
     if kind not in Z_KINDS:
         raise ValueError(f"unsupported z operator kind: {kind!r}")
-    N = spec.N
     size = N + _PAD
-    plus = _z_operator(kind, spec.eta, +1.0, size)
-    minus = _z_operator(kind, spec.eta, -1.0, size)
+    plus = _z_operator(kind, eta, +1.0, size)
+    minus = _z_operator(kind, eta, -1.0, size)
     # X[n, m] = <u_n at +1 | u_m at -1>; the pair (-1, +1) reads X.T
-    X = _displaced_overlap_cached(2.0 * spec.eta, size)
+    X = _displaced_overlap_cached(2.0 * eta, size)
     ld = np.longdouble
     ee, oo = plus[:N, :N], minus[:N, :N]
     eo = (X[:N].astype(ld) @ minus[:, :N].astype(ld)).astype(float)
@@ -254,13 +255,15 @@ def z_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
                 np.outer(c[i], c[j]) * block
 
     table = np.triu(table) + np.triu(table, 1).T
-    return _finite_table(table, kind, f"eta = {spec.eta:g}")
+    return _finite_table(table, kind, f"eta = {eta:g}")
 
 
 @lru_cache(maxsize=128)
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
-def y_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
-    """L x L table of <chi_k| kind |chi_l>; exactly symmetric, read-only.
+def y_element_table(kind: str, mu: float, L: int) -> np.ndarray:
+    """L x L table of <chi_k| kind |chi_l> over the y' ladder of width
+    ``mu``; exactly symmetric, read-only, and cached by (kind, mu, L), the
+    only inputs it reads.
 
     It is the phi_k table times the phase i^(l-k) of chi_k = i^k phi_k,
     and times -i for "-idy".  Each kind couples only k, l of one offset
@@ -270,15 +273,15 @@ def y_element_table(kind: str, spec: BasisSpec) -> np.ndarray:
     """
     if kind not in Y_KINDS:
         raise ValueError(f"unsupported y operator kind: {kind!r}")
-    size = spec.L + _PAD
-    k = np.arange(spec.L)
+    size = L + _PAD
+    k = np.arange(L)
     power = k - k[:, None]                # l - k at [k, l]
     if kind == "-idy":
         power -= 1                        # -i = i^(-1)
     phase = np.array([1.0, 0.0, -1.0, 0.0])[power % 4]   # Re i^power
-    table = _y_operator(kind, spec.mu, size)[:spec.L, :spec.L] * phase
+    table = _y_operator(kind, mu, size)[:L, :L] * phase
     table = np.triu(table) + np.triu(table, 1).T
-    return _finite_table(table, kind, f"mu = {spec.mu:g}")
+    return _finite_table(table, kind, f"mu = {mu:g}")
 
 
 def _finite_table(table: np.ndarray, kind: str, width: str) -> np.ndarray:

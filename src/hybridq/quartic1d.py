@@ -12,6 +12,7 @@ a = A hw0^e.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import basis as basis_mod
 from .assembly import z_hamiltonian
-from .basis import BasisSpec
 from .model import M_RATIO, PhysicalParams, scale
 from .solver import _canonical_solve
 
@@ -78,22 +78,26 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
              m_ratio: float = M_RATIO) -> np.ndarray:
     """Lowest eigenvalues (units hw0) of the 1D double well.
 
-    The basis width is eta = a / ell0 = 1/sqrt(r_a), the inverse
-    single-well oscillator length in scaled units.  The solve is the
-    canonical orthogonalization of ``solver._canonical_solve``: where the
-    wells merge and the two well ladders become redundant, the near-null
-    overlap directions are dropped and the levels come from the regular
-    subspace.
+    The basis is the z' well-pair basis of ``basis`` with ``n_basis``
+    functions per parity (at least 1), of width eta = a / ell0 =
+    1/sqrt(r_a), the inverse single-well oscillator length in scaled units;
+    its tables are the cached z-tables at (eta, n_basis) that a 2D basis of
+    that width shares.  The solve is the canonical orthogonalization of
+    ``solver._canonical_solve``: where the wells merge and the two well
+    ladders become redundant, the near-null overlap directions are dropped
+    and the levels come from the regular subspace.
     """
     params = PhysicalParams(hw0=hw0, a=a, b=b, gamma=gamma, m_ratio=m_ratio)
     scaled = scale(params)
-    spec = BasisSpec(eta=1.0 / math.sqrt(scaled.r_a), mu=1.0, L=1,
-                     N=n_basis)
+    if n_basis < 1:
+        raise ValueError("n_basis must be at least 1")
+    eta = 1.0 / math.sqrt(scaled.r_a)
 
-    table = basis_mod.z_element_table
-    h = z_hamiltonian(scaled, table("dz2", spec), table("quartic", spec),
-                      table("z", spec))
-    return _canonical_solve(h, table("1", spec))[:n_lowest]
+    def table(kind: str) -> np.ndarray:
+        return basis_mod.z_element_table(kind, eta, n_basis)
+
+    h = z_hamiltonian(scaled, table("dz2"), table("quartic"), table("z"))
+    return _canonical_solve(h, table("1"))[:n_lowest]
 
 
 def classify_regimes(a_values, gaps) -> CurveRegimes:
@@ -102,49 +106,27 @@ def classify_regimes(a_values, gaps) -> CurveRegimes:
     Midpoint slopes p = d(log g)/d(log a) sort into: floor (|p| below
     FLOOR_SLOPE, taken as a trailing run), algebraic (|p| up to
     ALGEBRAIC_SLOPE, leading run) and exponential (steeper than
-    ALGEBRAIC_SLOPE, longest run).  A curve with fewer than three points,
-    or with a gap that is not finite and positive (a failed point), has no
-    regimes.
+    ALGEBRAIC_SLOPE, the first longest run).  A curve with fewer than
+    three points, or with a gap that is not finite and positive (a failed
+    point), has no regimes.
     """
     a_values = np.asarray(a_values, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     if len(a_values) < 3 or not np.all(np.isfinite(gaps) & (gaps > 0)):
         return CurveRegimes(None, None, None)
-    p = np.diff(np.log(gaps)) / np.diff(np.log(a_values))
+    p = np.abs(np.diff(np.log(gaps)) / np.diff(np.log(a_values)))
+    labels = np.where(p <= FLOOR_SLOPE, 2,
+                      np.where(p <= ALGEBRAIC_SLOPE, 0, 1))
 
-    labels = np.where(np.abs(p) <= FLOOR_SLOPE, 2,
-                      np.where(np.abs(p) <= ALGEBRAIC_SLOPE, 0, 1))
-
-    def midpoints_to_range(i_lo, i_hi):
-        # midpoint i spans grid points (i, i+1)
-        return (int(i_lo), int(i_hi) + 1)
-
-    floor = None
-    tail = len(labels)
-    while tail > 0 and labels[tail - 1] == 2:
-        tail -= 1
-    if tail < len(labels):
-        floor = midpoints_to_range(tail, len(labels) - 1)
-
-    algebraic = None
-    head = 0
-    while head < tail and labels[head] == 0:
-        head += 1
-    if head > 0:
-        algebraic = midpoints_to_range(0, head - 1)
-
-    exponential = None
-    best_len = 0
-    run_start = None
-    for i in range(head, tail + 1):
-        inside = i < tail and labels[i] == 1
-        if inside and run_start is None:
-            run_start = i
-        elif not inside and run_start is not None:
-            if i - run_start > best_len:
-                best_len = i - run_start
-                exponential = midpoints_to_range(run_start, i - 1)
-            run_start = None
+    # runs of equal labels; midpoints lo..hi-1 span grid points lo..hi
+    runs, hi = [], 0
+    for label, run in itertools.groupby(labels.tolist()):
+        lo, hi = hi, hi + len(list(run))
+        runs.append((label, (lo, hi)))
+    floor = runs.pop()[1] if runs[-1][0] == 2 else None
+    algebraic = runs.pop(0)[1] if runs and runs[0][0] == 0 else None
+    exponential = max((span for label, span in runs if label == 1),
+                      key=lambda span: span[1] - span[0], default=None)
     return CurveRegimes(algebraic=algebraic, exponential=exponential,
                         floor=floor)
 

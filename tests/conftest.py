@@ -36,7 +36,7 @@ def z_element(kind: str, n: int, p: int, m: int, q: int,
     and columns are p-major: (0 if p = +1 else 1) * N + n."""
     row = (0 if p == +1 else 1) * spec.N + n
     col = (0 if q == +1 else 1) * spec.N + m
-    return float(basis.z_element_table(kind, spec)[row, col])
+    return float(basis.z_element_table(kind, spec.eta, spec.N)[row, col])
 
 
 def observables_of(physical: hq.PhysicalParams, spec: hq.BasisSpec,

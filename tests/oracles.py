@@ -34,7 +34,8 @@ Nothing here shares code with the implementation paths it checks:
 * ``fd_levels_1d``: dense finite-difference spectrum of the 1D quartic
   well on a uniform grid, Richardson-extrapolated.
 * ``fd_levels_2d``: sparse finite-difference spectrum of the full scaled
-  two-component (spin) Hamiltonian, Richardson-extrapolated.
+  two-component (spin) Hamiltonian, Richardson-extrapolated; real
+  symmetric in the even/odd y-grid basis of ``_parity_fold``.
 """
 
 from __future__ import annotations
@@ -115,11 +116,10 @@ def _single_well_block(kind: str, eta: float, c_bra: float, c_ket: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_z_element_table(kind: str, spec) -> np.ndarray:
+def reference_z_element_table(kind: str, eta: float, N: int) -> np.ndarray:
     """The 2N x 2N table of <psi_n^p| kind |psi_m^q>, p-major, as
     ``basis.z_element_table`` defines it, including its
     ``DegenerateBasisError`` messages."""
-    N, eta = spec.N, spec.eta
     ee = _single_well_block(kind, eta, +1.0, +1.0, N)
     eo = _single_well_block(kind, eta, +1.0, -1.0, N)
     oe = _single_well_block(kind, eta, -1.0, +1.0, N)
@@ -391,9 +391,37 @@ def fd_levels_1d(r_a: float, ab_ratio: float, gamma: float, k: int = 4,
     return (4.0 * fine - coarse) / 3.0
 
 
+def _parity_fold(n: int):
+    """Orthogonal Q (n x n, n odd) whose columns are the even grid vectors
+    (delta_y + delta_-y)/sqrt 2 and delta_0, then the odd ones
+    (delta_y - delta_-y)/sqrt 2, on a grid symmetric about y = 0; and the
+    signature J, +1 on the even and -1 on the odd columns."""
+    c = n // 2
+    pair = np.arange(c)
+    rows = np.concatenate([pair, pair[::-1] + c + 1, [c], pair,
+                           pair[::-1] + c + 1])
+    cols = np.concatenate([pair, pair, [c], pair + c + 1, pair + c + 1])
+    half = np.sqrt(0.5)
+    vals = np.concatenate([np.full(2 * c, half), [1.0], np.full(c, half),
+                           np.full(c, -half)])
+    fold = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    sign = scipy.sparse.diags(np.where(np.arange(n) <= c, 1.0, -1.0))
+    return fold, sign
+
+
 def _fd_levels_2d_once(scaled, nz: int, ny: int, z_span: float,
                        y_span: float, k: int) -> np.ndarray:
-    """Two-component finite-difference spectrum of the scaled Hamiltonian."""
+    """Two-component finite-difference spectrum of the scaled Hamiltonian.
+
+    The grid operator is complex only through -i r_c beta z'^2 d/dy'.
+    Reflecting y' with complex conjugation is an antiunitary symmetry of
+    it that squares to +1, so in the basis (delta_y + delta_-y)/sqrt 2,
+    i (delta_y - delta_-y)/sqrt 2 of the symmetric y-grid it is real
+    symmetric: with U = [E, i O] from ``_parity_fold``, each y-operator X
+    that commutes with the reflection is Q^T X Q, and the central
+    difference D, which anticommutes with it, gives U^H (-i D) U =
+    J Q^T D Q.
+    """
     z = np.linspace(-z_span, z_span, nz)
     y = np.linspace(-y_span, y_span, ny)
     hz = z[1] - z[0]
@@ -416,17 +444,19 @@ def _fd_levels_2d_once(scaled, nz: int, ny: int, z_span: float,
         v_z = v_z + (r_c * r_c * beta * beta / (2.0 * r_a)) * z ** 4
     diag_z = scipy.sparse.diags(v_z)
     z2 = scipy.sparse.diags(z * z)
-    y2 = scipy.sparse.diags(y * y)
+    fold, sign = _parity_fold(ny)
+    lap_y = fold.T @ lap(ny, hy) @ fold
+    y2 = fold.T @ scipy.sparse.diags(y * y) @ fold
+    idy = sign @ fold.T @ d1(ny, hy) @ fold       # -i d/dy'
 
     h_orb = (-0.5 * r_a) * (scipy.sparse.kron(lap(nz, hz), eye_y)
-                            + scipy.sparse.kron(eye_z, lap(ny, hy)))
+                            + scipy.sparse.kron(eye_z, lap_y))
     h_orb = h_orb + scipy.sparse.kron(diag_z, eye_y)
     if r_c > 0:
         h_orb = h_orb + (r_c * r_c / (8.0 * r_a)) \
             * scipy.sparse.kron(eye_z, y2)
         if beta > 0:
-            h_orb = h_orb - 1j * r_c * beta \
-                * scipy.sparse.kron(z2, d1(ny, hy))
+            h_orb = h_orb + r_c * beta * scipy.sparse.kron(z2, idy)
 
     sz = scipy.sparse.diags([1.0, -1.0])
     sx = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -81,15 +81,14 @@ def test_overlap_table_lower_triangle_is_the_parity_signed_upper(delta):
 @settings(max_examples=30, deadline=None)
 def test_z_element_table_matches_the_block_reference(kind, eta, N):
     # eta spans the quartic-gap surface, hw0 in 10-50 meV and a in 4-60 nm
-    spec = hq.BasisSpec(eta=eta, mu=0.7, L=1, N=N)
     try:
-        want = oracles.reference_z_element_table(kind, spec)
+        want = oracles.reference_z_element_table(kind, eta, N)
     except hq.DegenerateBasisError as err:
         with pytest.raises(hq.DegenerateBasisError) as got:
-            basis.z_element_table(kind, spec)
+            basis.z_element_table(kind, eta, N)
         assert str(got.value) == str(err)
         return
-    _assert_bitwise_equal(basis.z_element_table(kind, spec), want)
+    _assert_bitwise_equal(basis.z_element_table(kind, eta, N), want)
 
 
 def test_degenerate_basis_raises():
@@ -124,28 +123,26 @@ def test_parity_kills_odd_moment():
 
 
 def test_y_element_examples():
-    spec = hq.BasisSpec(eta=4.0, mu=0.7, L=8, N=2)
-    y2 = basis.y_element_table("y2", spec)
+    y2 = basis.y_element_table("y2", 0.7, 8)
     assert y2[0, 0] == pytest.approx(1.0 / (2.0 * 0.7 ** 2), rel=1e-14)
     # <chi_0|y'^2|chi_2> = i^2 <phi_0|y'^2|phi_2>
     assert y2[0, 2] == pytest.approx(-2 ** -0.5 / 0.7 ** 2, rel=1e-14)
-    idy = basis.y_element_table("-idy", spec)
+    idy = basis.y_element_table("-idy", 0.7, 8)
     assert idy[0, 0] == 0.0
     # <chi_0|-i d/dy'|chi_1> = -i i <phi_0|d/dy'|phi_1> = mu / sqrt(2)
     assert idy[0, 1] == idy[1, 0] == pytest.approx(0.7 * 2 ** -0.5,
                                                    rel=1e-14)
-    dy2 = basis.y_element_table("dy2", spec)
-    for k in range(spec.L):
+    dy2 = basis.y_element_table("dy2", 0.7, 8)
+    for k in range(8):
         assert -dy2[k, k] == pytest.approx(0.7 ** 2 * (k + 0.5), rel=1e-13)
 
 
 def test_unsupported_kind_rejected():
-    spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=2)
     for kind in ("z3", "dz", "zquartic"):
         with pytest.raises(ValueError):
-            basis.z_element_table(kind, spec)
+            basis.z_element_table(kind, 4.0, 2)
     with pytest.raises(ValueError):
-        basis.y_element_table("y", spec)
+        basis.y_element_table("y", 0.7, 2)
 
 
 def test_z_elements_match_quadrature_spot_checks():
@@ -181,29 +178,26 @@ def test_z_elements_match_quadrature_property(eta, n, m, p, q, kind):
 )
 @settings(max_examples=40, deadline=None)
 def test_y_elements_match_quadrature_property(mu, k, l, kind):
-    spec = hq.BasisSpec(eta=4.0, mu=mu, L=13, N=2)
-    got = float(basis.y_element_table(kind, spec)[k, l])
+    got = float(basis.y_element_table(kind, mu, 13)[k, l])
     want = oracles.quad_element_chi(kind, k, l, mu)
     assert got == pytest.approx(want, abs=ORACLE_TOL)
 
 
 def test_z_overlap_matrix_positive_definite_and_sparse():
-    spec = hq.BasisSpec(eta=4.0, mu=0.7, L=2, N=12)
-    table = basis.z_element_table("1", spec)
+    table = basis.z_element_table("1", 4.0, 12)
     eigs = np.linalg.eigvalsh(table)
     assert eigs[0] > 0.0
     # (n, p), (n, -p) entries vanish identically
-    for n in range(spec.N):
-        assert table[n, spec.N + n] == 0.0
+    for n in range(12):
+        assert table[n, 12 + n] == 0.0
 
 
 def test_table_symmetries_exact():
-    spec = hq.BasisSpec(eta=3.0, mu=0.9, L=6, N=8)
     for kind in basis.Z_KINDS:
-        table = basis.z_element_table(kind, spec)
+        table = basis.z_element_table(kind, 3.0, 8)
         np.testing.assert_array_equal(table, table.T)
     for kind in basis.Y_KINDS:
-        table = basis.y_element_table(kind, spec)
+        table = basis.y_element_table(kind, 0.9, 6)
         np.testing.assert_array_equal(table, table.T)
 
 

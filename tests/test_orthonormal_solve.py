@@ -149,8 +149,8 @@ def test_state_report_matches_dense_forms_at_working_point(fig4_problem,
 
 
 def _reduction(problem):
-    transform = solver._orthonormalizer(*problem.overlap_eigh,
-                                        solver.DROP_FRACTION_2D)
+    transform = solver._orthonormalizer(
+        *np.linalg.eigh(problem.z_tables["1"]), solver.DROP_FRACTION_2D)
     d, y, f = assembly.reduced_terms(problem, transform)
     return transform, d, y, f
 

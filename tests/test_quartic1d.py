@@ -66,6 +66,42 @@ def test_classify_regimes_synthetic_floor_and_power():
     assert regimes.floor[1] == len(a) - 1
 
 
+def _regimes_of_labels(labels: str) -> hq.quartic1d.CurveRegimes:
+    """Regimes of a curve whose midpoint slopes carry the given labels:
+    "a" algebraic (slope -1), "e" exponential (-3), "f" floor (0)."""
+    slope = {"a": -1.0, "e": -3.0, "f": 0.0}
+    a = np.exp(np.arange(len(labels) + 1.0))
+    gaps = np.exp(np.concatenate([[0.0],
+                                  np.cumsum([slope[c] for c in labels])]))
+    return hq.classify_regimes(a, gaps)
+
+
+@pytest.mark.parametrize("labels, want", [
+    # two equally long exponential runs: the first one wins
+    ("aeefeef", ((0, 1), (1, 3), (6, 7))),
+    ("eeaee", (None, (0, 2), None)),
+    # interior floor runs are not the floor
+    ("affeffea", ((0, 1), (3, 4), None)),
+    ("ffeeff", (None, (2, 4), (4, 6))),
+    # an all-floor curve is one floor and nothing else
+    ("ff", (None, None, (0, 2))),
+    ("ffffff", (None, None, (0, 6))),
+])
+def test_classify_regimes_runs(labels, want):
+    regimes = _regimes_of_labels(labels)
+    assert (regimes.algebraic, regimes.exponential, regimes.floor) == want
+
+
+def test_classify_regimes_needs_three_points():
+    assert hq.classify_regimes([10.0, 20.0], [1e-2, 1e-3]) == \
+        hq.quartic1d.CurveRegimes(None, None, None)
+
+
+def test_solve_1d_rejects_an_empty_basis():
+    with pytest.raises(ValueError, match="n_basis"):
+        hq.solve_1d(30.0, 30.0, n_basis=0)
+
+
 def test_gap_surface_monotone_until_floor():
     surface = hq.gap_surface([30.0], np.arange(14.0, 36.0, 1.0),
                              gamma=-1e-3, n_basis=22)
@@ -162,9 +198,8 @@ def _quartic_tables(hw0: float, a: float, n_basis: int):
     """Dense 1D Hamiltonian and overlap of ``solve_1d``, written out here
     independently of the program's assembly."""
     scaled = hq.scale(hq.PhysicalParams(hw0=hw0, a=a, gamma=-1e-3))
-    spec = hq.BasisSpec(eta=1.0 / np.sqrt(scaled.r_a), mu=1.0, L=1,
-                        N=n_basis)
-    t = {kind: basis.z_element_table(kind, spec)
+    eta = 1.0 / np.sqrt(scaled.r_a)
+    t = {kind: basis.z_element_table(kind, eta, n_basis)
          for kind in ("1", "dz2", "quartic", "z")}
     h = (-0.5 * scaled.r_a * t["dz2"]
          + scaled.ab_ratio / (8.0 * scaled.r_a) * t["quartic"]

@@ -26,7 +26,7 @@ def _table_problem(z_tables: dict, L: int = 2) -> hq.SpectralProblem:
     spec = small_spec(L=L, N=len(z_tables["1"]) // 2)
     return hq.SpectralProblem(
         z_tables=z_tables,
-        y_tables={k: basis.y_element_table(k, spec)
+        y_tables={k: basis.y_element_table(k, spec.mu, spec.L)
                   for k in basis.Y_KINDS},
         spec=spec, scaled=hq.scale(PHYS))
 
@@ -329,3 +329,27 @@ def test_stabilize_workers_agree_with_serial():
     serial = hq.stabilize(scaled, spec, "mu", grid, 6, workers=1)
     parallel = hq.stabilize(scaled, spec, "mu", grid, 6, workers=2)
     np.testing.assert_array_equal(serial.energies, parallel.energies)
+
+
+def _table_builds(run) -> tuple[int, int]:
+    """The z- and y-tables built (cache misses) by ``run()`` from empty
+    table caches."""
+    basis.z_element_table.cache_clear()
+    basis.y_element_table.cache_clear()
+    run()
+    return (basis.z_element_table.cache_info().misses,
+            basis.y_element_table.cache_info().misses)
+
+
+def test_a_width_sweep_builds_the_other_tables_once():
+    # a z-table reads only (eta, N) and a y-table only (mu, L), so a mu
+    # sweep reuses the z-tables and an eta sweep the y-tables
+    scaled = hq.scale(PHYS)
+    mu_grid = np.linspace(0.3, 1.2, 19)
+    builds = _table_builds(
+        lambda: hq.stabilize(scaled, FIG4_SPEC, "mu", mu_grid, 4))
+    assert builds == (len(basis.Z_KINDS), 19 * len(basis.Y_KINDS))
+    eta_grid = [3.0, 3.5, 4.0, 4.5]
+    builds = _table_builds(
+        lambda: hq.stabilize(scaled, small_spec(), "eta", eta_grid, 4))
+    assert builds == (4 * len(basis.Z_KINDS), len(basis.Y_KINDS))
