@@ -64,7 +64,9 @@ _PHYSICAL = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 MAX_GRID_POINTS = 100_000
 
 # largest variational basis a run may ask for: 4LN for the 2D tasks, 2N
-# for the 1D tasks; one dense real matrix of this size takes 512 MB
+# for the 1D tasks.  The largest arrays grow as its square: at this size
+# the 1D solve's dense H and S, and at L <= 2 the 2D band (as many entries
+# as a dense matrix of the reduced size), take 512 MB each
 MAX_BASIS_SIZE = 8000
 
 _GRID_OF = {"bSLa": "bsl_grid", "hw0": "hw0_list", "B0": "B0_list",

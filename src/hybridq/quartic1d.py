@@ -151,25 +151,6 @@ def gap_surface(hw0_values, a_values, gamma: float = -1e-3,
     return GapSurface(hw0_values=hw0_values, a_values=a_values, gaps=gaps)
 
 
-def _first_index_at_or_below(values: np.ndarray, target: float) -> int | None:
-    """Smallest index with values[i] <= target on a nonincreasing tabulation.
-
-    Bisection, then a backward sweep to be robust against flat-floor jitter.
-    """
-    lo, hi = 0, len(values) - 1
-    if values[hi] > target:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values[mid] <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    while hi > 0 and values[hi - 1] <= target:
-        hi -= 1
-    return hi
-
-
 def contour_fit(surface: GapSurface, target: float) -> ContourFit:
     """Extract the iso-gap contour and fit a = A hw0^exponent.
 
@@ -182,13 +163,12 @@ def contour_fit(surface: GapSurface, target: float) -> ContourFit:
     hw0_pts, a_pts, skipped = [], [], []
     for i, hw0 in enumerate(surface.hw0_values):
         row = surface.gaps[i]
-        idx = (_first_index_at_or_below(row, target)
-               if np.all(np.isfinite(row)) else None)
-        if idx is None:
+        hits = np.flatnonzero(row <= target)
+        if len(hits) == 0 or not np.all(np.isfinite(row)):
             skipped.append(float(hw0))
         else:
             hw0_pts.append(float(hw0))
-            a_pts.append(float(surface.a_values[idx]))
+            a_pts.append(float(surface.a_values[hits[0]]))
     if len(hw0_pts) < 2:
         raise ValueError(
             f"target gap {target:g} reachable for {len(hw0_pts)} hw0 value(s); "

@@ -16,9 +16,11 @@ the levels found below tau (Ericsson and Ruhe, Math. Comp. 35, 1251
 (1980); Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 228
 (1994)).  A failed count, or a Lanczos run that does not converge within
 its step cap, is retried once with one more level and twice the cap, then
-is an ``UncertifiedSpectrumError``.
-Small problems take LAPACK's ``eig_banded`` on the same band, and without
-the slanting field h separates into y and spin-resolved z factors.  The
+is an ``UncertifiedSpectrumError``.  Every band takes this path, whatever
+its size, unless ``n_lowest + 1`` reaches the size: the certificate needs a
+gap after the last wanted level, so Lanczos must find one level more, and
+only then does LAPACK's ``eig_banded`` solve the band.  Without the
+slanting field h separates into y and spin-resolved z factors.  The
 eigenvectors are mapped back to real S-orthonormal eigenvectors of the
 original basis with ascending eigenvalues; asking for more than the
 reduced basis holds is a ``ReducedBasisError``.  Both errors are
@@ -66,14 +68,6 @@ TIE_THRESHOLD = 1e-12
 # levels move by 7.7e-12 relative.
 DROP_FRACTION_1D = 1e-10
 DROP_FRACTION_2D = 1e-12
-
-# reduced sizes below which the banded 2D solve calls LAPACK's eig_banded
-# instead of shift-invert Lanczos.  Measured per solve at 8 and 32 levels
-# on one BLAS thread, the one ``solve`` runs on, 10 basis shapes: eig_banded
-# is up to 1.6x faster at 160, the two are within 1.3x either way at 192,
-# and Lanczos is 1.0-1.5x faster at 200, 0.95-1.7x at 224 and 1.1-1.9x at
-# 240 and 256.
-LANCZOS_MIN_SIZE = 200
 
 # the first Lanczos run for k levels stops after 2 k + LANCZOS_SLACK steps,
 # the retry after twice as many.  The k levels needed at most 2 k + 59
@@ -300,13 +294,14 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
                    f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest n eigenpairs of h = I_L (x) d + y (x) I_b + t (x) f, in the
     (k, s, j) order, by shift-invert Lanczos on its band, certified by an
-    inertia count; ``eig_banded`` below ``LANCZOS_MIN_SIZE``."""
+    inertia count.  ``eig_banded`` only when n + 1 reaches the size, where
+    no level above the n-th is left to open the certificate's gap."""
     ab = assembly.lower_band(d, y, t, f)
     size = ab.shape[1]
-    if n + 1 >= size or size < LANCZOS_MIN_SIZE:
+    if n + 1 >= size:
         return scipy.linalg.eig_banded(ab, lower=True, select="i",
                                        select_range=(0, n - 1))
-    sigma, factor = _shift(ab, d, y, t, f)
+    sigma, factor = _shift(ab, d, y, t, f, n)
     for extra in (1, 2):
         # the retry asks for one more level and twice the Lanczos steps
         k = min(n + extra, size - 1)
@@ -330,21 +325,30 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
         f"the last ({k} levels) {failure}")
 
 
-def _shift(ab: np.ndarray, d, y, t, f):
+def _shift(ab: np.ndarray, d, y, t, f, n: int):
     """A shift sigma below the spectrum of h, with the band Cholesky factor
-    of h - sigma I.
+    of h - sigma I, for the n lowest levels.
 
     E_0 lies between Weyl's lower bound over the three terms of h and the
     lowest eigenvalue of its first diagonal block, d + y_00 I (Cauchy
     interlacing).  The first try lies 1/16 of the way from the upper to the
     lower bound; each failed factorization lowers sigma four times as far,
     and the third try is the lower bound.  Success proves sigma < E_0.
-    Each try factors a fresh column-major copy of the band in place."""
+    Each try factors a fresh column-major copy of the band in place.
+
+    The bracket is floored at 1/16 of the spread of the lowest n + 1
+    eigenvalues of that block.  Where it closes, at L = 1 (h is the block)
+    or under a weak slanting field, sigma would sit at rounding distance
+    from E_0: the factorization still succeeds and the inertia count still
+    agrees, but the Lanczos levels lose accuracy as eps (E_k - sigma)^2 /
+    (E_0 - sigma), by up to 1e-3 relative at L = 1."""
     eig = scipy.linalg.eigvalsh
     t_ends, f_ends = eig(t)[[0, -1]], eig(f)[[0, -1]]
     lower = eig(d)[0] + eig(y)[0] + np.outer(t_ends, f_ends).min()
-    upper = eig(d + y[0, 0] * np.eye(len(d)))[0]
-    step = max(upper - lower, 1e-12 * max(1.0, abs(upper))) / 16
+    block = eig(d + y[0, 0] * np.eye(len(d)))
+    upper = block[0]
+    spread = block[min(n, len(block) - 1)] - upper
+    step = max(upper - lower, spread / 16) / 16
     for tries in range(4):
         sigma = upper - step * 4 ** tries
         shifted = ab.copy(order="F")

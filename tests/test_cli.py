@@ -525,7 +525,6 @@ def test_an_uncertified_spectrum_is_a_failed_point(tmp_path, monkeypatch,
         vals, vecs = real(factor, sigma, k + 1, max(ncv, 2 * k + 3))
         return np.delete(vals, 1), np.delete(vecs, 1, axis=1)
 
-    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
     monkeypatch.setattr(solver, "_lanczos", lanczos)
     cfg = _load(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
                 f"workers = {workers}\nout_dir = {tmp_path}\n")

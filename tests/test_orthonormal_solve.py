@@ -70,15 +70,19 @@ def test_fast_solve_matches_dense_reference(physics, L, N):
 
 # bases whose S_z falls below the 2D drop floor: eta = 4 with more z-levels
 # than the working point's N = 20, and merged wells, where the relative
-# error (measured 2.2e-11) reflects the 1e12 condition of the kept S_z
+# error (measured 2.2e-11) reflects the 1e12 condition of the kept S_z.
+# At L = 1 the shift's bracket closes (h is its first diagonal block); at
+# N = 80 a shift at rounding distance below E_0 cost 3.8e-4 relative
 REDUNDANT = [(4.0, 2, 24, 2, 1e-12), (4.0, 1, 28, 4, 1e-12),
-             (0.05, 2, 8, 6, 1e-10)]
+             (4.0, 1, 80, 41, 1e-12), (0.05, 2, 8, 6, 1e-10)]
 
 
 @pytest.mark.parametrize("eta, L, N, n_dropped, rtol", REDUNDANT,
-                         ids=["eta4-L2N24", "eta4-L1N28", "merged-wells"])
+                         ids=["eta4-L2N24", "eta4-L1N28", "eta4-L1N80",
+                              "merged-wells"])
 @pytest.mark.parametrize("physics",
-                         ["B0-zero", "no-gradient", "gradient-tilt-minus"])
+                         ["B0-zero", "no-gradient", "gradient-tilt-minus",
+                          "gradient-tilt-plus"])
 def test_redundant_basis_matches_kept_subspace_reference(physics, eta, L, N,
                                                          n_dropped, rtol):
     problem = hq.assemble(hq.scale(PHYSICS[physics]),
@@ -95,6 +99,53 @@ def test_redundant_basis_matches_kept_subspace_reference(physics, eta, L, N,
     C = sol.coefficients
     gram = C.T @ problem.S @ C
     assert np.max(np.abs(gram - np.eye(sol.n_states))) <= 1e-10
+
+
+@given(L=st.integers(1, 5), N=st.integers(1, 8),
+       bsl=st.floats(0.0, 2.0, exclude_min=True), gamma=st.sampled_from(
+           [-1e-3, 1e-3]))
+# h is its first diagonal block at L = 1: the shift's bracket closes there
+@example(L=1, N=8, bsl=1.5, gamma=-1e-3)
+# the working point's physics: 1.1e-3 relative off with the shift at
+# rounding distance from E_0
+@example(L=1, N=80, bsl=2.0, gamma=-1e-3)
+@settings(max_examples=25, deadline=None)
+def test_band_solve_matches_kept_subspace_reference_anywhere(L, N, bsl,
+                                                             gamma):
+    physics = dataclasses.replace(BASE, bSLa=bsl, gamma=gamma)
+    problem = hq.assemble(hq.scale(physics), small_spec(L=L, N=N))
+    reference = oracles.kept_subspace_energies(problem,
+                                               solver.DROP_FRACTION_2D)
+    n_lowest = min(8, len(reference) - 2)
+    sol = hq.solve(problem, n_lowest)
+    np.testing.assert_allclose(sol.energies, reference[:n_lowest],
+                               rtol=1e-12, atol=0)
+
+
+def test_every_size_takes_lanczos_until_no_level_is_left_above(
+        monkeypatch):
+    # reduced size 64: Lanczos needs one level beyond the n_lowest it
+    # certifies, so only the top two requests take eig_banded
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    reference = oracles.kept_subspace_energies(problem,
+                                               solver.DROP_FRACTION_2D)
+    size = len(reference)
+    assert size == 64
+    paths = []
+    for owner, name in ((solver, "_lanczos"), (scipy.linalg, "eig_banded")):
+        real = getattr(owner, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            paths.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    for n_lowest, path in ((6, "_lanczos"), (size - 2, "_lanczos"),
+                           (size - 1, "eig_banded"), (size, "eig_banded")):
+        paths.clear()
+        sol = hq.solve(problem, n_lowest)
+        assert paths == [path]
+        np.testing.assert_allclose(sol.energies, reference[:n_lowest],
+                                   rtol=1e-12, atol=0)
 
 
 def test_solve_and_observables_leave_dense_matrices_unbuilt():
@@ -329,7 +380,6 @@ def _drop_level_one(real, calls):
 
 
 def test_a_lost_level_is_retried_then_an_error(monkeypatch):
-    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
     problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
     calls = []
     monkeypatch.setattr(solver, "_lanczos",
@@ -343,7 +393,6 @@ def test_a_lost_level_is_retried_then_an_error(monkeypatch):
 
 
 def test_the_retry_recovers_a_lost_level(monkeypatch):
-    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
     problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
     reference = hq.solve(problem, 6).energies
     real, calls = solver._lanczos, []
@@ -357,13 +406,13 @@ def test_the_retry_recovers_a_lost_level(monkeypatch):
     np.testing.assert_allclose(sol.energies, reference, rtol=1e-12, atol=0)
 
 
-def _shifted_band(problem):
+def _shifted_band(problem, n):
     """The lower band of h, and the shift and band Cholesky factor of
-    h - sigma I that ``solver._banded_lowest`` takes."""
+    h - sigma I that ``solver._banded_lowest`` takes for n levels."""
     _, d, y, f = _reduction(problem)
     t = problem.y_tables["-idy"]
     ab = assembly.lower_band(d, y, t, f)
-    return (ab, *solver._shift(ab, d, y, t, f))
+    return (ab, *solver._shift(ab, d, y, t, f, n))
 
 
 def test_the_band_reaches_dpbtrf_column_major_and_is_factored_in_place(
@@ -391,7 +440,8 @@ def test_the_band_reaches_dpbtrf_column_major_and_is_factored_in_place(
 def test_lanczos_matches_eig_banded(request, band, k, cap):
     problem = (request.getfixturevalue("fig4_problem") if band == "fig4"
                else hq.assemble(hq.scale(BASE), small_spec(L=4, N=4)))
-    ab, sigma, factor = _shifted_band(problem)
+    # Lanczos runs for one level more than the solve asks for
+    ab, sigma, factor = _shifted_band(problem, k - 1)
     size = ab.shape[1]
     vals, vecs = solver._lanczos(
         factor, sigma, k, cap or min(size, 2 * k + solver.LANCZOS_SLACK))
@@ -407,7 +457,7 @@ def test_lanczos_matches_eig_banded(request, band, k, cap):
 
 def test_a_short_lanczos_cap_fails_both_tries(monkeypatch, fig4_problem):
     # 9 levels at the working point need more than 40 Lanczos steps
-    ab, sigma, factor = _shifted_band(fig4_problem)
+    ab, sigma, factor = _shifted_band(fig4_problem, 8)
     assert solver._lanczos(factor, sigma, 9, 40) is None
     monkeypatch.setattr(solver, "LANCZOS_SLACK", 0)
     real, calls = solver._lanczos, []
@@ -506,7 +556,6 @@ def test_solve_restores_the_blas_thread_counts(monkeypatch, blas_threads):
     with pytest.raises(hq.ReducedBasisError):
         hq.solve(problem, 0)
     assert blas_threads() == [PROBE_THREADS] * 2
-    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
     monkeypatch.setattr(solver, "_lanczos",
                         _drop_level_one(solver._lanczos, []))
     with pytest.raises(hq.UncertifiedSpectrumError):
@@ -546,7 +595,6 @@ def test_concurrent_solves_restore_the_blas_thread_counts(monkeypatch,
 
 def test_solve_without_thread_functions_leaves_the_counts(monkeypatch,
                                                           blas_threads):
-    monkeypatch.setattr(solver, "LANCZOS_MIN_SIZE", 1)
     problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
     reference = hq.solve(problem, 6).energies
     monkeypatch.setattr(solver, "_OPENBLAS", (

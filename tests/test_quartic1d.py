@@ -181,6 +181,18 @@ def test_contour_fit_skips_a_row_with_a_failed_point():
     assert surface.regimes[1] == hq.quartic1d.CurveRegimes(None, None, None)
 
 
+def test_contour_fit_takes_the_first_a_at_or_below_the_target():
+    # the first row rises again after its first hit, as rows on the
+    # 2|gamma| floor do: the contour point is that first hit, index 1
+    surface = hq.GapSurface(
+        hw0_values=np.array([10.0, 20.0]),
+        a_values=np.array([10.0, 20.0, 30.0, 40.0, 50.0]),
+        gaps=np.array([[10.0, 1.9, 2.1, 1.9, 1.8],
+                       [10.0, 5.0, 3.0, 2.0, 1.0]]))
+    fit = hq.contour_fit(surface, 2.0)
+    assert list(fit.a_values) == [20.0, 40.0]
+
+
 def test_classify_regimes_rejects_a_curve_with_a_failed_point():
     a = np.linspace(10.0, 40.0, 31)
     gaps = np.exp(-0.5 * a)
