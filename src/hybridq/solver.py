@@ -14,16 +14,21 @@ certified by Sylvester's law of inertia: a block LDL^T of h - tau I, one
 k at a time and straight from the Kronecker factors, must count exactly
 the levels found below tau (Ericsson and Ruhe, Math. Comp. 35, 1251
 (1980); Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15, 228
-(1994)).  A failed count, or a Lanczos run that does not converge within
-its step cap, is retried once with one more level and twice the cap, then
-is an ``UncertifiedSpectrumError``.  Every band takes this path, whatever
-its size, unless ``n_lowest + 1`` reaches the size: the certificate needs a
-gap after the last wanted level, so Lanczos must find one level more, and
-only then does LAPACK's ``eig_banded`` solve the band.  Without the
-slanting field h separates into y and spin-resolved z factors.  The
-eigenvectors are mapped back to real S-orthonormal eigenvectors of the
-original basis with ascending eigenvalues; asking for more than the
-reduced basis holds is a ``ReducedBasisError``.  Both errors are
+(1994)).  Each Lanczos step takes the local three-term recurrence and one
+full Gram-Schmidt pass, and a second pass only where the DGKS test asks
+for it (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 772 (1976)).
+The requested levels converge to ARPACK's tol = 0 rule; the one or two
+found above them only place tau, which the count then checks, and stop at
+a residual of sqrt(eps).  A failed count, or a Lanczos run that does not
+converge within its step cap, is retried once with one more level and
+twice the cap, then is an ``UncertifiedSpectrumError``.  Every band takes
+this path, whatever its size, unless ``n_lowest + 1`` reaches the size:
+the certificate needs a gap after the last wanted level, so Lanczos must
+find one level more, and only then does LAPACK's ``eig_banded`` solve the
+band.  Without the slanting field h separates into y and spin-resolved z
+factors.  The eigenvectors are mapped back to real S-orthonormal
+eigenvectors of the original basis with ascending eigenvalues; asking for
+more than the reduced basis holds is a ``ReducedBasisError``.  Both errors are
 ``POINT_ERRORS``.  The band work is many small BLAS calls, which run
 faster on one thread than on two, so ``solve`` sets numpy's and scipy's
 OpenBLAS to one thread while it runs and restores the caller's counts on
@@ -46,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsymm
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dsytrf, dsytri
+from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dsymm
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstevd, dsytrf, dsytri
 
 from . import assembly
 from .assembly import SpectralProblem
@@ -70,17 +75,30 @@ DROP_FRACTION_1D = 1e-10
 DROP_FRACTION_2D = 1e-12
 
 # the first Lanczos run for k levels stops after 2 k + LANCZOS_SLACK steps,
-# the retry after twice as many.  The k levels needed at most 2 k + 59
-# steps (k = 2, 5, 9, 17, 33, 41; the bSLa, mu, hw0 and B0 ranges of the
-# shipped configs at L = N = 20, and L = N = 8, 10, 14)
+# the retry after twice as many.  The k levels, k - 1 of them to eps and
+# the last to EXTRA_LEVEL_TOLERANCE, needed at most 2 k + 57 steps (k = 2,
+# 5, 9, 17, 33, 41; the bSLa, mu, hw0 and B0 ranges of the shipped configs
+# at L = N = 20, and L = N = 8, 10, 14)
 LANCZOS_SLACK = 80
 
-# a Lanczos convergence check (eigh_tridiagonal) costs one to two steps.
-# Once the wanted pairs converge, their worst residual ratio falls 0.55-0.6
-# decades per step (measured at the working point and at bSLa = 0.3 T, 9
-# and 33 levels), so the next check comes this many steps per decade left
-# after the last one
+# a Lanczos convergence check (dstevd) costs under one step at 9 levels
+# and about two at 33.  Once the wanted pairs converge, their worst
+# residual ratio falls 0.55-0.69 decades per step (measured at the working
+# point and at bSLa = 0.3 T, 9 and 33 levels), so the next check comes
+# this many steps per decade left after the last one
 LANCZOS_STEPS_PER_DECADE = 2
+
+# a Lanczos step repeats its Gram-Schmidt pass only when the first pass
+# leaves less than this fraction of the norm it found: then rounding in the
+# pass may leave components along the earlier vectors as large as what is
+# left, and one more pass removes them (Daniel, Gragg, Kaufman and Stewart,
+# Math. Comp. 30, 772 (1976))
+DGKS = 1 / math.sqrt(2)
+
+# the levels a Lanczos run finds beyond the n requested only place the
+# certificate's tau, and the inertia count checks that placement, so they
+# stop at this residual ratio rather than at eps
+EXTRA_LEVEL_TOLERANCE = math.sqrt(np.finfo(float).eps)
 
 # relative variation within which ``stabilize`` counts a level as flat
 PLATEAU_TOLERANCE = 1e-4
@@ -296,17 +314,17 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
     (k, s, j) order, by shift-invert Lanczos on its band, certified by an
     inertia count.  ``eig_banded`` only when n + 1 reaches the size, where
     no level above the n-th is left to open the certificate's gap."""
-    ab = assembly.lower_band(d, y, t, f)
-    size = ab.shape[1]
+    size = len(y) * len(d)
     if n + 1 >= size:
-        return scipy.linalg.eig_banded(ab, lower=True, select="i",
+        return scipy.linalg.eig_banded(assembly.lower_band(d, y, t, f),
+                                       lower=True, select="i",
                                        select_range=(0, n - 1))
-    sigma, factor = _shift(ab, d, y, t, f, n)
+    sigma, factor = _shift(d, y, t, f, n)
     for extra in (1, 2):
         # the retry asks for one more level and twice the Lanczos steps
         k = min(n + extra, size - 1)
         ncv = min(size, extra * (2 * k + LANCZOS_SLACK))
-        found = _lanczos(factor, sigma, k, ncv)
+        found = _lanczos(factor, sigma, n, k, ncv)
         if found is None:
             failure = f"did not converge within {ncv} steps"
             continue
@@ -325,7 +343,7 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
         f"the last ({k} levels) {failure}")
 
 
-def _shift(ab: np.ndarray, d, y, t, f, n: int):
+def _shift(d, y, t, f, n: int):
     """A shift sigma below the spectrum of h, with the band Cholesky factor
     of h - sigma I, for the n lowest levels.
 
@@ -334,7 +352,9 @@ def _shift(ab: np.ndarray, d, y, t, f, n: int):
     interlacing).  The first try lies 1/16 of the way from the upper to the
     lower bound; each failed factorization lowers sigma four times as far,
     and the third try is the lower bound.  Success proves sigma < E_0.
-    Each try factors a fresh column-major copy of the band in place.
+    Each try writes the band afresh (``assembly.lower_band``) and factors
+    it in place.  The spectrum of the block is that of d shifted by y_00,
+    and f = I_spin (x) f_s has the spectrum of its first spin block f_s.
 
     The bracket is floored at 1/16 of the spread of the lowest n + 1
     eigenvalues of that block.  Where it closes, at L = 1 (h is the block)
@@ -342,37 +362,46 @@ def _shift(ab: np.ndarray, d, y, t, f, n: int):
     from E_0: the factorization still succeeds and the inertia count still
     agrees, but the Lanczos levels lose accuracy as eps (E_k - sigma)^2 /
     (E_0 - sigma), by up to 1e-3 relative at L = 1."""
-    eig = scipy.linalg.eigvalsh
-    t_ends, f_ends = eig(t)[[0, -1]], eig(f)[[0, -1]]
-    lower = eig(d)[0] + eig(y)[0] + np.outer(t_ends, f_ends).min()
-    block = eig(d + y[0, 0] * np.eye(len(d)))
+    eig = np.linalg.eigvalsh
+    r = len(f) // 2
+    d_vals = eig(d)
+    t_ends, f_ends = eig(t)[[0, -1]], eig(f[:r, :r])[[0, -1]]
+    lower = d_vals[0] + eig(y)[0] + np.outer(t_ends, f_ends).min()
+    block = d_vals + y[0, 0]
     upper = block[0]
     spread = block[min(n, len(block) - 1)] - upper
     step = max(upper - lower, spread / 16) / 16
     for tries in range(4):
         sigma = upper - step * 4 ** tries
-        shifted = ab.copy(order="F")
-        shifted[0] -= sigma
-        factor, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
+        band = assembly.lower_band(d, y, t, f)
+        band[0] -= sigma
+        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info == 0:
             return sigma, factor
     raise UncertifiedSpectrumError(
         f"h - sigma I is not positive definite down to sigma = {sigma:.6g}")
 
 
-def _lanczos(factor: np.ndarray, sigma: float, k: int, ncv: int):
+def _lanczos(factor: np.ndarray, sigma: float, n: int, k: int, ncv: int):
     """The k lowest eigenpairs of h, ascending, by symmetric Lanczos on
     (h - sigma I)^-1, applied through its band Cholesky ``factor``; None
     if they have not converged within ``ncv`` steps.
 
-    Each new vector is orthogonalized against all earlier ones by two
-    classical Gram-Schmidt passes, with no restarts.  Ritz pair i of the
-    m-step tridiagonal matrix, (theta_i, s_i), has the residual norm
-    |beta_m s_{m,i}|; the run stops when that is at most eps |theta_i| for
-    all k wanted pairs, ARPACK's tol = 0 rule.  A breakdown, beta_m zero to
-    working precision (at most eps times the norm of the new vector before
-    orthogonalization), leaves an invariant Krylov space, whose Ritz pairs
-    are exact; there the run stops, short of k pairs or not.
+    Each step first takes the local three-term recurrence, w -= beta_(m-1)
+    v_(m-1) and w -= alpha_m v_m, then orthogonalizes w against all earlier
+    vectors by one classical Gram-Schmidt pass, with no restarts.  A second
+    pass runs only when the first leaves less than ``DGKS`` of the norm
+    that the local step left.  Ritz pair i of the m-step tridiagonal
+    matrix, (theta_i, s_i), has the residual norm |beta_m s_(m,i)|; the
+    run stops when that is at most eps |theta_i| for the n lowest levels,
+    ARPACK's tol = 0 rule, and at most ``EXTRA_LEVEL_TOLERANCE`` |theta_i|
+    for the k - n levels above them, which only place the certificate's
+    tau.  Each check calls LAPACK's dstevd on the tridiagonal matrix
+    directly; one that fails (nonzero info) fails the run.  A breakdown,
+    beta_m zero to working precision (at most eps times the norm of the
+    new vector before orthogonalization), leaves an invariant Krylov
+    space, whose Ritz pairs are exact; there the run stops, short of k
+    pairs or not.
     """
     size = factor.shape[1]
     V = np.empty((ncv + 1, size))
@@ -381,26 +410,40 @@ def _lanczos(factor: np.ndarray, sigma: float, k: int, ncv: int):
     V[0] = start / dnrm2(start)
     check = k
     eps = np.finfo(float).eps
+    # the residual bound of each wanted pair, theta ascending
+    tolerance = np.full(k, eps)
+    tolerance[:k - n] = EXTRA_LEVEL_TOLERANCE
     for m in range(ncv):
         w = dpbtrs(factor, V[m], lower=1)[0]
         w_norm = dnrm2(w)
+        if m:
+            w = daxpy(V[m - 1], w, a=-beta[m - 1])
+        alpha[m] = ddot(V[m], w)
+        w = daxpy(V[m], w, a=-alpha[m])
+        beta[m] = dnrm2(w)
         # scipy's dgemv keeps the loop in the OpenBLAS of dpbtrs, as in
         # _count_below; it takes the earlier vectors in Fortran order
         earlier = V[:m + 1].T
-        alpha[m] = 0.0
         for _ in range(2):
+            kept = beta[m]
             c = dgemv(1.0, earlier, w, trans=1)
             w = dgemv(-1.0, earlier, c, 1.0, w, overwrite_y=1)
             alpha[m] += c[m]
-        beta[m] = dnrm2(w)
+            beta[m] = dnrm2(w)
+            if beta[m] >= DGKS * kept:
+                break
         steps = m + 1
         breakdown = beta[m] <= eps * w_norm
         if breakdown or steps in (check, ncv):
             if steps < k:
                 return None
-            theta, s = scipy.linalg.eigh_tridiagonal(alpha[:steps], beta[:m])
+            # dstevd takes one off-diagonal entry even at one step
+            theta, s, info = dstevd(alpha[:steps], beta[:m or 1])
+            if info:
+                return None
             theta, s = theta[-k:], s[:, -k:]
-            ratio = np.max(np.abs(beta[m] * s[-1]) / (eps * np.abs(theta)))
+            ratio = np.max(np.abs(beta[m] * s[-1])
+                           / (tolerance * np.abs(theta)))
             if breakdown or ratio <= 1:
                 return (sigma + 1.0 / theta[::-1],
                         (V[:steps].T @ s)[:, ::-1])

@@ -521,8 +521,9 @@ def test_an_uncertified_spectrum_is_a_failed_point(tmp_path, monkeypatch,
     # a Lanczos run that loses a level fails the inertia count twice
     real = solver._lanczos
 
-    def lanczos(factor, sigma, k, ncv):
-        vals, vecs = real(factor, sigma, k + 1, max(ncv, 2 * k + 3))
+    def lanczos(*args):
+        *head, k, ncv = args
+        vals, vecs = real(*head, k + 1, max(ncv, 2 * k + 3))
         return np.delete(vals, 1), np.delete(vecs, 1, axis=1)
 
     monkeypatch.setattr(solver, "_lanczos", lanczos)

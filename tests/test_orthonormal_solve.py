@@ -8,7 +8,9 @@ checked against the dense pencil on the same kept subspace.  The band
 storage and the inertia count are checked against the dense reduced
 Hamiltonian of ``oracles``, ``solver._lanczos`` against ``eig_banded`` on
 the same band, and the Lanczos path at the working point against its
-``eigh``; a Lanczos run that loses a level must not pass.
+``eigh``; a Lanczos run that loses a level, or one that never
+reorthogonalizes, must not pass.  The shift must lie below the oracle's
+lowest level.
 ``solve`` runs on one BLAS thread: it must give the default thread count's
 result and leave the caller's counts as they were.
 """
@@ -371,9 +373,10 @@ def test_band_solve_matches_dense_reference_at_working_point(
 
 def _drop_level_one(real, calls):
     """A ``solver._lanczos`` that loses the second level."""
-    def lanczos(factor, sigma, k, ncv):
+    def lanczos(*args):
+        *head, k, ncv = args
         calls.append(k)
-        vals, vecs = real(factor, sigma, k + 1, max(ncv, 2 * k + 3))
+        vals, vecs = real(*head, k + 1, max(ncv, 2 * k + 3))
         keep = np.arange(k + 1) != 1
         return vals[keep], vecs[:, keep]
     return lanczos
@@ -408,11 +411,11 @@ def test_the_retry_recovers_a_lost_level(monkeypatch):
 
 def _shifted_band(problem, n):
     """The lower band of h, and the shift and band Cholesky factor of
-    h - sigma I that ``solver._banded_lowest`` takes for n levels."""
+    h - sigma I that ``solver._banded_lowest`` takes for n levels; the
+    shift factors a band of its own."""
     _, d, y, f = _reduction(problem)
     t = problem.y_tables["-idy"]
-    ab = assembly.lower_band(d, y, t, f)
-    return (ab, *solver._shift(ab, d, y, t, f, n))
+    return (assembly.lower_band(d, y, t, f), *solver._shift(d, y, t, f, n))
 
 
 def test_the_band_reaches_dpbtrf_column_major_and_is_factored_in_place(
@@ -430,41 +433,52 @@ def test_the_band_reaches_dpbtrf_column_major_and_is_factored_in_place(
     assert calls == [(True, 1, True)]
 
 
-@pytest.mark.parametrize("band, k, cap", [
-    ("fig4", 9, None), ("fig4", 33, None), ("fig4", 41, None),
-    ("L4N4", 7, None), ("L4N4", 33, None),
+@pytest.mark.parametrize("band, n, k, cap", [
+    ("fig4", 9, 9, None), ("fig4", 33, 33, None), ("fig4", 41, 41, None),
+    ("L4N4", 7, 7, None), ("L4N4", 33, 33, None),
     # 2 levels converge within 20 steps, but the first check, at step 2,
     # schedules the next one after step 30: the cap itself is checked
-    ("L4N4", 2, 20)],
-    ids=["fig4-9", "fig4-33", "fig4-41", "L4N4-7", "L4N4-33", "L4N4-2-cap"])
-def test_lanczos_matches_eig_banded(request, band, k, cap):
+    ("L4N4", 2, 2, 20),
+    # as in a solve: n levels to eps, and one more that only places tau
+    ("fig4", 8, 9, None), ("fig4", 32, 33, None), ("L4N4", 6, 7, None)],
+    ids=["fig4-9", "fig4-33", "fig4-41", "L4N4-7", "L4N4-33", "L4N4-2-cap",
+         "fig4-8-of-9", "fig4-32-of-33", "L4N4-6-of-7"])
+def test_lanczos_matches_eig_banded(request, band, n, k, cap):
     problem = (request.getfixturevalue("fig4_problem") if band == "fig4"
                else hq.assemble(hq.scale(BASE), small_spec(L=4, N=4)))
     # Lanczos runs for one level more than the solve asks for
     ab, sigma, factor = _shifted_band(problem, k - 1)
     size = ab.shape[1]
     vals, vecs = solver._lanczos(
-        factor, sigma, k, cap or min(size, 2 * k + solver.LANCZOS_SLACK))
+        factor, sigma, n, k, cap or min(size, 2 * k + solver.LANCZOS_SLACK))
     reference = scipy.linalg.eig_banded(ab, lower=True, select="i",
                                         select_range=(0, k - 1),
                                         eigvals_only=True)
-    np.testing.assert_allclose(vals, reference, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(vals[:n], reference[:n], rtol=1e-12, atol=0)
     assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-12
     residual = [np.linalg.norm(dsbmv(len(ab) - 1, 1.0, ab, v, lower=1)
-                               - e * v) for e, v in zip(vals, vecs.T)]
+                               - e * v) for e, v in zip(vals[:n], vecs.T)]
     assert max(residual) <= 1e-10 * np.abs(vals).max()
+    if n < k:
+        # a Ritz value lies within its residual of an eigenvalue: in
+        # theta = 1/(E - sigma), EXTRA_LEVEL_TOLERANCE relative
+        extra = np.abs(vals[n:] - reference[n:]) / (reference[n:] - sigma)
+        assert extra.max() <= 2 * solver.EXTRA_LEVEL_TOLERANCE
+        tau = 0.5 * (vals[n - 1] + vals[n])
+        assert reference[n - 1] < tau < reference[n]
 
 
 def test_a_short_lanczos_cap_fails_both_tries(monkeypatch, fig4_problem):
-    # 9 levels at the working point need more than 40 Lanczos steps
+    # the 9 levels of an 8-level solve at the working point need more
+    # than 40 Lanczos steps
     ab, sigma, factor = _shifted_band(fig4_problem, 8)
-    assert solver._lanczos(factor, sigma, 9, 40) is None
+    assert solver._lanczos(factor, sigma, 8, 9, 40) is None
     monkeypatch.setattr(solver, "LANCZOS_SLACK", 0)
     real, calls = solver._lanczos, []
 
-    def counted(factor, sigma, k, ncv):
-        found = real(factor, sigma, k, ncv)
-        calls.append((k, ncv, found is None))
+    def counted(*args):
+        found = real(*args)
+        calls.append((*args[-2:], found is None))
         return found
     monkeypatch.setattr(solver, "_lanczos", counted)
     with pytest.raises(hq.UncertifiedSpectrumError,
@@ -475,18 +489,100 @@ def test_a_short_lanczos_cap_fails_both_tries(monkeypatch, fig4_problem):
     assert calls == [(9, 18, True), (10, 40, True)]
 
 
-def test_a_lanczos_breakdown_returns_the_invariant_space():
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named ``solver`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(solver, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+def test_a_lanczos_breakdown_returns_the_invariant_space(monkeypatch):
     # h - sigma I = 5 I: the start vector spans an invariant space, and
     # after the first step beta is rounding noise, not an exact zero
     factor = np.full((1, 4), np.sqrt(5.0))
-    vals, vecs = solver._lanczos(factor, 1.0, 1, 4)
+    vals, vecs = solver._lanczos(factor, 1.0, 1, 1, 4)
     np.testing.assert_allclose(vals, [6.0], rtol=1e-15, atol=0)
     start = np.random.default_rng(0).standard_normal(4)
     np.testing.assert_allclose(np.abs(vecs[:, 0]),
                                np.abs(start) / np.linalg.norm(start),
                                rtol=1e-15, atol=0)
     # it holds fewer levels than asked for
-    assert solver._lanczos(factor, 1.0, 2, 4) is None
+    assert solver._lanczos(factor, 1.0, 2, 2, 4) is None
+
+    # three distinct values, each three times: the Krylov space closes
+    # after three steps, and the Gram-Schmidt pass at the breakdown keeps
+    # less than DGKS of the rounding noise, so it runs twice
+    calls = _count_calls(monkeypatch, "dgemv", "dpbtrs")
+    factor = np.sqrt(np.tile([1.0, 2.0, 4.0], 3))[None, :]
+    vals, vecs = solver._lanczos(factor, 1.0, 3, 3, 9)
+    np.testing.assert_allclose(vals, [2.0, 3.0, 5.0], rtol=1e-14, atol=0)
+    assert calls["dpbtrs"] == 3
+    assert calls["dgemv"] > 2 * calls["dpbtrs"]
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-12
+    assert solver._lanczos(factor, 1.0, 4, 4, 9) is None
+
+
+@pytest.mark.parametrize("n_lowest", [8, 32])
+def test_one_gram_schmidt_pass_per_step_at_the_working_point(
+        monkeypatch, fig4_problem, n_lowest):
+    # after the local three-term step the DGKS test never asks for a
+    # second pass here: two dgemv calls per dpbtrs
+    calls = _count_calls(monkeypatch, "dgemv", "dpbtrs")
+    hq.solve(fig4_problem, n_lowest)
+    assert calls["dgemv"] == 2 * calls["dpbtrs"]
+
+
+def test_a_failed_convergence_check_fails_the_lanczos_run(monkeypatch,
+                                                          fig4_problem):
+    ab, sigma, factor = _shifted_band(fig4_problem, 8)
+    real = solver.dstevd
+
+    def failing(*args):
+        theta, s, _ = real(*args)
+        return theta, s, 1
+    monkeypatch.setattr(solver, "dstevd", failing)
+    assert solver._lanczos(factor, sigma, 8, 9, 200) is None
+
+
+def test_lanczos_without_reorthogonalization_is_never_certified(
+        monkeypatch, fig4_problem):
+    # a mutation that drops the Gram-Schmidt projection altogether: ghost
+    # copies of a level stall convergence or fail the inertia count
+    def no_projection(alpha, a, x, beta=0.0, y=None, **kwargs):
+        return np.zeros(a.shape[1]) if y is None else y
+    monkeypatch.setattr(solver, "dgemv", no_projection)
+    for n_lowest in (8, 32):
+        with pytest.raises(hq.UncertifiedSpectrumError):
+            hq.solve(fig4_problem, n_lowest)
+
+
+@pytest.mark.parametrize("physics, L, N, n", [
+    ("fig4", 20, 20, 8), ("fig4", 20, 20, 32), ("fig4", 1, 80, 8),
+    ("base", 1, 80, 8)], ids=["fig4-8", "fig4-32", "fig4-L1N80",
+                              "base-L1N80"])
+def test_the_shift_lies_below_the_lowest_level(physics, L, N, n):
+    problem = hq.assemble(
+        hq.scale(FIG4_PHYSICAL if physics == "fig4" else BASE),
+        small_spec(L=L, N=N))
+    _, d, y, f = _reduction(problem)
+    t = problem.y_tables["-idy"]
+    sigma, factor = solver._shift(d, y, t, f, n)
+    reference = oracles.kept_subspace_energies(problem,
+                                               solver.DROP_FRACTION_2D)
+    assert sigma < reference[0]
+    # the bracket's floor: 1/256 of the spread of the first diagonal
+    # block's lowest n + 1 levels; at L = 1 the bracket itself closes
+    block = scipy.linalg.eigvalsh(d + y[0, 0] * np.eye(len(d)))
+    floor = (block[n] - block[0]) / 256
+    if L == 1:
+        np.testing.assert_allclose(block[0] - sigma, floor, rtol=1e-9)
+    assert block[0] - sigma >= floor * (1 - 1e-9)
 
 
 # the thread-count functions of numpy's and scipy's OpenBLAS, looked up here
