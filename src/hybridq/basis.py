@@ -27,9 +27,10 @@ y-table) is their ``np.kron`` product.
 All 1D integrals are evaluated in closed form.  Operators (powers of the
 coordinate, derivatives, the quartic well shape) are band matrices in the
 ladder-operator representation of the ket's own oscillator basis; displaced
-bra/ket pairs are coupled through the displaced-oscillator overlap table,
-which obeys a stable two-term recurrence.  No quadrature is used anywhere in
-this module.
+bra/ket pairs are coupled through the displaced-oscillator overlap table.
+Its two-term recurrence cancels catastrophically in floating point, so it
+runs in exact integer arithmetic, and each entry is rounded once.  No
+quadrature is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ Y_KINDS = ("1", "y2", "-idy", "dy2")
 # matrix products need a little extra headroom so truncation never touches
 # kept rows.
 _PAD = 8
+# Half-bandwidth of each z operator in its oscillator ladder.
+_Z_BAND = {"1": 0, "z": 1, "z2": 2, "z4": 4, "quartic": 4, "dz2": 2}
+_BAND = max(_Z_BAND.values())
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,10 @@ def _norm_roots(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, roots))
 
 
-@lru_cache(maxsize=64)
-def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
-    """Overlaps X[n, m] = <u_n(w), u_m(w + delta)> of displaced oscillators,
-    exact up to one final rounding; cached, so the array is read-only.
+def _displaced_overlap(delta: float, rows: int, cols: int) -> np.ndarray:
+    """Overlaps X[n, m] = <u_n(w), u_m(w + delta)> of displaced oscillators
+    for n < rows <= cols and m < cols, exact up to one final rounding; the
+    array is read-only.
 
     Writing X[n, m] = exp(-delta^2/4) Q[n, m] / sqrt(2^(n+m) n! m!), the
     ladder recurrences reduce to the division-free form
@@ -129,62 +133,150 @@ def _displaced_overlap_cached(delta: float, size: int) -> np.ndarray:
 
     Each entry is then one correctly rounded integer division,
     P 2^53 / (R[n][m] 2^(s(n+m))), with R from ``_norm_roots``, times the
-    float exp(-delta^2/4).  Q(-delta) is the transpose of Q(delta) and R is
-    symmetric, so a negative delta returns the transposed view of the
-    |delta| table: X(-delta) = X(delta).T holds bit for bit.  As Q[n, m]
-    has the parity n + m in delta, Q[m, n] = (-1)^(n+m) Q[n, m], so only
-    the upper triangle m >= n is computed (row n + 1 reads row n at m >= n).
-    Each lower entry is its upper float, negated where n + m is odd: the
-    rounding is symmetric, so that is bit for bit, signed zeros included.
+    float exp(-delta^2/4).  Every entry is rounded on its own, so a table
+    is the leading rows and columns of any larger one, bit for bit.  As
+    Q[n, m] has the parity n + m in delta, Q[m, n] = (-1)^(n+m) Q[n, m], so
+    only the upper entries m >= n of the kept rows are computed (row n + 1
+    reads row n at m >= n).  Each lower entry is its upper float, negated
+    where n + m is odd: the rounding is symmetric, so that is bit for bit,
+    signed zeros included.  The same parity makes a negative delta, whose
+    numerator is negative, give X(-delta) = X(delta).T bit for bit.
     """
+    X = np.zeros((rows, cols))
     arg = -0.25 * delta * delta
-    if arg < -350.0:
-        # every kept entry is below ~1e-100; the wells are fully decoupled
-        X = np.zeros((size, size))
-        X.setflags(write=False)
-        return X
-    if delta < 0:
-        return _displaced_overlap_cached(-delta, size).T
-    num, den = delta.as_integer_ratio()
-    s = den.bit_length() - 1
-    roots = _norm_roots(size)
-    pref = math.exp(arg)
-    X = np.zeros((size, size))
-    row = [num ** m for m in range(size)]          # P[n, m] for m >= n
-    for n in range(size):
-        if n:
-            row = [((m * a) << (2 * s + 1)) - num * b
-                   for m, a, b in zip(range(n, size), row, row[1:])]
-        for j, p in enumerate(row):
-            if p:
-                m = n + j
-                x = ((p << 53) / (roots[n][m] << (s * (n + m)))) * pref
-                X[n, m] = x
-                X[m, n] = -x if j & 1 else x
+    if arg >= -350.0:
+        # below, every kept entry is under ~1e-100: the wells are decoupled
+        num, den = delta.as_integer_ratio()
+        s = den.bit_length() - 1
+        roots = _norm_roots(cols)
+        pref = math.exp(arg)
+        row = [num ** m for m in range(cols)]          # P[n, m] for m >= n
+        for n in range(rows):
+            if n:
+                row = [((m * a) << (2 * s + 1)) - num * b
+                       for m, a, b in zip(range(n, cols), row, row[1:])]
+            for j, p in enumerate(row):
+                if p:
+                    m = n + j
+                    x = ((p << 53) / (roots[n][m] << (s * (n + m)))) * pref
+                    X[n, m] = x
+                    if m < rows:
+                        X[m, n] = -x if j & 1 else x
     X.setflags(write=False)
     return X
 
 
-def _z_operator(kind: str, eta: float, center: float, size: int) -> np.ndarray:
-    """Band matrix of a z-direction operator in the oscillator basis at ``center``."""
-    eye = np.eye(size)
+@dataclass(frozen=True)
+class _WellPair:
+    """What every z-table of one (eta, N) reads; see ``_well_pair``."""
+
+    z: np.ndarray        # [c] z' in the padded ladder at center c = +1, -1
+    windows: np.ndarray  # ``_windows`` of the slabs of X and X.T
+    norms: np.ndarray    # [p, q, n, m] C_n^p C_m^q
+
+
+_SIGNS = np.array([1.0, -1.0])      # the centers +1, -1 and parities +1, -1
+
+
+# the kinds of one (eta, N) are built one after the other, and their
+# tables are cached, so the last two contexts are all that is reused
+@lru_cache(maxsize=2)
+def _well_pair(eta: float, N: int) -> _WellPair:
+    """The overlap slab, the norms and the position operators that every
+    z-table of width ``eta`` and size ``N`` shares, built once for all kinds.
+
+    X is the displaced overlap table at 2 eta, X[n, k] = <u_n at +1 | u_k at
+    -1>; the pair (-1, +1) reads X.T.  An operator's columns m < N hold all
+    their nonzero entries in the rows k < N + _BAND, so the cross-well
+    products read only the slab of rows n < N and columns k < N + _BAND of
+    X and of X.T, and only that slab of X is computed.  X.T's slab is X's,
+    negated where n + k is odd.  An entry whose integer is 0 is +0 in X.T
+    and may be -0 here, which adds nothing to a sum that starts at +0.
+    C_n^p comes from the diagonal of X; a pair with no norm raises
+    ``DegenerateBasisError``.
+    """
+    X = _displaced_overlap(2.0 * eta, N, N + _BAND)
+    odd = np.add.outer(np.arange(N), np.arange(N + _BAND)) % 2 == 1
+    windows = _windows(np.stack([X, np.where(odd, -X, X)]))
+
+    # C_n^p = [2 (1 + p <psi_n^+|psi_n^->)]^(-1/2), so <psi_n^p|psi_n^p> = 1
+    args = 2.0 * (1.0 + np.outer(_SIGNS, np.diagonal(X)))
+    bad = np.argwhere(args <= 0.0)
+    if len(bad):
+        i, n = bad[0]
+        raise DegenerateBasisError(
+            f"well combination (n={n}, p={1 - 2 * i:+d}) has no "
+            "normalization; the two well functions are (numerically) "
+            "identical")
+    # a Python float power (C pow) per element: numpy's vectorized power
+    # differs from it in the last bit for some arguments
+    c = np.array([[arg ** -0.5 for arg in row] for row in args.tolist()])
+
+    eye = np.eye(N + _PAD)
+    z = _SIGNS[:, None, None] * eye + _ladder_position(N + _PAD) / eta
+    return _WellPair(z=z, windows=windows,
+                     norms=c[:, None, :, None] * c[None, :, None, :])
+
+
+def _z_operators(kind: str, eta: float, z: np.ndarray) -> np.ndarray:
+    """Band matrices of a z-direction operator in the oscillator ladders at
+    +1 and -1, stacked, from their position operators ``z``."""
+    eye = np.eye(z.shape[-1])
     if kind == "1":
-        return eye
-    z = center * eye + _ladder_position(size) / eta
-    if kind == "z":
-        return z
-    if kind == "z2":
-        return z @ z
-    if kind == "z4":
+        op = eye
+    elif kind == "z":
+        op = z
+    elif kind == "z2":
+        op = z @ z
+    elif kind == "z4":
         z2 = z @ z
-        return z2 @ z2
-    if kind == "dz2":
-        d = eta * _ladder_derivative(size)
-        return d @ d
-    if kind == "quartic":
+        op = z2 @ z2
+    elif kind == "dz2":
+        d = eta * _ladder_derivative(z.shape[-1])    # the same at both
+        op = d @ d
+    elif kind == "quartic":
         q = z @ z - eye
-        return q @ q
-    raise ValueError(f"unsupported z operator kind: {kind!r}")
+        op = q @ q
+    else:
+        raise ValueError(f"unsupported z operator kind: {kind!r}")
+    return np.broadcast_to(op, z.shape)
+
+
+def _windows(cross: np.ndarray) -> np.ndarray:
+    """Band windows of the stacked slabs ``cross`` (2 x N x (N + _BAND)):
+    [i, m, n, j] = cross[i, n, m + j - _BAND] in long double, +0 where
+    that column is negative."""
+    N = cross.shape[1]
+    padded = np.zeros((2, N, N + 2 * _BAND), np.longdouble)
+    padded[:, :, _BAND:] = cross
+    m = np.arange(N)[:, None]
+    return padded[:, :, m + np.arange(2 * _BAND + 1)].transpose(0, 2, 1, 3)
+
+
+def _cross_blocks(windows: np.ndarray, ops: np.ndarray,
+                  band: int) -> np.ndarray:
+    """X_i @ ops[i, :N + _BAND, :N], i = 0, 1, summed in long double and
+    rounded to float, for the slabs X_i of ``windows`` (see ``_windows``)
+    and operators with ``band`` diagonals on each side.
+
+    Entry (n, m) is one long double dot product of the 2 band + 1 terms
+    X_i[n, k] ops[i, k, m] at k = m - band .. m + band, a zero term where
+    k < 0.  numpy's long double matmul, which is not BLAS, sums each entry
+    sequentially in ascending k from +0, and the terms outside the band
+    are zeros, which leave such a sum unchanged.  So the result is the full
+    product bit for bit where long double rounds each product and each sum
+    once, as the 80-bit x87 type of x86-64 does; ``tests/test_basis.py``
+    checks that on the running platform.
+    """
+    N = windows.shape[1]
+    taps = windows[..., _BAND - band:_BAND + band + 1]
+    col = np.zeros((2, N + 2 * band, N), np.longdouble)
+    col[:, band:] = ops[:, :N + band, :N]       # row k + band is op row k
+    m = np.arange(N)[:, None]
+    # [i, m, j] = ops[i, k, m] at k = m + j - band
+    weights = col[:, m + np.arange(2 * band + 1), m]
+    return (taps @ weights[..., None])[..., 0].transpose(0, 2, 1) \
+        .astype(float)
 
 
 def _y_operator(kind: str, mu: float, size: int) -> np.ndarray:
@@ -211,49 +303,28 @@ def z_element_table(kind: str, eta: float, N: int) -> np.ndarray:
 
     It reads no other basis parameter, so it is cached by (kind, eta, N)
     alone: a sweep of mu or L reuses it.  Row/column ordering is p-major:
-    index = (0 if p = +1 else 1)*N + n.  The operator is banded in each
-    well's padded oscillator ladder and built once per center; its N x N
-    corner holds the same-well elements.  The cross-well ones are the
-    N x N block of X op, X the displaced overlap table at 2 eta (X.T from
-    -1 to +1), summed over the padded ladder in extended precision, since
-    they cancel strongly.  C_n^p comes from the diagonal of X; a pair with
-    no norm raises ``DegenerateBasisError``.  Every kind is symmetric; the
-    table is mirrored from its upper triangle so that it is exactly
-    symmetric.  The returned array is read-only (cached).  An extreme eta
-    that overflows the table raises ``DegenerateBasisError``.
+    index = (0 if p = +1 else 1)*N + n.  The overlap slab, the norms and
+    the position operators come from ``_well_pair``, which every kind at
+    (eta, N) shares.  The operator is banded in each well's padded
+    oscillator ladder; its N x N corner holds the same-well elements.  The
+    cross-well ones are the N x N block of X op, X the displaced overlap
+    table at 2 eta (X.T from -1 to +1), summed over the band in extended
+    precision, since they cancel strongly.  A pair with no norm raises
+    ``DegenerateBasisError``.  Every kind is symmetric; the table is
+    mirrored from its upper triangle so that it is exactly symmetric.  The
+    returned array is read-only (cached).  An extreme eta that overflows
+    the table raises ``DegenerateBasisError``.
     """
     if kind not in Z_KINDS:
         raise ValueError(f"unsupported z operator kind: {kind!r}")
-    size = N + _PAD
-    plus = _z_operator(kind, eta, +1.0, size)
-    minus = _z_operator(kind, eta, -1.0, size)
-    # X[n, m] = <u_n at +1 | u_m at -1>; the pair (-1, +1) reads X.T
-    X = _displaced_overlap_cached(2.0 * eta, size)
-    ld = np.longdouble
-    ee, oo = plus[:N, :N], minus[:N, :N]
-    eo = (X[:N].astype(ld) @ minus[:, :N].astype(ld)).astype(float)
-    oe = (X.T[:N].astype(ld) @ plus[:, :N].astype(ld)).astype(float)
-
-    # C_n^p = [2 (1 + p <psi_n^+|psi_n^->)]^(-1/2), so <psi_n^p|psi_n^p> = 1
-    args = 2.0 * (1.0 + np.outer([1.0, -1.0], np.diagonal(X)[:N]))
-    bad = np.argwhere(args <= 0.0)
-    if len(bad):
-        i, n = bad[0]
-        raise DegenerateBasisError(
-            f"well combination (n={n}, p={1 - 2 * i:+d}) has no "
-            "normalization; the two well functions are (numerically) "
-            "identical")
-    # a Python float power (C pow) per element: numpy's vectorized power
-    # differs from it in the last bit for some arguments
-    c = np.array([[arg ** -0.5 for arg in row] for row in args.tolist()])
-
-    table = np.empty((2 * N, 2 * N))
-    for i, p in enumerate((+1, -1)):
-        for j, q in enumerate((+1, -1)):
-            block = ee + q * eo + p * oe + (p * q) * oo
-            table[i * N:(i + 1) * N, j * N:(j + 1) * N] = \
-                np.outer(c[i], c[j]) * block
-
+    pair = _well_pair(eta, N)
+    ops = _z_operators(kind, eta, pair.z)
+    ee, oo = ops[:, :N, :N]
+    # the bra at +1 meets the ket at -1, and the bra at -1 the ket at +1
+    eo, oe = _cross_blocks(pair.windows, ops[::-1], _Z_BAND[kind])
+    p, q = _SIGNS[:, None, None, None], _SIGNS[None, :, None, None]
+    blocks = pair.norms * (ee + q * eo + p * oe + (p * q) * oo)
+    table = blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
     table = np.triu(table) + np.triu(table, 1).T
     return _finite_table(table, kind, f"eta = {eta:g}")
 

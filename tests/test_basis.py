@@ -18,7 +18,7 @@ ORACLE_TOL = 1e-12
 
 
 def test_overlap_table_identity_at_zero_displacement():
-    table = basis._displaced_overlap_cached(0.0, 8)
+    table = basis._displaced_overlap(0.0, 8, 8)
     np.testing.assert_array_equal(table, np.eye(8))
 
 
@@ -43,7 +43,7 @@ def _assert_bitwise_equal(got, want):
 @example(delta=-SHIPPED_DELTA, size=30)
 @settings(max_examples=60, deadline=None)
 def test_overlap_table_matches_rational_reference(delta, size):
-    table = basis._displaced_overlap_cached(delta, size)
+    table = basis._displaced_overlap(delta, size, size)
     _assert_bitwise_equal(table, oracles.fraction_displaced_overlap(delta,
                                                                     size))
     assert not table.flags.writeable
@@ -51,8 +51,8 @@ def test_overlap_table_matches_rational_reference(delta, size):
 
 @pytest.mark.parametrize("delta", [1e-3, 2.75, SHIPPED_DELTA, 37.4])
 def test_overlap_table_reversed_displacement_is_transpose(delta):
-    _assert_bitwise_equal(basis._displaced_overlap_cached(-delta, 30),
-                          basis._displaced_overlap_cached(delta, 30).T)
+    _assert_bitwise_equal(basis._displaced_overlap(-delta, 30, 30),
+                          basis._displaced_overlap(delta, 30, 30).T)
 
 
 @pytest.mark.parametrize("delta", [5e-324, -5e-324, 1e-3, 2.75,
@@ -64,10 +64,22 @@ def test_overlap_table_lower_triangle_is_the_parity_signed_upper(delta):
     # entries underflow to zeros that keep the sign of their integer.  An
     # exact zero (delta = 0 off the diagonal, or fully decoupled wells at
     # |delta| = 37.5) is +0.0 on both sides.
-    X = basis._displaced_overlap_cached(delta, 30)
+    X = basis._displaced_overlap(delta, 30, 30)
     odd = np.add.outer(np.arange(30), np.arange(30)) % 2 == 1
     exact_zero = delta == 0.0 or abs(delta) == 37.5
     _assert_bitwise_equal(X.T, np.where(odd & ~exact_zero, -X, X))
+
+
+@given(delta=st.floats(-40.0, 40.0), rows=st.integers(1, 30),
+       extra=st.integers(0, 8))
+@example(delta=SHIPPED_DELTA, rows=22, extra=basis._BAND)
+@example(delta=-SHIPPED_DELTA, rows=1, extra=0)
+@settings(max_examples=40, deadline=None)
+def test_overlap_slab_is_the_corner_of_the_full_table(delta, rows, extra):
+    # the z-tables read only rows < N and columns < N + _BAND
+    _assert_bitwise_equal(basis._displaced_overlap(delta, rows, rows + extra),
+                          basis._displaced_overlap(delta, 38, 38)
+                          [:rows, :rows + extra])
 
 
 @given(kind=st.sampled_from(basis.Z_KINDS),
@@ -81,6 +93,11 @@ def test_overlap_table_lower_triangle_is_the_parity_signed_upper(delta):
 @settings(max_examples=30, deadline=None)
 def test_z_element_table_matches_the_block_reference(kind, eta, N):
     # eta spans the quartic-gap surface, hw0 in 10-50 meV and a in 4-60 nm
+    _assert_matches_the_block_reference(kind, eta, N)
+
+
+def _assert_matches_the_block_reference(kind, eta, N):
+    """The table is the oracle's bit for bit, or raises its error."""
     try:
         want = oracles.reference_z_element_table(kind, eta, N)
     except hq.DegenerateBasisError as err:
@@ -89,6 +106,79 @@ def test_z_element_table_matches_the_block_reference(kind, eta, N):
         assert str(got.value) == str(err)
         return
     _assert_bitwise_equal(basis.z_element_table(kind, eta, N), want)
+
+
+@given(kind=st.sampled_from(basis.Z_KINDS),
+       eta=st.floats(math.log(1e-4), math.log(20.0)).map(math.exp),
+       N=st.integers(1, 30))
+@example(kind="quartic", eta=1e-4, N=30)    # nearly coincident wells
+@example(kind="z4", eta=20.0, N=30)
+@example(kind="dz2", eta=SHIPPED_DELTA / 2, N=1)
+@settings(max_examples=25, deadline=None)
+def test_z_element_table_matches_the_block_reference_at_any_width(kind, eta,
+                                                                  N):
+    # eta spans the widths of every shipped config and beyond, from
+    # merged wells to fully decoupled ones
+    _assert_matches_the_block_reference(kind, eta, N)
+
+
+def test_banded_products_are_the_long_double_matmul():
+    # _cross_blocks sums only an operator's band and claims the bits of
+    # numpy's long double matmul.  That holds where numpy sums a long
+    # double product sequentially, without BLAS, rounding each product and
+    # each sum once: the 80-bit x87 long double of x86-64.  On a platform
+    # where it does not, this test fails instead of the tables drifting.
+    rng = np.random.default_rng(5)
+    ld = np.longdouble
+    for N in (1, 3, 22):
+        slab = rng.standard_normal((2, N, N + basis._BAND))
+        pair = basis._well_pair(1.7, N)
+        for kind in basis.Z_KINDS:
+            ops = basis._z_operators(kind, 1.7, pair.z)
+            got = basis._cross_blocks(basis._windows(slab), ops,
+                                      basis._Z_BAND[kind])
+            for i in range(2):
+                want = slab[i].astype(ld) @ \
+                    ops[i, :N + basis._BAND, :N].astype(ld)
+                _assert_bitwise_equal(got[i], want.astype(float))
+
+
+def _count_recurrences(monkeypatch) -> list:
+    """Calls of the integer overlap recurrence from here on, with cold
+    table caches."""
+    calls = []
+    recurrence = basis._displaced_overlap
+
+    def spy(*args):
+        calls.append(args)
+        return recurrence(*args)
+
+    monkeypatch.setattr(basis, "_displaced_overlap", spy)
+    basis.z_element_table.cache_clear()
+    basis._well_pair.cache_clear()
+    return calls
+
+
+def test_one_assemble_runs_the_recurrence_once(monkeypatch):
+    calls = _count_recurrences(monkeypatch)
+    hq.assemble(hq.scale(hq.PhysicalParams(hw0=30.0, a=30.0)),
+                hq.BasisSpec(eta=4.125, mu=0.7, L=2, N=12))
+    assert calls == [(8.25, 12, 12 + basis._BAND)]
+
+
+def test_one_solve_1d_runs_the_recurrence_once(monkeypatch):
+    calls = _count_recurrences(monkeypatch)
+    hq.solve_1d(30.0, 31.5, gamma=-1e-3, n_basis=22)
+    assert len(calls) == 1
+
+
+def test_each_kind_built_is_one_table_cache_miss():
+    basis.z_element_table.cache_clear()
+    for built, kind in enumerate(basis.Z_KINDS, 1):
+        basis.z_element_table(kind, 3.375, 10)
+        assert basis.z_element_table.cache_info().misses == built
+    basis.z_element_table("z", 3.375, 10)
+    assert basis.z_element_table.cache_info().misses == len(basis.Z_KINDS)
 
 
 def test_degenerate_basis_raises():
