@@ -1,17 +1,9 @@
 """Assembly of the spectral problem from Kronecker factors.
 
-Every term of the scaled Hamiltonian factorizes as (spin-factor) x
-(z-factor) x (y-factor): a 2 x 2 spin matrix, a 2N x 2N z-table and an
-L x L y-table.  In units of hw0 the spin-independent part is
-
-    H0 = -(r_a/2) (d2/dz'2 + d2/dy'2)
-         + ab_ratio/(8 r_a) (z'^2-1)^2 - gamma z'
-         + r_c beta z'^2 (-i d/dy')
-         + r_c^2/(2 r_a) (y'^2/4 + beta^2 z'^4)
-
-and the spin blocks follow [[H0+H2, H1], [H1, H0-H2]] with
-H1 = -r_c beta z' (the sigma_x coupling) and H2 = -(r_c/2) S (the sigma_z
-Zeeman shift, which in a nonorthogonal basis carries the overlap pattern).
+Every term of the scaled Hamiltonian, as ``ScaledParams.terms`` declares
+it, is (spin factor) x (z-table) x (y-table): a 2 x 2 spin matrix, a
+2N x 2N z-table and an L x L y-table.  In the nonorthogonal z-basis the
+Zeeman term -(r_c/2) sigma_z x "1" x "1" carries the overlap pattern S_z.
 The y-ladder chi_k = i^k phi_k (``basis``) makes every y-table real, the
 one of -i d/dy' included, so every factor and H itself are real.  The
 overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
@@ -22,9 +14,7 @@ The flat basis index follows the same order, (s, p, n, k) with k fastest
 ``basis``, which keys the z-tables by (eta, N) and the y-tables by (mu, L);
 the overlap eigenpairs, the condition number and the drop of a redundant
 z-overlap's near-null directions all belong to the solve.
-``z_hamiltonian`` combines z-tables into the z-part of H0, which is also
-the whole 1D problem of ``quartic1d.solve_1d``.
-``reduced_terms`` turns the tables into one real symmetric standard
+``reduced_terms`` sums the terms into one real symmetric standard
 problem, with the z-basis orthonormalized through the eigenpairs of S_z
 (Loewdin canonical orthogonalization), and keeps it as three Kronecker
 terms in the (k, s, j) order: y-index k slowest, then spin, then the r
@@ -40,9 +30,10 @@ reshaped to one 2N x L block per spin.
 
 The dense M x M matrices ``H`` and ``S`` (M = 4LN) and the 2LN x 2LN
 per-spin-block ``s_spatial`` and ``z_spatial`` are built only on request,
-by tests and the traced benchmark, as the dense reference.  The
-symmetry of ``H`` is exact by construction: every 1D table is mirrored
-from its upper triangle, and the assembled matrix is mirrored once more.
+by tests and the traced benchmark, as the dense reference; ``H`` sums the
+same terms per spin block.  Its symmetry is exact by construction: every
+1D table is mirrored from its upper triangle (``basis.mirrored``), and the
+assembled matrix is mirrored once more.
 """
 
 from __future__ import annotations
@@ -68,12 +59,9 @@ class SpectralProblem:
 
     ``z_tables`` maps the kinds of ``basis.Z_KINDS`` to 2N x 2N z-tables,
     ``y_tables`` the kinds of ``basis.Y_KINDS`` to L x L y-tables; the
-    y "1" table is the identity.  The only derived arrays are the dense
-    reference, built on first access and cached, which only tests and the
-    traced benchmark ask for: the per-spin-block overlap and z'-moment
-    matrices ``s_spatial`` and ``z_spatial``, the dense ``H`` and ``S``
-    (block diagonal in spin).  Every array is real, every square one
-    symmetric, and all are read-only.
+    y "1" table is the identity.  The dense reference, ``s_spatial``,
+    ``z_spatial``, ``H`` and ``S``, is built on first access and cached.
+    Every array is real, every square one symmetric, and all are read-only.
     """
 
     z_tables: dict
@@ -118,37 +106,28 @@ def assemble(scaled: ScaledParams, spec: BasisSpec) -> SpectralProblem:
 
 def _dense_hamiltonian(problem: SpectralProblem) -> np.ndarray:
     """The M x M Hamiltonian in the flat (s, p, n, k) ordering."""
-    r_a, r_c = problem.scaled.r_a, problem.scaled.r_c
-    beta = problem.scaled.beta
-    product = problem._spatial
-    z_spatial = problem.z_spatial
-
-    h0 = -(0.5 * r_a) * (product("dz2", "1") + product("1", "dy2"))
-    h0 += (problem.scaled.ab_ratio / (8.0 * r_a)) * product("quartic", "1")
-    h0 -= problem.scaled.gamma * z_spatial
-    if r_c > 0:
-        h0 += (r_c * r_c / (8.0 * r_a)) * product("1", "y2")
-        if beta > 0:
-            h0 += (r_c * r_c * beta * beta / (2.0 * r_a)) * \
-                product("z4", "1")
-            h0 += (r_c * beta) * product("z2", "-idy")
-
-    h1 = -(r_c * beta) * z_spatial      # sigma_x coupling
-    h2 = -(0.5 * r_c) * problem.s_spatial       # sigma_z shift
-
-    H = np.block([[h0 + h2, h1], [h1, h0 - h2]])
-    # mirror the upper triangle so H = H^T holds exactly
-    return np.triu(H) + np.triu(H, 1).T
+    blocks = _sum_by_key((spin, coef * problem._spatial(z_kind, y_kind))
+                         for coef, z_kind, y_kind, spin
+                         in problem.scaled.terms)
+    return basis_mod.mirrored(_spin_matrix(blocks))     # H = H^T exactly
 
 
-def z_hamiltonian(scaled: ScaledParams, dz2: np.ndarray,
-                  quartic: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The 1D double-well Hamiltonian -(r_a/2) d2/dz'2
-    + ab_ratio/(8 r_a) (z'^2-1)^2 - gamma z' from its z-tables in one
-    basis: the z-part of H0 and the whole 1D problem."""
-    r_a = scaled.r_a
-    return (-(0.5 * r_a) * dz2 + (scaled.ab_ratio / (8.0 * r_a)) * quartic
-            - scaled.gamma * z)
+def _sum_by_key(pairs) -> dict:
+    """The arrays of ``(key, array)`` pairs summed per key, in order, each
+    from its first: a sum from zeros would turn -0, which LAPACK reads,
+    into +0."""
+    sums: dict = {}
+    for key, array in pairs:
+        sums[key] = sums[key] + array if key in sums else array
+    return sums
+
+
+def _spin_matrix(blocks: dict) -> np.ndarray:
+    """[[A + C, B], [B, A - C]] from the sums A, B, C of the terms with
+    spin factor "1", "x" and "z"; a factor with no term is zero."""
+    a, zero = blocks["1"], np.zeros_like(blocks["1"])
+    b, c = blocks.get("x", zero), blocks.get("z", zero)
+    return np.block([[a + c, b], [b, a - c]])
 
 
 def reduced_terms(problem: SpectralProblem, transform: np.ndarray):
@@ -160,34 +139,25 @@ def reduced_terms(problem: SpectralProblem, transform: np.ndarray):
 
         h = I_L (x) d + y (x) I_b + ("-idy" table) (x) f,
 
-    with b = 2r: ``d`` (b x b) holds the z-part of H0 per spin, the Zeeman
-    shift and the sigma_x coupling, ``y`` (L x L) the y-part of H0, and
-    ``f`` (b x b) the slanting-field factor I_spin (x) r_c beta X^T z'^2 X.
-    Returns ``(d, y, f)``; ``f`` is None without the slanting field, when
-    ``d`` is block diagonal in spin and h separates.
+    with b = 2r, summed from ``ScaledParams.terms``: a term with y kind
+    "1" goes to ``d`` (b x b), in the block of its spin factor, one with
+    "dy2" or "y2" (z kind "1") to ``y`` (L x L), and one with "-idy" to
+    ``f`` = I_spin (x) (its z part).  Each z kind T becomes X^T T X, so
+    "1" becomes I.  ``f`` is None without the slanting field, when ``d``
+    is block diagonal in spin and h separates.
     """
-    r_a, r_c = problem.scaled.r_a, problem.scaled.r_c
-    beta = problem.scaled.beta
-    tz, ty = problem.z_tables, problem.y_tables
-
-    def z(kind: str) -> np.ndarray:
-        t = transform.T @ tz[kind] @ transform
-        return np.triu(t) + np.triu(t, 1).T
-
-    z_moment = z("z")
-    z_part = z_hamiltonian(problem.scaled, z("dz2"), z("quartic"), z_moment)
-    y_part = -(0.5 * r_a) * ty["dy2"]
-    slanting = r_c > 0 and beta > 0
-    if r_c > 0:
-        y_part += (r_c * r_c / (8.0 * r_a)) * ty["y2"]
-        if slanting:
-            z_part += (r_c * r_c * beta * beta / (2.0 * r_a)) * z("z4")
-    eye = np.eye(len(z_part))
-    h1 = -(r_c * beta) * z_moment       # sigma_x coupling
-    h2 = -(0.5 * r_c) * eye             # sigma_z shift
-    d = np.block([[z_part + h2, h1], [h1, z_part - h2]])
-    f = np.kron(np.eye(2), (r_c * beta) * z("z2")) if slanting else None
-    return d, y_part, f
+    terms = problem.scaled.terms
+    z = {kind: basis_mod.mirrored(transform.T @ problem.z_tables[kind]
+                                  @ transform)
+         for kind in {term[1] for term in terms} - {"1"}}
+    z["1"] = np.eye(transform.shape[1])
+    parts = _sum_by_key(
+        (spin, coef * z[z_kind]) if y_kind == "1"
+        else ("f", coef * z[z_kind]) if y_kind == "-idy"
+        else ("y", coef * problem.y_tables[y_kind])
+        for coef, z_kind, y_kind, spin in terms)
+    f = np.kron(np.eye(2), parts["f"]) if "f" in parts else None
+    return _spin_matrix(parts), parts["y"], f
 
 
 def lower_band(d: np.ndarray, y: np.ndarray, t: np.ndarray,

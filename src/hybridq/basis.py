@@ -325,8 +325,7 @@ def z_element_table(kind: str, eta: float, N: int) -> np.ndarray:
     p, q = _SIGNS[:, None, None, None], _SIGNS[None, :, None, None]
     blocks = pair.norms * (ee + q * eo + p * oe + (p * q) * oo)
     table = blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
-    table = np.triu(table) + np.triu(table, 1).T
-    return _finite_table(table, kind, f"eta = {eta:g}")
+    return _finite_table(mirrored(table), kind, f"eta = {eta:g}")
 
 
 @lru_cache(maxsize=128)
@@ -351,8 +350,12 @@ def y_element_table(kind: str, mu: float, L: int) -> np.ndarray:
         power -= 1                        # -i = i^(-1)
     phase = np.array([1.0, 0.0, -1.0, 0.0])[power % 4]   # Re i^power
     table = _y_operator(kind, mu, size)[:L, :L] * phase
-    table = np.triu(table) + np.triu(table, 1).T
-    return _finite_table(table, kind, f"mu = {mu:g}")
+    return _finite_table(mirrored(table), kind, f"mu = {mu:g}")
+
+
+def mirrored(t: np.ndarray) -> np.ndarray:
+    """Square ``t`` mirrored from its upper triangle, every zero made +0."""
+    return np.where(np.tri(len(t), k=-1, dtype=bool), t.T, t) + 0.0
 
 
 def _finite_table(table: np.ndarray, kind: str, width: str) -> np.ndarray:

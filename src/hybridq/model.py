@@ -2,7 +2,8 @@
 
 Laboratory inputs (meV, nm, Tesla) enter through :class:`PhysicalParams`;
 :func:`scale` converts them once into the dimensionless coefficient set
-:class:`ScaledParams` that every other module works in.  Energies produced
+:class:`ScaledParams` that every other module works in; its ``terms`` are
+the one declaration of the scaled Hamiltonian.  Energies produced
 downstream are in units of the dot energy scale hw0.
 """
 
@@ -66,16 +67,40 @@ class ScaledParams:
             raise ValueError("r_a = hw_a/hw0 must be positive and finite")
         if self.r_c < 0 or self.beta < 0:
             raise ValueError("r_c and beta must be non-negative")
-        r_a, r_c, beta = self.r_a, self.r_c, self.beta
-        # every coefficient the Hamiltonian multiplies a table by
-        # (assembly), in the order it is evaluated there
-        coefficients = (0.5 * r_a, self.ab_ratio / (8.0 * r_a), self.gamma,
-                        r_c * r_c / (8.0 * r_a),
-                        r_c * r_c * beta * beta / (2.0 * r_a),
-                        r_c * beta, 0.5 * r_c)
-        if not all(map(math.isfinite, coefficients)):
+        # left-out terms too: r_c beta is NaN where r_c = 0, beta = inf
+        if not all(math.isfinite(term[0]) for term in self._every_term()):
             raise ValueError("the scaled Hamiltonian has a coefficient "
                              "outside the floating-point range")
+
+    @property
+    def terms(self) -> tuple:
+        """The Hamiltonian in units of hw0 as Kronecker terms ``(coefficient,
+        z kind, y kind, spin factor)``, in the order they are summed; the
+        kinds are those of ``basis``, the spin factors "1", "x" and "z":
+
+            H = -(r_a/2) (d2/dz'2 + d2/dy'2) + ab_ratio/(8 r_a) (z'^2-1)^2
+                - gamma z' + r_c^2/(8 r_a) (y'^2 + 4 beta^2 z'^4)
+                + r_c beta (z'^2 (-i d/dy') - z' sigma_x) - (r_c/2) sigma_z
+
+        The y'^2 and sigma_z terms are left out at r_c = 0, the z'^4,
+        slanting and sigma_x terms unless r_c > 0 and beta > 0.
+        """
+        return tuple(term[:4] for term in self._every_term() if term[4])
+
+    def _every_term(self) -> tuple:
+        """Every term of ``terms``, followed by whether it is kept."""
+        r_a, r_c, beta = self.r_a, self.r_c, self.beta
+        slanting = r_c > 0 and beta > 0
+        return ((-(0.5 * r_a), "dz2", "1", "1", True),
+                (-(0.5 * r_a), "1", "dy2", "1", True),
+                (self.ab_ratio / (8.0 * r_a), "quartic", "1", "1", True),
+                (-self.gamma, "z", "1", "1", True),
+                (r_c * r_c / (8.0 * r_a), "1", "y2", "1", r_c > 0),
+                (r_c * r_c * beta * beta / (2.0 * r_a), "z4", "1", "1",
+                 slanting),
+                (r_c * beta, "z2", "-idy", "1", slanting),
+                (-(r_c * beta), "z", "1", "x", slanting),
+                (-(0.5 * r_c), "1", "1", "z", r_c > 0))
 
 
 def confinement_energy_mev(a_nm: float, m_ratio: float) -> float:

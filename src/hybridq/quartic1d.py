@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as basis_mod
-from .assembly import z_hamiltonian
 from .model import M_RATIO, PhysicalParams, scale
 from .solver import _canonical_solve
 
@@ -78,7 +77,8 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
              m_ratio: float = M_RATIO) -> np.ndarray:
     """Lowest eigenvalues (units hw0) of the 1D double well.
 
-    The basis is the z' well-pair basis of ``basis`` with ``n_basis``
+    Its Hamiltonian is the terms of ``ScaledParams.terms`` with y kind and
+    spin factor "1", in the z' well-pair basis of ``basis`` with ``n_basis``
     functions per parity (at least 1), of width eta = a / ell0 =
     1/sqrt(r_a), the inverse single-well oscillator length in scaled units;
     its tables are the cached z-tables at (eta, n_basis) that a 2D basis of
@@ -96,7 +96,8 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
     def table(kind: str) -> np.ndarray:
         return basis_mod.z_element_table(kind, eta, n_basis)
 
-    h = z_hamiltonian(scaled, table("dz2"), table("quartic"), table("z"))
+    h = functools.reduce(np.add, [coef * table(kind) for coef, kind, y, spin
+                                  in scaled.terms if y == spin == "1"])
     return _canonical_solve(h, table("1"))[:n_lowest]
 
 

@@ -105,7 +105,7 @@ PLATEAU_TOLERANCE = 1e-4
 
 # errors that mark one grid point as failed; any other exception, a bare
 # ValueError included, is a bug and propagates
-POINT_ERRORS = (HybridQError, scipy.linalg.LinAlgError)
+POINT_ERRORS = (HybridQError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)

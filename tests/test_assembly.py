@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hybridq as hq
-from hybridq import basis
+from hybridq import assembly, basis
 from conftest import small_spec, z_element
 
 PHYS = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=2.0)
@@ -48,6 +48,20 @@ def test_hamiltonian_is_real_in_every_branch():
         problem = hq.assemble(hq.scale(physics), small_spec())
         assert problem.H.dtype == np.float64
         assert problem.S.dtype == np.float64
+
+
+def test_reduced_terms_keep_the_sign_of_a_zero():
+    # at B0 = 0 the y factor is the one term -(r_a/2) d2/dy'2: a sum
+    # started from zeros would turn its -0 entries into +0, and eigh reads
+    # the sign of a zero
+    no_field = dataclasses.replace(PHYS, B0=0.0, bSLa=0.0)
+    problem = hq.assemble(hq.scale(no_field), small_spec())
+    s_vals, s_vecs = np.linalg.eigh(problem.z_tables["1"])
+    _, y, _ = assembly.reduced_terms(problem, s_vecs / np.sqrt(s_vals))
+    expected = -(0.5 * problem.scaled.r_a) * problem.y_tables["dy2"]
+    assert (np.signbit(expected) & (expected == 0)).any()
+    assert np.array_equal(y, expected)
+    assert np.array_equal(np.signbit(y), np.signbit(expected))
 
 
 def test_spin_blocks_decouple_without_gradient():

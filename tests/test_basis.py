@@ -291,6 +291,21 @@ def test_table_symmetries_exact():
         np.testing.assert_array_equal(table, table.T)
 
 
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_mirrored_is_the_upper_triangle_summed_with_its_transpose(n, seed):
+    # every zero of the sum triu(t) + triu(t, 1).T is +0
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((n, n))
+    t[rng.random((n, n)) < 0.3] = 0.0
+    t[rng.random((n, n)) < 0.3] = -0.0
+    expected = np.triu(t) + np.triu(t, 1).T
+    mirrored = basis.mirrored(t)
+    assert np.array_equal(mirrored, expected)
+    assert np.array_equal(np.signbit(mirrored), np.signbit(expected))
+    assert not np.signbit(mirrored[mirrored == 0]).any()
+
+
 def test_basis_spec_validation():
     with pytest.raises(ValueError):
         hq.BasisSpec(eta=0.0, mu=0.7, L=2, N=2)
