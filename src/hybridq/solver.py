@@ -29,12 +29,13 @@ band.  Without the slanting field h separates into y and spin-resolved z
 factors.  The eigenvectors are mapped back to real S-orthonormal
 eigenvectors of the original basis with ascending eigenvalues; asking for
 more than the reduced basis holds is a ``ReducedBasisError``.  Both errors are
-``POINT_ERRORS``.  The band work is many small BLAS calls, which run
-faster on one thread than on two, so ``solve`` sets numpy's and scipy's
-OpenBLAS to one thread while it runs and restores the caller's counts on
-exit.  ``stabilize`` re-assembles and re-solves over a grid of one
-nonlinear variational parameter and summarizes per-level plateaus, the
-practical convergence check of the Ritz method.
+``POINT_ERRORS``.  numpy does the arithmetic and scipy only calls LAPACK
+drivers, each library on its own OpenBLAS.  The band work is many small
+BLAS calls, which run faster on one thread than on two, so ``solve`` sets
+both to one thread while it runs and restores the caller's counts on exit.
+``stabilize`` re-assembles and re-solves over a grid of one nonlinear
+variational parameter and summarizes per-level plateaus, the practical
+convergence check of the Ritz method.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dsymm
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dstevd, dsytrf, dsytri
 
 from . import assembly
@@ -83,9 +83,9 @@ LANCZOS_SLACK = 80
 
 # a Lanczos convergence check (dstevd) costs under one step at 9 levels
 # and about two at 33.  Once the wanted pairs converge, their worst
-# residual ratio falls 0.55-0.69 decades per step (measured at the working
-# point and at bSLa = 0.3 T, 9 and 33 levels), so the next check comes
-# this many steps per decade left after the last one
+# residual ratio falls 0.51-0.94 decades per step (bSLa = 0.1-2 T at the
+# working point, 9 and 33 levels), so the next check comes this many steps
+# per decade left after the last one: at the slowest decay, never early
 LANCZOS_STEPS_PER_DECADE = 2
 
 # a Lanczos step repeats its Gram-Schmidt pass only when the first pass
@@ -407,7 +407,7 @@ def _lanczos(factor: np.ndarray, sigma: float, n: int, k: int, ncv: int):
     V = np.empty((ncv + 1, size))
     alpha, beta = np.empty(ncv), np.empty(ncv)
     start = np.random.default_rng(0).standard_normal(size)
-    V[0] = start / dnrm2(start)
+    V[0] = start / np.linalg.norm(start)
     check = k
     eps = np.finfo(float).eps
     # the residual bound of each wanted pair, theta ascending
@@ -415,21 +415,16 @@ def _lanczos(factor: np.ndarray, sigma: float, n: int, k: int, ncv: int):
     tolerance[:k - n] = EXTRA_LEVEL_TOLERANCE
     for m in range(ncv):
         w = dpbtrs(factor, V[m], lower=1)[0]
-        w_norm = dnrm2(w)
+        w_norm = np.linalg.norm(w)
         if m:
-            w = daxpy(V[m - 1], w, a=-beta[m - 1])
-        alpha[m] = ddot(V[m], w)
-        w = daxpy(V[m], w, a=-alpha[m])
-        beta[m] = dnrm2(w)
-        # scipy's dgemv keeps the loop in the OpenBLAS of dpbtrs, as in
-        # _count_below; it takes the earlier vectors in Fortran order
-        earlier = V[:m + 1].T
+            w -= beta[m - 1] * V[m - 1]
+        alpha[m] = V[m] @ w
+        w -= alpha[m] * V[m]
+        beta[m] = np.linalg.norm(w)
         for _ in range(2):
             kept = beta[m]
-            c = dgemv(1.0, earlier, w, trans=1)
-            w = dgemv(-1.0, earlier, c, 1.0, w, overwrite_y=1)
-            alpha[m] += c[m]
-            beta[m] = dnrm2(w)
+            alpha[m] += _gram_schmidt(V[:m + 1], w)[m]
+            beta[m] = np.linalg.norm(w)
             if beta[m] >= DGKS * kept:
                 break
         steps = m + 1
@@ -453,6 +448,13 @@ def _lanczos(factor: np.ndarray, sigma: float, n: int, k: int, ncv: int):
     return None
 
 
+def _gram_schmidt(earlier: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Classical Gram-Schmidt pass of ``w``, in place, against ``earlier``."""
+    c = earlier @ w
+    w -= c @ earlier
+    return c
+
+
 def _count_below(d: np.ndarray, y: np.ndarray, t: np.ndarray,
                  f: np.ndarray, tau: float) -> int:
     """The number of eigenvalues of h = I_L (x) d + y (x) I_b + t (x) f
@@ -469,12 +471,11 @@ def _count_below(d: np.ndarray, y: np.ndarray, t: np.ndarray,
     Bunch-Kaufman (dsytrf), whose 2 x 2 pivots always have a negative
     determinant (Math. Comp. 31, 163 (1977)): each adds one negative
     eigenvalue, each 1 x 1 pivot its sign; dsytri inverts it from that
-    factorization.  dsytrf, dsytri and dsymm read only lower triangles, so
-    no block is made symmetric.  -1 if some P_k is exactly singular.
+    factorization.  Both read only lower triangles, so P_k^-1 is mirrored
+    from its own before any product.  -1 if some P_k is exactly singular.
     """
     L, b = len(y), len(d)
-    # in the column-major layout of LAPACK, which then copies no block
-    d, f = np.asfortranarray(d), np.asfortranarray(f)
+    upper = np.triu(np.ones((b, b), dtype=bool), 1)
     count = 0
     update = np.zeros((b, b))    # steps k - 1 and k - 2 on (k, k)
     below = np.zeros((b, b))     # step k - 1 on (k + 1, k)
@@ -490,11 +491,10 @@ def _count_below(d: np.ndarray, y: np.ndarray, t: np.ndarray,
         if k + 1 == L:
             break
         inverse, _ = dsytri(ldu, ipiv, lower=1, overwrite_a=1)
+        np.copyto(inverse, inverse.T, where=upper)
         column = t[k + 1, k] * f + below
-        w = dsymm(1.0, inverse, column.T, lower=1)
-        # scipy's own BLAS keeps the whole count in the OpenBLAS of
-        # dsytrf, so it runs on the threads that library is set to
-        update = dgemm(-1.0, column, w, 1.0, carried)
+        w = inverse @ column.T
+        update = carried - column @ w
         g = y[k + 2, k] if k + 2 < L else 0.0
         below = -g * w
         carried = (-g * g) * inverse

@@ -273,6 +273,18 @@ def test_y_elements_match_quadrature_property(mu, k, l, kind):
     assert got == pytest.approx(want, abs=ORACLE_TOL)
 
 
+# assembly.lower_band and solver._count_below read y only at offsets 0 and
+# +-2 and the "-idy" table only at +-1: they would drop any other coupling
+@given(mu=st.floats(0.01, 100.0), L=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_y_tables_couple_only_the_offsets_the_band_reads(mu, L):
+    offset = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
+    for kind, read in (("1", [0, 2]), ("y2", [0, 2]), ("dy2", [0, 2]),
+                       ("-idy", [1])):
+        table = basis.y_element_table(kind, mu, L)
+        assert np.all(table[~np.isin(offset, read)] == 0.0), kind
+
+
 def test_z_overlap_matrix_positive_definite_and_sparse():
     table = basis.z_element_table("1", 4.0, 12)
     eigs = np.linalg.eigvalsh(table)

@@ -1,7 +1,9 @@
 """Generalized eigensolver contract and stabilization machinery."""
 
+import ast
 import dataclasses
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -224,6 +226,31 @@ def test_a_dead_worker_ends_the_run():
         capture_output=True, text=True, timeout=60)
     assert done.returncode != 0
     assert "BrokenProcessPool" in done.stderr
+
+
+def _scipy_imports(path):
+    """The scipy modules and names that one source file imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        yield from (name for name in names
+                    if name == "scipy" or name.startswith("scipy."))
+
+
+def test_only_the_solver_imports_scipy_and_none_of_its_blas():
+    # numpy does all the arithmetic; scipy is kept for LAPACK drivers,
+    # all called from solver.py
+    imports = {path.name: list(_scipy_imports(path)) for path in
+               pathlib.Path(hq.__file__).parent.glob("*.py")}
+    assert [name for name, found in imports.items() if found] == [
+        "solver.py"]
+    assert not [name for found in imports.values() for name in found
+                if name.startswith("scipy.linalg.blas")]
 
 
 # reads the OpenBLAS thread counts of numpy and scipy, where it finds them,
