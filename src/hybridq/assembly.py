@@ -16,13 +16,13 @@ the overlap eigenpairs, the condition number and the drop of a redundant
 z-overlap's near-null directions all belong to the solve.
 ``reduced_terms`` sums the terms into one real symmetric standard
 problem, with the z-basis orthonormalized through the eigenpairs of S_z
-(Loewdin canonical orthogonalization), and keeps it as three Kronecker
-terms in the (k, s, j) order: y-index k slowest, then spin, then the r
-kept z-directions j.  It is block pentadiagonal in k with blocks of size
-2r, and ``lower_band`` writes it from the factors straight into LAPACK
-lower-band storage of bandwidth 4r, column-major; no dense M x M matrix is
-formed.  ``to_basis`` maps its eigenvectors back to flat coefficients: the
-z-transform, with k moved from slowest to fastest.
+(Loewdin canonical orthogonalization), and returns it whole, as the factors
+(d, y, t, f) of three Kronecker terms in the (k, s, j) order: y-index k
+slowest, then spin, then the r kept z-directions j.  It is block
+pentadiagonal in k with blocks of size 2r, and ``lower_band`` writes it
+from the factors straight into LAPACK lower-band storage of bandwidth 4r,
+column-major; no dense M x M matrix is formed.  ``to_basis`` maps its
+eigenvectors back: the z-transform, with k moved from slowest to fastest.
 
 ``spin_block_forms`` evaluates expectation values of z-operators, such as
 <z'> and <sigma_x>, from one z-table and a coefficient column, which is
@@ -131,33 +131,34 @@ def _spin_matrix(blocks: dict) -> np.ndarray:
 
 
 def reduced_terms(problem: SpectralProblem, transform: np.ndarray):
-    """Kronecker factors of the Hamiltonian in an orthonormal basis.
+    """The Hamiltonian in an orthonormal basis, whole: ``(d, y, t, f)``.
 
     ``transform`` (2N x r) orthonormalizes the z-basis, X^T S_z X = I.  In
     the basis y-ladder x spin x (X-directions), ordered (k, s, j) with j
     fastest, the reduced real symmetric Hamiltonian is
 
-        h = I_L (x) d + y (x) I_b + ("-idy" table) (x) f,
+        h = I_L (x) d + y (x) I_b + t (x) f,
 
     with b = 2r, summed from ``ScaledParams.terms``: a term with y kind
     "1" goes to ``d`` (b x b), in the block of its spin factor, one with
     "dy2" or "y2" (z kind "1") to ``y`` (L x L), and one with "-idy" to
-    ``f`` = I_spin (x) (its z part).  Each z kind T becomes X^T T X, so
-    "1" becomes I.  ``f`` is None without the slanting field, when ``d``
-    is block diagonal in spin and h separates.
+    ``f`` = I_spin (x) (its z part), with ``t`` its y-table.  Each z kind T
+    becomes X^T T X, so "1" becomes I.  Without the slanting field ``t``
+    and ``f`` are None, ``d`` is block diagonal in spin and h separates.
     """
-    terms = problem.scaled.terms
+    terms, t_kind = problem.scaled.terms, "-idy"
     z = {kind: basis_mod.mirrored(transform.T @ problem.z_tables[kind]
                                   @ transform)
          for kind in {term[1] for term in terms} - {"1"}}
     z["1"] = np.eye(transform.shape[1])
     parts = _sum_by_key(
         (spin, coef * z[z_kind]) if y_kind == "1"
-        else ("f", coef * z[z_kind]) if y_kind == "-idy"
+        else ("f", coef * z[z_kind]) if y_kind == t_kind
         else ("y", coef * problem.y_tables[y_kind])
         for coef, z_kind, y_kind, spin in terms)
     f = np.kron(np.eye(2), parts["f"]) if "f" in parts else None
-    return _spin_matrix(parts), parts["y"], f
+    t = problem.y_tables[t_kind] if "f" in parts else None
+    return _spin_matrix(parts), parts["y"], t, f
 
 
 def lower_band(d: np.ndarray, y: np.ndarray, t: np.ndarray,

@@ -237,8 +237,6 @@ def _z_operators(kind: str, eta: float, z: np.ndarray) -> np.ndarray:
     elif kind == "quartic":
         q = z @ z - eye
         op = q @ q
-    else:
-        raise ValueError(f"unsupported z operator kind: {kind!r}")
     return np.broadcast_to(op, z.shape)
 
 
@@ -292,7 +290,6 @@ def _y_operator(kind: str, mu: float, size: int) -> np.ndarray:
     if kind == "dy2":
         d = mu * _ladder_derivative(size)
         return d @ d
-    raise ValueError(f"unsupported y operator kind: {kind!r}")
 
 
 @lru_cache(maxsize=128)

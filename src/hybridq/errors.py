@@ -22,8 +22,9 @@ class DegenerateBasisError(HybridQError):
 
 
 class ReducedBasisError(HybridQError, ValueError):
-    """More eigenpairs were asked for than the 2 r L functions the 2D
-    solve keeps, with r the z-overlap directions above its floor."""
+    """A level count outside 1 to the reduced basis size was asked for: the
+    2 r L functions the 2D solve keeps, with r the z-overlap directions
+    above its floor, or the overlap directions ``solve_1d`` keeps."""
 
 
 class UncertifiedSpectrumError(HybridQError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as basis_mod
+from .errors import ReducedBasisError
 from .model import M_RATIO, PhysicalParams, scale
 from .solver import _canonical_solve
 
@@ -85,7 +86,8 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
     that width shares.  The solve is the canonical orthogonalization of
     ``solver._canonical_solve``: where the wells merge and the two well
     ladders become redundant, the near-null overlap directions are dropped
-    and the levels come from the regular subspace.
+    and the levels come from the regular subspace.  As in ``solver.solve``,
+    ``n_lowest`` outside 1 to the kept levels is a ``ReducedBasisError``.
     """
     params = PhysicalParams(hw0=hw0, a=a, b=b, gamma=gamma, m_ratio=m_ratio)
     scaled = scale(params)
@@ -98,7 +100,11 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
 
     h = functools.reduce(np.add, [coef * table(kind) for coef, kind, y, spin
                                   in scaled.terms if y == spin == "1"])
-    return _canonical_solve(h, table("1"))[:n_lowest]
+    levels = _canonical_solve(h, table("1"))
+    if not 1 <= n_lowest <= len(levels):
+        raise ReducedBasisError(f"n_lowest must be between 1 and the "
+                                f"reduced basis size {len(levels)}")
+    return levels[:n_lowest]
 
 
 def classify_regimes(a_values, gaps) -> CurveRegimes:

@@ -28,11 +28,13 @@ find one level more, and only then does LAPACK's ``eig_banded`` solve the
 band.  Without the slanting field h separates into y and spin-resolved z
 factors.  The eigenvectors are mapped back to real S-orthonormal
 eigenvectors of the original basis with ascending eigenvalues; asking for
-more than the reduced basis holds is a ``ReducedBasisError``.  Both errors are
-``POINT_ERRORS``.  numpy does the arithmetic and scipy only calls LAPACK
-drivers, each library on its own OpenBLAS.  The band work is many small
-BLAS calls, which run faster on one thread than on two, so ``solve`` sets
-both to one thread while it runs and restores the caller's counts on exit.
+more than the reduced basis holds is a ``ReducedBasisError``.  Both errors
+are ``POINT_ERRORS``.  numpy does the arithmetic; scipy calls LAPACK, as
+dpbtrf, dpbtrs, dstevd, dsytrf, dsytri and the wrappers ``eig_banded`` and
+``eigh`` of ``scipy.linalg``, each library on its own OpenBLAS.  The band
+work is many small BLAS calls, which run faster on one thread than on two,
+so ``solve`` sets both to one thread while it runs and restores the
+caller's counts on exit.
 ``stabilize`` re-assembles and re-solves over a grid of one nonlinear
 variational parameter and summarizes per-level plateaus, the practical
 convergence check of the Ritz method.
@@ -275,12 +277,11 @@ def _solve(problem: SpectralProblem, n_lowest: int) -> EigenSolution:
     if not 1 <= n_lowest <= size:
         raise ReducedBasisError(f"n_lowest must be between 1 and the "
                                 f"reduced basis size {size}")
-    d, y, f = assembly.reduced_terms(problem, transform)
+    d, y, t, f = assembly.reduced_terms(problem, transform)
     if f is None:
         vals, vecs = _separable_lowest(d, y, n_lowest)
     else:
-        vals, vecs = _banded_lowest(d, y, problem.y_tables["-idy"], f,
-                                    n_lowest)
+        vals, vecs = _banded_lowest(d, y, t, f, n_lowest)
     vecs = assembly.to_basis(transform, vecs)
     _order_ties(vals, vecs, problem)
     s_condition = float(s_vals[-1] / s_vals[0]) if s_vals[0] > 0 else np.inf
@@ -310,10 +311,10 @@ def _separable_lowest(d: np.ndarray, y: np.ndarray,
 
 def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
                    f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n eigenpairs of h = I_L (x) d + y (x) I_b + t (x) f, in the
-    (k, s, j) order, by shift-invert Lanczos on its band, certified by an
-    inertia count.  ``eig_banded`` only when n + 1 reaches the size, where
-    no level above the n-th is left to open the certificate's gap."""
+    """Lowest n eigenpairs of h = I_L (x) d + y (x) I_b + t (x) f from
+    ``assembly.reduced_terms``, in the (k, s, j) order, by shift-invert
+    Lanczos on its band, certified by an inertia count; ``eig_banded`` when
+    n + 1 reaches the size, leaving no level to open the certificate's gap."""
     size = len(y) * len(d)
     if n + 1 >= size:
         return scipy.linalg.eig_banded(assembly.lower_band(d, y, t, f),

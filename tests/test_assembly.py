@@ -1,13 +1,15 @@
 """Structure of the assembled Hamiltonian and overlap matrices."""
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 import hybridq as hq
-from hybridq import assembly, basis
-from conftest import small_spec, z_element
+from hybridq import assembly, basis, solver
+from conftest import FIG4_PHYSICAL, FIG4_SPEC, small_spec, z_element
 
 PHYS = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=2.0)
 
@@ -57,11 +59,35 @@ def test_reduced_terms_keep_the_sign_of_a_zero():
     no_field = dataclasses.replace(PHYS, B0=0.0, bSLa=0.0)
     problem = hq.assemble(hq.scale(no_field), small_spec())
     s_vals, s_vecs = np.linalg.eigh(problem.z_tables["1"])
-    _, y, _ = assembly.reduced_terms(problem, s_vecs / np.sqrt(s_vals))
+    _, y, _, _ = assembly.reduced_terms(problem, s_vecs / np.sqrt(s_vals))
     expected = -(0.5 * problem.scaled.r_a) * problem.y_tables["dy2"]
     assert (np.signbit(expected) & (expected == 0)).any()
     assert np.array_equal(y, expected)
     assert np.array_equal(np.signbit(y), np.signbit(expected))
+
+
+@pytest.mark.parametrize("bsl", [0.0, 2.0], ids=["bSLa0", "fig4"])
+def test_reduced_terms_hand_over_t_exactly_with_f(bsl):
+    physics = dataclasses.replace(FIG4_PHYSICAL, bSLa=bsl)
+    problem = hq.assemble(hq.scale(physics), FIG4_SPEC)
+    transform = solver._orthonormalizer(
+        *np.linalg.eigh(problem.z_tables["1"]), solver.DROP_FRACTION_2D)
+    d, y, t, f = assembly.reduced_terms(problem, transform)
+    assert (t is None) == (f is None) == (bsl == 0.0)
+    if f is not None:
+        assert f.shape == d.shape and t.shape == y.shape
+        assert np.array_equal(t, basis.y_element_table(
+            "-idy", FIG4_SPEC.mu, FIG4_SPEC.L))
+
+
+def test_only_the_reduction_reads_the_y_tables():
+    # past assembly.py the reduced Hamiltonian comes whole from
+    # reduced_terms, so no module fetches a y-table from the problem
+    readers = sorted(
+        path.name for path in pathlib.Path(hq.__file__).parent.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "y_tables"
+               for node in ast.walk(ast.parse(path.read_text()))))
+    assert readers == ["assembly.py"]
 
 
 def test_spin_blocks_decouple_without_gradient():

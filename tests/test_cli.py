@@ -581,3 +581,14 @@ def test_readme_library_example_runs(capsys):
 
 def test_every_task_has_a_shipped_config():
     assert {cli.load_config(path).task for path in CONFIGS} == set(cli.TASKS)
+
+
+def test_readme_config_table_lists_every_key_and_task():
+    rows = [line.split("|")[1:-1]
+            for line in _readme_section("Config format").splitlines()
+            if line.startswith("| `")]
+    keys = [key for cells in rows for key in re.findall(r"`([^`]+)`",
+                                                         cells[0])]
+    assert keys == list(cli._KEYS)
+    [task_row] = [cells for cells in rows if cells[0].strip() == "`task`"]
+    assert tuple(re.findall(r"`([^`]+)`", task_row[1])) == cli.TASKS

@@ -204,8 +204,7 @@ def test_state_report_matches_dense_forms_at_working_point(fig4_problem,
 def _reduction(problem):
     transform = solver._orthonormalizer(
         *np.linalg.eigh(problem.z_tables["1"]), solver.DROP_FRACTION_2D)
-    d, y, f = assembly.reduced_terms(problem, transform)
-    return transform, d, y, f
+    return (transform, *assembly.reduced_terms(problem, transform))
 
 
 # L = 1 and 2 have a band narrower than 2b; at eta = 4, N = 24 the
@@ -216,13 +215,13 @@ def _reduction(problem):
                               "L3N24"])
 def test_lower_band_is_the_permuted_dense_reduction(L, N):
     problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
-    transform, d, y, f = _reduction(problem)
+    transform, d, y, t, f = _reduction(problem)
     r = transform.shape[1]
     assert r == (2 * N - 2 if N == 24 else 2 * N)
     dense = oracles.orthonormal_hamiltonian(problem, transform)
     order = oracles.orthonormal_order(r, L)
     h = dense[np.ix_(order, order)]
-    ab = assembly.lower_band(d, y, problem.y_tables["-idy"], f)
+    ab = assembly.lower_band(d, y, t, f)
     # the layout dpbtrf reads, so that f2py passes it without a copy
     assert ab.flags.f_contiguous
     width = ab.shape[0] - 1
@@ -239,8 +238,7 @@ def test_lower_band_is_the_permuted_dense_reduction(L, N):
 @pytest.mark.parametrize("L, N", [(4, 3), (5, 3)], ids=["L4N3", "L5N3"])
 def test_inertia_count_matches_dense_spectrum(L, N):
     problem = hq.assemble(hq.scale(BASE), small_spec(L=L, N=N))
-    transform, d, y, f = _reduction(problem)
-    terms = (d, y, problem.y_tables["-idy"], f)
+    transform, *terms = _reduction(problem)
     dense = oracles.orthonormal_hamiltonian(problem, transform)
     levels = np.linalg.eigvalsh(dense)
     for m in (1, 2, 7, len(levels) // 2, len(levels) - 1):
@@ -272,7 +270,7 @@ def test_inertia_count_matches_dense_spectrum_anywhere(L, N, bsl, kind,
     # L = 1 and 2 have no offset-2 blocks, L = 1 no offset-1 block either
     physics = dataclasses.replace(BASE, bSLa=bsl)
     problem = hq.assemble(hq.scale(physics), small_spec(L=L, N=N))
-    transform, d, y, f = _reduction(problem)
+    transform, d, y, t, f = _reduction(problem)
     levels = np.linalg.eigvalsh(
         oracles.orthonormal_hamiltonian(problem, transform))
     if kind == "midpoint":
@@ -287,7 +285,7 @@ def test_inertia_count_matches_dense_spectrum_anywhere(L, N, bsl, kind,
     # within 1e-9 max|E| of a level, either count on its sides is exact
     tol = 1e-9 * np.abs(levels).max()
     lo, hi = np.sum(levels < tau - tol), np.sum(levels < tau + tol)
-    count = solver._count_below(d, y, problem.y_tables["-idy"], f, tau)
+    count = solver._count_below(d, y, t, f, tau)
     if lo == hi:
         assert count == lo
     else:
@@ -304,8 +302,7 @@ def test_an_exactly_singular_pivot_counts_minus_one():
 
 def test_one_inertia_count_needs_less_memory_than_the_blocks(
         fig4_problem, fig4_solution):
-    _, d, y, f = _reduction(fig4_problem)
-    terms = (d, y, fig4_problem.y_tables["-idy"], f)
+    _, *terms = _reduction(fig4_problem)
     ab = assembly.lower_band(*terms)
     tau = 0.5 * (fig4_solution.energies[7] + fig4_solution.energies[8])
     assert solver._count_below(*terms, tau) == 8
@@ -413,8 +410,7 @@ def _shifted_band(problem, n):
     """The lower band of h, and the shift and band Cholesky factor of
     h - sigma I that ``solver._banded_lowest`` takes for n levels; the
     shift factors a band of its own."""
-    _, d, y, f = _reduction(problem)
-    t = problem.y_tables["-idy"]
+    _, d, y, t, f = _reduction(problem)
     return (assembly.lower_band(d, y, t, f), *solver._shift(d, y, t, f, n))
 
 
@@ -570,8 +566,7 @@ def test_the_shift_lies_below_the_lowest_level(physics, L, N, n):
     problem = hq.assemble(
         hq.scale(FIG4_PHYSICAL if physics == "fig4" else BASE),
         small_spec(L=L, N=N))
-    _, d, y, f = _reduction(problem)
-    t = problem.y_tables["-idy"]
+    _, d, y, t, f = _reduction(problem)
     sigma, factor = solver._shift(d, y, t, f, n)
     reference = oracles.kept_subspace_energies(problem,
                                                solver.DROP_FRACTION_2D)

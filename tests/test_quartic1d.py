@@ -102,6 +102,17 @@ def test_solve_1d_rejects_an_empty_basis():
         hq.solve_1d(30.0, 30.0, n_basis=0)
 
 
+def test_solve_1d_answers_a_level_request_as_solve_does():
+    # at a = 0.5 nm the wells merge and 3 z-levels per parity keep 5 of
+    # the 6 overlap directions: 5 levels are there, 6, 0 and -1 are not
+    levels = hq.solve_1d(30.0, 0.5, n_basis=3, n_lowest=5)
+    assert len(levels) == 5
+    for n_lowest in (6, 0, -1):
+        with pytest.raises(hq.ReducedBasisError, match="between 1 and"):
+            hq.solve_1d(30.0, 0.5, n_basis=3, n_lowest=n_lowest)
+    assert issubclass(hq.ReducedBasisError, ValueError)
+
+
 def test_gap_surface_monotone_until_floor():
     surface = hq.gap_surface([30.0], np.arange(14.0, 36.0, 1.0),
                              gamma=-1e-3, n_basis=22)
