@@ -8,7 +8,8 @@ Hermite-Gaussian well-pair basis.
 from .assembly import SpectralProblem, assemble
 from .basis import BasisSpec
 from .errors import (ConfigError, DegenerateBasisError, HybridQError,
-                     ReducedBasisError, UncertifiedSpectrumError)
+                     ReducedBasisError, UncertifiedSpectrumError,
+                     UnreachableTargetError)
 from .model import PhysicalParams, ScaledParams, scale
 from .observables import (AvoidedCrossing, StateReport, crossing_scan,
                           state_report)
@@ -24,7 +25,7 @@ __all__ = [
     "DegenerateBasisError", "EigenSolution", "GapSurface", "HybridQError",
     "PhysicalParams", "Plateau", "ReducedBasisError", "ScaledParams",
     "SpectralProblem", "StabilizationTable", "StateReport",
-    "UncertifiedSpectrumError", "assemble", "classify_regimes",
-    "contour_fit", "crossing_scan", "gap_surface", "scale", "solve",
-    "solve_1d", "stabilize", "state_report",
+    "UncertifiedSpectrumError", "UnreachableTargetError", "assemble",
+    "classify_regimes", "contour_fit", "crossing_scan", "gap_surface",
+    "scale", "solve", "solve_1d", "stabilize", "state_report",
 ]

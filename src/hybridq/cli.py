@@ -15,13 +15,16 @@ ranges ``lo:hi:step``.  The whole config, every grid point and command-line
 override included, is validated before any point runs: unknown keys,
 malformed or non-finite numbers, ranges longer than ``MAX_GRID_POINTS``, a
 basis larger than ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold,
-a worker count below 1, a grid the task does not read and grid points that
-are not a valid working point raise ``ConfigError``, and ``main`` then
-exits with status 2 without writing a dataset.  The command line is
+a worker count below 1, an ``out_dir`` with a ``#``, a line break or outer
+blanks, a grid the task does not read, a ``mu_grid``, ``eta_grid`` or
+``targets`` value that is not positive and grid points that are not a
+valid working point raise ``ConfigError``, and ``main`` then exits with
+status 2 without writing a dataset.  The command line is
 ``hybridq --config FILE [--out DIR] [--workers N]``: the ``task`` key
 selects the run, and the options override ``out_dir`` and ``workers``
-(the worker pool size, default 1).  A point whose solve fails with a
-``solver.POINT_ERRORS`` exception is flagged in the CSV and the summary
+(the worker pool size, default 1).  ``solver.parallel_map`` runs every
+grid point and contour target: one that raises a ``solver.POINT_ERRORS``
+exception is flagged in the summary, and a grid point also in the CSV,
 rather than aborting the run; any other exception propagates.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -208,6 +212,14 @@ def _validate_config(raw: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"worker count {cfg.workers} must be at least 1")
+    # the '# config:' echo ends a value at a '#' and a line at a line
+    # break, and strips the blanks around a value
+    out_dir = cfg.out_dir or ""
+    if ("#" in out_dir or out_dir != out_dir.strip()
+            or len(out_dir.splitlines()) > 1):
+        raise ConfigError(f"out_dir {out_dir!r} holds a '#', a line break or "
+                          "outer blanks, which the '# config:' echo cannot "
+                          "carry")
     _check_sizes(cfg)
     _check_grids(cfg)
     _grid_points(cfg)  # every working point is valid and scales
@@ -256,8 +268,8 @@ def _check_grids(cfg: RunConfig) -> None:
             raise ConfigError(f"task {cfg.task!r} requires {name}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"{name} must be strictly increasing")
-    if cfg.task == "stabilize" and getattr(cfg, needed[0])[0] <= 0:
-        raise ConfigError(f"{needed[0]} values must be positive")
+        if name in ("mu_grid", "eta_grid", "targets") and grid[0] <= 0:
+            raise ConfigError(f"{name} values must be positive")
 
 
 def _grid_points(cfg: RunConfig) -> list:
@@ -370,20 +382,15 @@ def _plot_script(task: str, xlabel: str, ylabel: str, *commands) -> str:
 def _solve_point(args):
     """Worker: one full assemble+solve, returning plain observables."""
     physical, spec, n_track = args
-    try:
-        scaled = scale(physical)
-        problem = assembly.assemble(scaled, spec)
-        sol = solver.solve(problem, n_track)
-        reports = [observables.state_report(sol, j, problem)
-                   for j in range(min(4, n_track))]
-        return {
-            "energies": sol.energies.tolist(),
-            "z": [r.z_mean for r in reports],
-            "sx": [r.sx_mean for r in reports],
-            "error": None,
-        }
-    except solver.POINT_ERRORS as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+    problem = assembly.assemble(scale(physical), spec)
+    sol = solver.solve(problem, n_track)
+    reports = [observables.state_report(sol, j, problem)
+               for j in range(min(4, n_track))]
+    return {
+        "energies": sol.energies.tolist(),
+        "z": [r.z_mean for r in reports],
+        "sx": [r.sx_mean for r in reports],
+    }
 
 
 def _nan_row(n: int) -> list:
@@ -391,7 +398,8 @@ def _nan_row(n: int) -> list:
 
 
 def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
-    res = _solve_point((cfg.physical, cfg.spec, cfg.n_track))
+    [(res, error)] = solver.parallel_map(
+        _solve_point, [(cfg.physical, cfg.spec, cfg.n_track)], 1)
     hw0 = cfg.physical.hw0
     columns = ["state", "E_hw0", "E_meV", "z_over_a", "sigma_x", "status"]
     summary = [f"lowest {cfg.n_track} states at bSLa = {cfg.physical.bSLa} T"]
@@ -399,10 +407,10 @@ def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
                         "plot 'solve.csv' using 1:2 with points pt 7 notitle")
     notes = ("columns: index, energy [hw0], energy [meV], <z>/a, "
              "<sigma_x>, status",)
-    if res["error"] is not None:
+    if error is not None:
         rows = [[*_nan_row(len(columns) - 1),
-                 f"failed: {res['error'].replace(',', ';')}"]]
-        summary.append(f"FAILED: {res['error']}")
+                 f"failed: {error.replace(',', ';')}"]]
+        summary.append(f"FAILED: {error}")
         return _TaskOutput(columns, rows, notes, summary, plot, status=1)
     pad = _nan_row(cfg.n_track)
     rows = [[float(j), energy, energy * hw0, z, sx, "ok"]
@@ -464,12 +472,12 @@ def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
                + [f"sx{j}" for j in range(4)]
                + ["status"])
     rows, failed = [], []
-    for (lead, point), res in zip(points, results):
-        if res["error"] is not None:
+    for (lead, point), (res, error) in zip(points, results):
+        if error is not None:
             where = ", ".join(f"{f} = {v:g}" for f, v in zip(fields, lead))
-            failed.append(f"FAILED {where}: {res['error']}")
+            failed.append(f"FAILED {where}: {error}")
             rows.append([*lead, *_nan_row(len(columns) - len(lead) - 1),
-                         f"failed: {res['error'].replace(',', ';')}"])
+                         f"failed: {error.replace(',', ';')}"])
             continue
         energies = res["energies"]
         gap = energies[1] - energies[0]
@@ -517,13 +525,9 @@ def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
 
 def _quartic_point(args):
     hw0, a, b, gamma, n_basis, m_ratio = args
-    try:
-        levels = quartic1d.solve_1d(hw0, a, b=b, gamma=gamma,
-                                    n_basis=n_basis, n_lowest=2,
-                                    m_ratio=m_ratio)
-        return float(levels[1] - levels[0]), None
-    except solver.POINT_ERRORS as exc:
-        return float("nan"), f"{type(exc).__name__}: {exc}"
+    levels = quartic1d.solve_1d(hw0, a, b=b, gamma=gamma, n_basis=n_basis,
+                                n_lowest=2, m_ratio=m_ratio)
+    return float(levels[1] - levels[0])
 
 
 def _gap_surface(cfg: RunConfig, workers: int):
@@ -533,7 +537,8 @@ def _gap_surface(cfg: RunConfig, workers: int):
     tasks = [(p.hw0, p.a, p.b, p.gamma, cfg.N, p.m_ratio)
              for _, p in points]
     results = solver.parallel_map(_quartic_point, tasks, workers)
-    gaps = np.array([gap for gap, _ in results]).reshape(
+    # a failed point's gap, None, becomes NaN
+    gaps = np.array([gap for gap, _ in results], dtype=float).reshape(
         len(cfg.hw0_list), len(cfg.a_grid))
     failures = [(*values, err) for (values, _), (_, err)
                 in zip(points, results) if err is not None]
@@ -578,15 +583,13 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
     surface, failures = _gap_surface(cfg, workers)
     failed_hw0 = {hw0 for hw0, _, _ in failures}
     columns = ["target_gap", "hw0_meV", "a_nm", "status"]
+    fits = solver.parallel_map(
+        functools.partial(quartic1d.contour_fit, surface), cfg.targets, 1)
     rows, summary = [], []
-    n_ok = 0
-    for target in cfg.targets:
-        try:
-            fit = quartic1d.contour_fit(surface, target)
-        except ValueError as exc:
-            summary.append(f"target {target:g}: {exc}")
+    for target, (fit, error) in zip(cfg.targets, fits):
+        if error is not None:
+            summary.append(f"target {target:g}: {error}")
             continue
-        n_ok += 1
         for hw0, a in zip(fit.hw0_values, fit.a_values):
             rows.append([float(target), float(hw0), float(a), "ok"])
         for hw0 in fit.skipped_hw0:
@@ -605,7 +608,7 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
     return _TaskOutput(
         columns, rows, ("iso-gap contours a(hw0) extracted from the "
                         "tabulated 1D gap surface",),
-        summary, plot, status=int(n_ok == 0))
+        summary, plot, status=int(all(fit is None for fit, _ in fits)))
 
 
 _TASK_TABLE = {

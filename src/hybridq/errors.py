@@ -27,6 +27,11 @@ class ReducedBasisError(HybridQError, ValueError):
     above its floor, or the overlap directions ``solve_1d`` keeps."""
 
 
+class UnreachableTargetError(HybridQError, ValueError):
+    """Fewer than two hw0 rows of a gap surface reach a contour target,
+    too few for the power-law fit of ``quartic1d.contour_fit``."""
+
+
 class UncertifiedSpectrumError(HybridQError):
     """The banded 2D solve could not certify its levels: in each of its two
     Lanczos runs the levels did not converge within the step cap, or the

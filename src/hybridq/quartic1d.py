@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as basis_mod
-from .errors import ReducedBasisError
+from .errors import ReducedBasisError, UnreachableTargetError
 from .model import M_RATIO, PhysicalParams, scale
 from .solver import _canonical_solve
 
@@ -163,7 +163,8 @@ def contour_fit(surface: GapSurface, target: float) -> ContourFit:
 
     Per hw0 the contour point is the smallest tabulated a whose gap is at
     or below the target; rows that never reach the target, and rows with a
-    failed (non-finite) gap, are skipped and reported.
+    failed (non-finite) gap, are skipped and reported.  Fewer than two
+    rows left is an ``UnreachableTargetError``, also a ``ValueError``.
     """
     if target <= 0:
         raise ValueError("target gap must be positive")
@@ -177,7 +178,7 @@ def contour_fit(surface: GapSurface, target: float) -> ContourFit:
             hw0_pts.append(float(hw0))
             a_pts.append(float(surface.a_values[hits[0]]))
     if len(hw0_pts) < 2:
-        raise ValueError(
+        raise UnreachableTargetError(
             f"target gap {target:g} reachable for {len(hw0_pts)} hw0 value(s); "
             "need at least two for a power-law fit")
 

@@ -105,8 +105,8 @@ EXTRA_LEVEL_TOLERANCE = math.sqrt(np.finfo(float).eps)
 # relative variation within which ``stabilize`` counts a level as flat
 PLATEAU_TOLERANCE = 1e-4
 
-# errors that mark one grid point as failed; any other exception, a bare
-# ValueError included, is a bug and propagates
+# errors that mark one grid point as failed in ``parallel_map``; any other
+# exception, a bare ValueError included, is a bug and propagates
 POINT_ERRORS = (HybridQError, np.linalg.LinAlgError)
 
 
@@ -520,37 +520,47 @@ def _order_ties(vals: np.ndarray, vecs: np.ndarray,
         i = j
 
 
+def _point(func, item) -> tuple:
+    """``func(item)`` under the failure rule of ``parallel_map``."""
+    try:
+        return func(item), None
+    except POINT_ERRORS as exc:  # recorded, not fatal
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def parallel_map(func, items, workers: int) -> list:
-    """``[func(item) for item in items]``, fanned out over a pool of
-    ``min(workers, len(items))`` processes when that is more than one.
-    Results keep the order of ``items``.
+    """One ``(result, error)`` pair per item, in the order of ``items``,
+    fanned out over a pool of ``min(workers, len(items))`` processes when
+    that is more than one.
+
+    The one failure rule of every grid point: the pair is ``(func(item),
+    None)``, or ``(None, "<Type>: <message>")`` when ``func`` raises one of
+    the ``POINT_ERRORS``; any other exception propagates.  The rule runs in
+    the workers, which get ``func`` pickled by reference.
 
     Items go out in chunks of ``ceil(len(items) / (4 n))`` for ``n``
     processes, ``multiprocessing.Pool.map``'s default.  A worker that dies,
     for example by an OOM kill, raises ``BrokenProcessPool``, which is not
     one of the ``POINT_ERRORS`` and so ends the run."""
+    point = functools.partial(_point, func)
     if workers > 1 and len(items) > 1:
         n = min(workers, len(items))
         with ProcessPoolExecutor(n) as pool:
-            return list(pool.map(func, items,
+            return list(pool.map(point, items,
                                  chunksize=math.ceil(len(items) / (4 * n))))
-    return [func(item) for item in items]
+    return [point(item) for item in items]
 
 
-def _stabilize_point(args) -> tuple[list | None, str | None]:
+def _stabilize_point(args) -> list:
     scaled, spec, n_track = args
-    try:
-        problem = assembly.assemble(scaled, spec)
-        sol = solve(problem, n_track)
-        return sol.energies.tolist(), None
-    except POINT_ERRORS as exc:  # recorded, not fatal
-        return None, f"{type(exc).__name__}: {exc}"
+    return solve(assembly.assemble(scaled, spec), n_track).energies.tolist()
 
 
 def _widest_plateau(grid: np.ndarray, values: np.ndarray, level: int,
                     tol: float) -> Plateau | None:
     """Widest window of >= 2 consecutive valid points with relative
-    variation <= tol (two-pointer scan)."""
+    variation <= tol: from each start, the window grows until it meets a
+    failed point or leaves the tolerance."""
     best = None
     n = len(grid)
     for i in range(n - 1):

@@ -263,6 +263,18 @@ def test_contour_fit_lists_failed_points(tmp_path):
             if float(row[names.index("hw0_meV")]) == 1e-14] == ["failed"]
 
 
+def test_contour_fit_flags_an_unreachable_target(tmp_path):
+    # 1e-6 lies below the 2|gamma| floor of every hw0 row
+    cfg = _load("task = contour-fit\nhw0 = 30\na = 30\ngamma = -1e-3\n"
+                "N = 16\nhw0_list = 20,30\na_grid = 16:30:2\n"
+                f"targets = 1e-6,1e-2\nout_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    summary = (tmp_path / "contour-fit_summary.txt").read_text()
+    assert ("target 1e-06: UnreachableTargetError: target gap 1e-06 "
+            "reachable for 0 hw0 value(s)") in summary
+    assert cli.run(dataclasses.replace(cfg, targets=(1e-6,))).status == 1
+
+
 def test_config_from_csv_needs_the_config_echo(tmp_path):
     csv = tmp_path / "bare.csv"
     csv.write_text("# a note\nstate,E_hw0\n0,1.5\n")
@@ -329,6 +341,9 @@ def _small_solve(key: str, value: str) -> str:
      "hw0_list = -5,30\na_grid = 20,30\n", "hw0 = -5, a = 20: hw0, a, b"),
     (f"task = stabilize\n{SMALL_2D}mu_grid = -1,0.5\n",
      "mu_grid values must be positive"),
+    ("task = contour-fit\nhw0 = 30\na = 30\nN = 8\n"
+     "hw0_list = 20,30\na_grid = 20,30\ntargets = -1,3e-3\n",
+     "targets values must be positive"),
     ("task = solve\nhw0 = nan\na = 30\n", "non-finite"),
     ("task = solve\nhw0 = 30\na = 30\nL = inf\n", "non-finite"),
     (f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0:1:1e-300\n", "more than"),
@@ -369,7 +384,8 @@ def _small_solve(key: str, value: str) -> str:
      "range needs hi >= lo and step > 0"),
     (f"task = solve\n{SMALL_2D}L 2\n", "expected 'key = value'"),
 ], ids=["B0-zero-with-gradient", "sweep-negative-hw0",
-        "quartic-negative-hw0", "stabilize-negative-mu", "nan", "L-inf",
+        "quartic-negative-hw0", "stabilize-negative-mu",
+        "contour-negative-target", "nan", "L-inf",
         "huge-range", "sweep-track-one", "solve-track-zero",
         "sweep-track-too-many", "L-huge", "quartic-N-huge", "workers-zero",
         "sweep-bsl-unread-B0_list", "solve-unread-bsl_grid",
@@ -403,6 +419,29 @@ def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, text,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out_dir", [
+    "runs/#1", "runs\n1", "runs\r\n1", "runs\x0b1", "runs\u20281", "runs\n",
+    " runs", "runs ",
+], ids=["hash", "newline", "crlf", "vertical-tab", "line-separator",
+        "trailing-newline", "leading-blank", "trailing-blank"])
+def test_out_dir_the_echo_cannot_carry_is_rejected(tmp_path, out_dir):
+    # '# config: out_dir = runs/#1' would read back as 'runs/'
+    config = tmp_path / "cfg.txt"
+    config.write_text(MINIMAL)
+    with pytest.raises(hq.ConfigError, match="echo cannot carry"):
+        cli.load_config(config, {"out_dir": out_dir})
+
+
+def test_out_dir_override_with_a_hash_fails_before_any_point_runs(
+        tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_text(MINIMAL + "L = 2\nN = 2\n")
+    out = tmp_path / "runs#1"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+    assert "echo cannot carry" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overrides_reach_the_run(tmp_path):
@@ -474,25 +513,30 @@ def test_sweep_lists_one_failed_point(tmp_path, monkeypatch):
         "FAILED bSLa = 1: HybridQError: injected failure"]
 
 
+@pytest.mark.parametrize("error", [TypeError, ValueError],
+                         ids=lambda error: error.__name__)
 @pytest.mark.parametrize("task, target", [
     ("sweep", "hybridq.solver.solve"),
     ("stabilize", "hybridq.solver.solve"),
     ("quartic", "hybridq.quartic1d.solve_1d"),
+    ("contour-fit", "hybridq.quartic1d.contour_fit"),
 ])
 def test_programming_error_is_not_a_failed_point(tmp_path, monkeypatch,
-                                                 task, target):
+                                                 task, target, error):
     def broken(*args, **kwargs):
-        raise TypeError("broken")
+        raise error("broken")
 
     monkeypatch.setattr(target, broken)
+    quartic = ("hw0 = 30\na = 30\nN = 8\nhw0_list = 20,30\n"
+               "a_grid = 20,30\n")
     text = {
         "sweep": f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n",
         "stabilize": f"task = stabilize\n{SMALL_2D}mu_grid = 0.5,0.6\n",
-        "quartic": "task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
-                   "hw0_list = 20,30\na_grid = 20,30\n",
+        "quartic": f"task = quartic-gap\n{quartic}",
+        "contour-fit": f"task = contour-fit\n{quartic}targets = 1e-2\n",
     }[task]
     cfg = _load(text + f"workers = 1\nout_dir = {tmp_path}\n")
-    with pytest.raises(TypeError, match="broken"):
+    with pytest.raises(error, match="broken"):
         cli.run(cfg)
     assert not list(tmp_path.glob("*.csv"))
 

@@ -194,11 +194,28 @@ def test_pool_never_larger_than_the_work(monkeypatch):
             return [func(item) for item in items]
 
     monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialExecutor)
-    assert solver.parallel_map(abs, [-1, -2], 8) == [1, 2]
-    assert solver.parallel_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert solver.parallel_map(abs, [-1], 4) == [1]
-    assert solver.parallel_map(abs, [-1, -2], 1) == [1, 2]
+    assert solver.parallel_map(abs, [-1, -2], 8) == [(1, None), (2, None)]
+    assert solver.parallel_map(abs, [-1, -2, -3], 2) == [
+        (1, None), (2, None), (3, None)]
+    assert solver.parallel_map(abs, [-1], 4) == [(1, None)]
+    assert solver.parallel_map(abs, [-1, -2], 1) == [(1, None), (2, None)]
     assert sizes == [2, 2]
+
+
+def _fails_at_one_and_two(i):
+    if i == 1:
+        raise hq.ReducedBasisError("too few levels")
+    if i == 2:
+        raise TypeError("broken")
+    return -i
+
+
+def test_parallel_map_pairs_each_item_with_its_failure():
+    assert solver.parallel_map(_fails_at_one_and_two, [0, 1, 3], 1) == [
+        (0, None), (None, "ReducedBasisError: too few levels"), (-3, None)]
+    # any other exception is a bug and ends the map
+    with pytest.raises(TypeError, match="broken"):
+        solver.parallel_map(_fails_at_one_and_two, [0, 2], 1)
 
 
 DEAD_WORKER = """
@@ -251,6 +268,17 @@ def test_only_the_solver_imports_scipy_and_none_of_its_blas():
         "solver.py"]
     assert not [name for found in imports.values() for name in found
                 if name.startswith("scipy.linalg.blas")]
+
+
+def test_only_parallel_map_applies_the_point_failure_rule():
+    # one decision in one place: no task or point worker catches
+    # POINT_ERRORS itself, so every grid point fails by the same rule
+    handlers = [
+        path.name for path in pathlib.Path(hq.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and "POINT_ERRORS" in ast.unparse(node.type)]
+    assert handlers == ["solver.py"]
 
 
 # reads the OpenBLAS thread counts of numpy and scipy, where it finds them,
