@@ -4,7 +4,9 @@ A run is described by a plain-text config (``key = value`` lines, ``#``
 comments).  Each task writes into the output directory:
 
 * ``<task>.csv``     comma-separated dataset, 17 significant digits, with
-                     the full configuration echoed in ``# config:`` comments
+                     the physics configuration echoed in ``# config:``
+                     comments: every key but ``out_dir`` and ``workers``,
+                     so one config writes the same bytes anywhere
 * ``<task>.plt``     a gnuplot script rendering the CSV
 * ``<task>_summary.txt``  human-readable run summary
 
@@ -12,14 +14,14 @@ Each config key is declared once in ``_KEYS`` and each task once in
 ``_TASK_TABLE``; a key left out takes the default of its ``RunConfig`` or
 ``PhysicalParams`` field.  Grids are comma lists (``20,25,30``) or inclusive
 ranges ``lo:hi:step``.  The whole config, every grid point and command-line
-override included, is validated before any point runs: unknown keys,
-malformed or non-finite numbers, ranges longer than ``MAX_GRID_POINTS``, a
-basis larger than ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold,
-a worker count below 1, an ``out_dir`` with a ``#``, a line break or outer
-blanks, a grid the task does not read, a ``mu_grid``, ``eta_grid`` or
-``targets`` value that is not positive and grid points that are not a
-valid working point raise ``ConfigError``, and ``main`` then exits with
-status 2 without writing a dataset.  The command line is
+override included, is validated before any point runs: a file that is not
+UTF-8, unknown keys, malformed or non-finite numbers, ranges longer than
+``MAX_GRID_POINTS``, a basis larger than ``MAX_BASIS_SIZE``, an ``N`` above
+``MAX_N``, an ``n_track`` the basis cannot hold, a worker count below 1, a
+grid the task does not read, a ``mu_grid``, ``eta_grid`` or ``targets``
+value that is not positive and grid points that are not a valid working
+point raise ``ConfigError``, and ``main`` then exits with status 2 without
+writing a dataset.  The command line is
 ``hybridq --config FILE [--out DIR] [--workers N]``: the ``task`` key
 selects the run, and the options override ``out_dir`` and ``workers``
 (the worker pool size, default 1).  ``solver.parallel_map`` runs every
@@ -68,10 +70,16 @@ _PHYSICAL = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 MAX_GRID_POINTS = 100_000
 
 # largest variational basis a run may ask for: 4LN for the 2D tasks, 2N
-# for the 1D tasks.  The largest arrays grow as its square: at this size
-# the 1D solve's dense H and S, and at L <= 2 the 2D band (as many entries
-# as a dense matrix of the reduced size), take 512 MB each
+# for the 1D tasks.  It bounds the arrays of the solve, which grow as its
+# square at most (8000^2 doubles take 512 MB); the exact z-tables behind
+# them cost far more per function and have their own bound, MAX_N
 MAX_BASIS_SIZE = 8000
+
+# largest z-ladder length N.  The integer overlap recurrence of the exact
+# z-tables grows much faster than the arrays: one process on a 2-vCPU VM
+# took 2.8-4.0 s and 178 MiB for one 1D solve at N = 400, and 8.9 s and
+# 288 MiB for one z-table build at N = 600.  Shipped configs use N <= 22
+MAX_N = 400
 
 _GRID_OF = {"bSLa": "bsl_grid", "hw0": "hw0_list", "B0": "B0_list",
             "a": "a_grid"}
@@ -212,14 +220,6 @@ def _validate_config(raw: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"worker count {cfg.workers} must be at least 1")
-    # the '# config:' echo ends a value at a '#' and a line at a line
-    # break, and strips the blanks around a value
-    out_dir = cfg.out_dir or ""
-    if ("#" in out_dir or out_dir != out_dir.strip()
-            or len(out_dir.splitlines()) > 1):
-        raise ConfigError(f"out_dir {out_dir!r} holds a '#', a line break or "
-                          "outer blanks, which the '# config:' echo cannot "
-                          "carry")
     _check_sizes(cfg)
     _check_grids(cfg)
     _grid_points(cfg)  # every working point is valid and scales
@@ -227,8 +227,9 @@ def _validate_config(raw: dict) -> RunConfig:
 
 
 def _check_sizes(cfg: RunConfig) -> None:
-    """The basis fits ``MAX_BASIS_SIZE`` and a 2D task tracks between one
-    (two for a sweep, which reports the gap) and all 4LN levels."""
+    """The basis fits ``MAX_BASIS_SIZE``, N fits ``MAX_N`` and a 2D task
+    tracks between one (two for a sweep, which reports the gap) and all
+    4LN levels."""
     task = _TASK_TABLE[cfg.task]
     if task.is_1d:
         size, what = 2 * cfg.N, "2N"
@@ -237,6 +238,8 @@ def _check_sizes(cfg: RunConfig) -> None:
     if size > MAX_BASIS_SIZE:
         raise ConfigError(f"basis size {what} = {size} exceeds "
                           f"{MAX_BASIS_SIZE}")
+    if cfg.N > MAX_N:
+        raise ConfigError(f"N = {cfg.N} exceeds {MAX_N}")
     if task.is_1d:
         return
     lowest = 2 if task.swept else 1
@@ -303,20 +306,41 @@ def _grid_points(cfg: RunConfig) -> list:
     return points
 
 
+def _text_lines(path) -> list:
+    """The lines of a UTF-8 text file, split where a text-mode read splits
+    them; a line that is not UTF-8 is a ConfigError."""
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    text = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            text.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path} is not UTF-8 text", lineno) from None
+    return text
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Load and validate a run configuration file.
 
     ``overrides`` maps config keys to typed values that replace the file's
     before the whole config is validated.
     """
-    with open(path, encoding="utf-8") as handle:
-        raw = _parse_raw(handle)
+    raw = _parse_raw(_text_lines(path))
     raw.update(overrides or {})
     return _validate_config(raw)
 
 
 def _fmt(value) -> str:
     return f"{value:.17g}"
+
+
+def _exact(value) -> str:
+    """``value`` as ``:g`` text where that reads back as ``value``, else as
+    ``_fmt`` text: a plot filter or a column name then names the CSV's own
+    value."""
+    text = f"{value:g}"
+    return text if float(text) == value else _fmt(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -335,10 +359,10 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_from_csv(path) -> RunConfig:
-    """Reconstruct the RunConfig echoed in a dataset's comment header."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [line[len("# config: "):] for line in handle
-                 if line.startswith("# config: ")]
+    """Reconstruct the RunConfig echoed in a dataset's comment header; the
+    echo leaves out ``out_dir`` and ``workers``, which come back None."""
+    lines = [line[len("# config: "):] for line in _text_lines(path)
+             if line.startswith("# config: ")]
     if not lines:
         raise ConfigError(f"{path} carries no '# config:' echo")
     return parse_config_lines(lines)
@@ -492,7 +516,7 @@ def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
         """One curve of ``column`` against bSLa per outer value."""
         k = columns.index(column) + 1
         return "plot " + " , ".join(
-            f"'{cfg.task}.csv' using 2:($1 == {v:g} ? ${k} : NaN) "
+            f"'{cfg.task}.csv' using 2:($1 == {_exact(v)} ? ${k} : NaN) "
             f"with linespoints title '{title.format(v)}'" for v in outer)
 
     if cfg.task == "sweep-bsl":
@@ -553,7 +577,7 @@ def _failure_lines(failures) -> list:
 
 def _run_quartic_gap(cfg: RunConfig, workers: int) -> _TaskOutput:
     surface, failures = _gap_surface(cfg, workers)
-    columns = ["a_nm"] + [f"gap_hw0_{w:g}meV" for w in cfg.hw0_list] \
+    columns = ["a_nm"] + [f"gap_hw0_{_exact(w)}meV" for w in cfg.hw0_list] \
         + ["status"]
     failed_a = {a for _, a, _ in failures}
     rows = [[float(a), *surface.gaps[:, j].tolist(),
@@ -603,7 +627,7 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
     plot = _plot_script(
         "contour-fit", "hw0  [meV]", "a  [nm]", "set logscale xy",
         "plot " + " , ".join(
-            f"'contour-fit.csv' using ($1 == {t:g} ? $2 : NaN):3 "
+            f"'contour-fit.csv' using ($1 == {_exact(t)} ? $2 : NaN):3 "
             f"with linespoints title 'gap = {t:g}'" for t in cfg.targets))
     return _TaskOutput(
         columns, rows, ("iso-gap contours a(hw0) extracted from the "
@@ -628,7 +652,9 @@ def run(cfg: RunConfig) -> RunResult:
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     result = _TASK_TABLE[cfg.task].runner(cfg, cfg.workers or 1)
-    config_lines = serialize_config(cfg).splitlines()
+    # the physics alone: one config writes the same bytes anywhere
+    config_lines = serialize_config(
+        dataclasses.replace(cfg, out_dir=None, workers=None)).splitlines()
 
     csv_path = out / f"{cfg.task}.csv"
     with open(csv_path, "w", encoding="utf-8") as handle:

@@ -33,9 +33,16 @@ n_track = 4
 bsl_grid = 0:1:0.5
 """
 
+SMALL_2D = "hw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\nn_track = 2\n"
+
 
 def _load(text: str) -> cli.RunConfig:
     return cli.parse_config_lines(text.splitlines())
+
+
+def _physics(cfg: cli.RunConfig) -> cli.RunConfig:
+    """``cfg`` as its dataset echoes it: without out_dir and workers."""
+    return dataclasses.replace(cfg, out_dir=None, workers=None)
 
 
 def _read_csv(path):
@@ -169,7 +176,7 @@ def test_run_solve_emits_parseable_dataset(tmp_path):
     assert np.all(np.diff(energies) >= 0)
     # 17-significant-digit round trip of the numeric payload
     assert float(rows[0][1]) == energies[0]
-    assert cli.config_from_csv(csv) == cfg
+    assert cli.config_from_csv(csv) == _physics(cfg)
 
 
 def test_run_solve_flags_a_failed_point(tmp_path):
@@ -203,15 +210,29 @@ def test_run_solve_flags_a_reduced_basis_too_small(tmp_path):
     assert "FAILED: ReducedBasisError" in summary
 
 
-def test_run_sweep_deterministic_across_workers(tmp_path):
+SMALL_QUARTIC = """\
+task = quartic-gap
+hw0 = 30
+a = 30
+gamma = -1e-3
+N = 8
+hw0_list = 20,30
+a_grid = 16:30:2
+"""
+
+
+@pytest.mark.parametrize("text", [SMALL_SWEEP, SMALL_QUARTIC],
+                         ids=["sweep-bsl", "quartic-gap"])
+def test_run_deterministic_across_out_dirs_and_workers(tmp_path, text):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    cfg = _load(SMALL_SWEEP)
+    cfg = _load(text)
     r1 = cli.run(dataclasses.replace(cfg, out_dir=str(out1), workers=1))
     r2 = cli.run(dataclasses.replace(cfg, out_dir=str(out2), workers=2))
     assert r1.status == r2.status == 0
-    # row order and every digit of the numeric content agree
-    assert _read_csv(out1 / "sweep-bsl.csv") \
-        == _read_csv(out2 / "sweep-bsl.csv")
+    # every byte of the three files agrees, the config echo included
+    for path1, path2 in zip(r1.files, r2.files):
+        assert path1.name == path2.name
+        assert path1.read_bytes() == path2.read_bytes()
 
 
 def test_run_stabilize_small(tmp_path):
@@ -225,7 +246,22 @@ def test_run_stabilize_small(tmp_path):
             if not line.startswith("#")]
     assert body[0].split(",")[0] == "mu"
     assert len(body) == 1 + 3
-    assert cli.config_from_csv(csv) == cfg
+    assert cli.config_from_csv(csv) == _physics(cfg)
+
+
+def test_run_stabilize_reports_a_plateau(tmp_path):
+    # the first two points lie 1e-5 apart in mu: every level is flat there
+    # and varies by more than the tolerance up to mu = 1.5
+    cfg = _load(f"task = stabilize\n{SMALL_2D}mu_grid = 0.7,0.70001,1.5\n"
+                f"out_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    names, rows = _read_csv(tmp_path / "stabilize.csv")
+    summary = (tmp_path / "stabilize_summary.txt").read_text()
+    for level in range(cfg.n_track):
+        flat = [float(row[names.index(f"E{level}_hw0")]) for row in rows[:2]]
+        rel = (max(flat) - min(flat)) / max(map(abs, flat))
+        assert (f"  level {level}: plateau [0.7, 0.70001] (2 pts, rel "
+                f"variation {rel:.2e})\n") in summary
 
 
 def test_run_quartic_and_contour(tmp_path):
@@ -275,11 +311,61 @@ def test_contour_fit_flags_an_unreachable_target(tmp_path):
     assert cli.run(dataclasses.replace(cfg, targets=(1e-6,))).status == 1
 
 
+@pytest.mark.parametrize("task, text", [
+    # 0.1 + 2 * 0.1 is 0.30000000000000004, whose :g text is 0.3
+    ("sweep-B0", f"{SMALL_2D}B0_list = 0.1:0.5:0.1\nbsl_grid = 0.5,1\n"),
+    # 0.01 + 2 * 0.03 is 0.069999999999999993
+    ("contour-fit", "hw0 = 30\na = 30\ngamma = -1e-3\nN = 16\n"
+                    "hw0_list = 20,30\na_grid = 16:30:2\n"
+                    "targets = 0.01:0.07:0.03\n"),
+], ids=["sweep-B0", "contour-fit"])
+def test_plot_filters_name_the_csv_values(tmp_path, task, text):
+    cfg = _load(f"task = {task}\n{text}out_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    _, rows = _read_csv(tmp_path / f"{task}.csv")
+    plot = (tmp_path / f"{task}.plt").read_text()
+    literals = re.findall(r"\$1 == (\S+) \?", plot)
+    assert [float(x) for x in literals] == list(cfg.B0_list or cfg.targets)
+    assert {float(x) for x in literals} == {float(row[0]) for row in rows}
+
+
+def test_quartic_gap_columns_name_the_hw0_values(tmp_path):
+    # :g writes both values as 30, and a CSV reader keeps one of two
+    # columns of the same name
+    cfg = _load("task = quartic-gap\nhw0 = 30\na = 30\nN = 8\n"
+                "hw0_list = 30,30.000001\na_grid = 20,30\n"
+                f"out_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    names, _ = _read_csv(tmp_path / "quartic-gap.csv")
+    gaps = [name for name in names if name.startswith("gap_hw0_")]
+    assert [float(name[len("gap_hw0_"):-len("meV")]) for name in gaps] \
+        == list(cfg.hw0_list)
+
+
 def test_config_from_csv_needs_the_config_echo(tmp_path):
     csv = tmp_path / "bare.csv"
     csv.write_text("# a note\nstate,E_hw0\n0,1.5\n")
     with pytest.raises(hq.ConfigError, match="carries no '# config:' echo"):
         cli.config_from_csv(csv)
+
+
+def test_config_from_csv_needs_utf8(tmp_path):
+    csv = tmp_path / "solve.csv"
+    csv.write_bytes(b"# config: task = solve\n# config: hw0 = 30\n"
+                    b"# config: a = 30\nstate,E_hw0\n0,1.5\xff\n")
+    with pytest.raises(hq.ConfigError,
+                       match=f"line 5: {re.escape(str(csv))} is not UTF-8"):
+        cli.config_from_csv(csv)
+
+
+def test_config_that_is_not_utf8_fails_before_any_point_runs(tmp_path,
+                                                            capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_bytes(MINIMAL.encode() + b"# caf\xff\n")
+    code = cli.main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"line 4: {config} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_main_runs_solve(tmp_path, capsys):
@@ -319,10 +405,7 @@ def test_run_outer_sweep(tmp_path, task, outer, outer_values, bsl_values):
     referenced = {names[int(k) - 1] for k in re.findall(r"\$(\d+)", plot)}
     assert referenced - {outer} == (
         {"gap_hw0", "sx0"} if task == "sweep-w0" else {"sx0"})
-    assert cli.config_from_csv(csv) == cfg
-
-
-SMALL_2D = "hw0 = 30\na = 30\nB0 = 0.5\nL = 2\nN = 2\nn_track = 2\n"
+    assert cli.config_from_csv(csv) == _physics(cfg)
 
 
 def _small_solve(key: str, value: str) -> str:
@@ -355,6 +438,11 @@ def _small_solve(key: str, value: str) -> str:
     ("task = solve\nhw0 = 30\na = 30\nL = 1e300\n", "basis size 4LN"),
     ("task = quartic-gap\nhw0 = 30\na = 30\nN = 4001\n"
      "hw0_list = 20,30\na_grid = 20,30\n", "basis size 2N = 8002"),
+    ("task = quartic-gap\nhw0 = 30\na = 30\nN = 4000\n"
+     "hw0_list = 20,30\na_grid = 20,30\n", "N = 4000 exceeds 400"),
+    ("task = solve\nhw0 = 30\na = 30\nL = 1\nN = 2000\n",
+     "N = 2000 exceeds 400"),
+    (_small_solve("N", "401"), "N = 401 exceeds 400"),
     ("task = solve\nhw0 = 30\na = 30\nL = 2\nN = 2\nworkers = 0\n",
      "worker count 0 must be at least 1"),
     (f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\nB0_list = 0.1,2\n",
@@ -387,7 +475,8 @@ def _small_solve(key: str, value: str) -> str:
         "quartic-negative-hw0", "stabilize-negative-mu",
         "contour-negative-target", "nan", "L-inf",
         "huge-range", "sweep-track-one", "solve-track-zero",
-        "sweep-track-too-many", "L-huge", "quartic-N-huge", "workers-zero",
+        "sweep-track-too-many", "L-huge", "quartic-N-huge",
+        "quartic-N-long", "solve-N-long", "N-above-bound", "workers-zero",
         "sweep-bsl-unread-B0_list", "solve-unread-bsl_grid",
         "stabilize-unread-hw0_list", "quartic-unread-targets", "a-huge",
         "a-tiny", "m_ratio-tiny", "hw0-tiny", "B0-huge", "bSLa-huge",
@@ -421,38 +510,38 @@ def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, text,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("out_dir", [
-    "runs/#1", "runs\n1", "runs\r\n1", "runs\x0b1", "runs\u20281", "runs\n",
-    " runs", "runs ",
-], ids=["hash", "newline", "crlf", "vertical-tab", "line-separator",
-        "trailing-newline", "leading-blank", "trailing-blank"])
-def test_out_dir_the_echo_cannot_carry_is_rejected(tmp_path, out_dir):
-    # '# config: out_dir = runs/#1' would read back as 'runs/'
-    config = tmp_path / "cfg.txt"
-    config.write_text(MINIMAL)
-    with pytest.raises(hq.ConfigError, match="echo cannot carry"):
-        cli.load_config(config, {"out_dir": out_dir})
-
-
-def test_out_dir_override_with_a_hash_fails_before_any_point_runs(
-        tmp_path, capsys):
+@pytest.mark.parametrize("name", ["runs#1", "runs\n1", "runs "],
+                         ids=["hash", "newline", "trailing-blank"])
+def test_any_out_dir_takes_the_dataset(tmp_path, name):
+    # the echo leaves out_dir out, so no path needs to survive it
     config = tmp_path / "cfg.txt"
     config.write_text(MINIMAL + "L = 2\nN = 2\n")
-    out = tmp_path / "runs#1"
-    assert cli.main(["--config", str(config), "--out", str(out)]) == 2
-    assert "echo cannot carry" in capsys.readouterr().err
-    assert not out.exists()
+    out = tmp_path / name
+    assert cli.main(["--config", str(config), "--out", str(out),
+                     "--workers", "2"]) == 0
+    assert sorted(path.name for path in out.iterdir()) \
+        == ["solve.csv", "solve.plt", "solve_summary.txt"]
+    cfg = cli.config_from_csv(out / "solve.csv")
+    assert (cfg.out_dir, cfg.workers) == (None, None)
 
 
-def test_overrides_reach_the_run(tmp_path):
+def test_overrides_reach_the_run(tmp_path, monkeypatch):
     config = tmp_path / "cfg.txt"
     config.write_text(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
-                      "workers = 2\n")
+                      f"workers = 2\nout_dir = {tmp_path / 'file'}\n")
+    real, pools = solver.parallel_map, []
+
+    def spy(func, items, workers):
+        pools.append(workers)
+        return real(func, items, workers)
+
+    monkeypatch.setattr(solver, "parallel_map", spy)
     out = tmp_path / "out"
     assert cli.main(["--config", str(config), "--out", str(out),
                      "--workers", "1"]) == 0
-    cfg = cli.config_from_csv(out / "sweep-bsl.csv")
-    assert (cfg.workers, cfg.out_dir) == (1, str(out))
+    assert pools == [1]
+    assert (out / "sweep-bsl.csv").exists()
+    assert not (tmp_path / "file").exists()
 
 
 @pytest.mark.parametrize("key, value, table", [

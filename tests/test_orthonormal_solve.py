@@ -429,6 +429,22 @@ def test_the_band_reaches_dpbtrf_column_major_and_is_factored_in_place(
     assert calls == [(True, 1, True)]
 
 
+def test_four_failed_factorizations_are_an_uncertified_spectrum(
+        monkeypatch):
+    problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
+    calls = []
+
+    def not_positive_definite(ab, **kwargs):
+        calls.append(kwargs)
+        return ab, 1
+    monkeypatch.setattr(solver, "dpbtrf", not_positive_definite)
+    with pytest.raises(hq.UncertifiedSpectrumError,
+                       match=r"^h - sigma I is not positive definite down to "
+                             r"sigma = \S+$"):
+        hq.solve(problem, 6)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("band, n, k, cap", [
     ("fig4", 9, 9, None), ("fig4", 33, 33, None), ("fig4", 41, 41, None),
     ("L4N4", 7, 7, None), ("L4N4", 33, 33, None),
