@@ -5,23 +5,27 @@ comments).  Each task writes into the output directory:
 
 * ``<task>.csv``     comma-separated dataset, 17 significant digits, with
                      the physics configuration echoed in ``# config:``
-                     comments: every key but ``out_dir`` and ``workers``,
-                     so one config writes the same bytes anywhere
+                     comments: every key the task reads but ``out_dir``
+                     and ``workers``, so one config writes the same bytes
+                     anywhere
 * ``<task>.plt``     a gnuplot script rendering the CSV
 * ``<task>_summary.txt``  human-readable run summary
 
 Each config key is declared once in ``_KEYS`` and each task once in
 ``_TASK_TABLE``; a key left out takes the default of its ``RunConfig`` or
-``PhysicalParams`` field.  Grids are comma lists (``20,25,30``) or inclusive
-ranges ``lo:hi:step``.  The whole config, every grid point and command-line
-override included, is validated before any point runs: a file that is not
-UTF-8, unknown keys, malformed or non-finite numbers, ranges longer than
-``MAX_GRID_POINTS``, a basis larger than ``MAX_BASIS_SIZE``, an ``N`` above
-``MAX_N``, an ``n_track`` the basis cannot hold, a worker count below 1, a
-grid the task does not read, a ``mu_grid``, ``eta_grid`` or ``targets``
-value that is not positive and grid points that are not a valid working
-point raise ``ConfigError``, and ``main`` then exits with status 2 without
-writing a dataset.  The command line is
+``PhysicalParams`` field.  ``_Task.reads`` says which keys a task reads: a
+1D task reads none of the 2D settings ``_KEYS_2D``, and a task reads a grid
+only if it sweeps or fits over it.  Grids are comma lists (``20,25,30``) or
+inclusive ranges ``lo:hi:step``.  The whole config, every grid point and
+command-line override included, is validated before any point runs: a file
+that is not UTF-8, unknown keys, a key the task does not read set to
+anything but its default, malformed or non-finite numbers, ranges longer
+than ``MAX_GRID_POINTS``, an ``N`` above ``MAX_N``, a 2D basis larger than
+``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold, a worker count
+below 1, a ``mu_grid``, ``eta_grid`` or ``targets`` value that is not
+positive and grid points that are not a valid working point raise
+``ConfigError``, and ``main`` then exits with status 2 without writing a
+dataset.  The command line is
 ``hybridq --config FILE [--out DIR] [--workers N]``: the ``task`` key
 selects the run, and the options override ``out_dir`` and ``workers``
 (the worker pool size, default 1).  ``solver.parallel_map`` runs every
@@ -69,10 +73,11 @@ _PHYSICAL = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 # step from building a huge grid
 MAX_GRID_POINTS = 100_000
 
-# largest variational basis a run may ask for: 4LN for the 2D tasks, 2N
-# for the 1D tasks.  It bounds the arrays of the solve, which grow as its
-# square at most (8000^2 doubles take 512 MB); the exact z-tables behind
-# them cost far more per function and have their own bound, MAX_N
+# largest 2D variational basis 4LN a run may ask for; a 1D task's 2N
+# functions stay far below it under MAX_N.  It bounds the arrays of the
+# solve, which grow as its square at most (8000^2 doubles take 512 MB); the
+# exact z-tables behind them cost far more per function and have their own
+# bound, MAX_N
 MAX_BASIS_SIZE = 8000
 
 # largest z-ladder length N.  The integer overlap recurrence of the exact
@@ -85,17 +90,34 @@ _GRID_OF = {"bSLa": "bsl_grid", "hw0": "hw0_list", "B0": "B0_list",
             "a": "a_grid"}
 _COLUMN_OF = {"bSLa": "bSLa_T", "hw0": "hw0", "B0": "B0_T"}
 
+# the settings of the 2D problem: a 1D solve has no field, y-ladder or level
+# count, and takes its own basis width eta = 1/sqrt(r_a) per point
+_KEYS_2D = ("B0", "bSLa", "eta", "mu", "L", "n_track")
+
 
 @dataclass(frozen=True)
 class _Task:
     """One row of ``_TASK_TABLE``: the runner of a task, the
     PhysicalParams fields it sweeps (outer first; a run visits the
-    product of their grids, outer-major) and whether it is 1D (2N
-    z-functions alone)."""
+    product of their grids, outer-major), the other grids it reads and
+    whether it is 1D (2N z-functions alone)."""
 
     runner: Callable
     swept: tuple = ()
+    other_grids: tuple = ()
     is_1d: bool = False
+
+    @property
+    def grids(self) -> tuple:
+        """The grids the task reads: its swept fields', then the others."""
+        return (*map(_GRID_OF.get, self.swept), *self.other_grids)
+
+    def reads(self, key: str) -> bool:
+        """Whether the task reads config key ``key``; a key it does not
+        read may hold only its default, and the echo leaves it out."""
+        if _KEYS[key] == "grid":
+            return key in self.grids
+        return not (self.is_1d and key in _KEYS_2D)
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,10 @@ class RunConfig:
     @property
     def spec(self) -> BasisSpec:
         return BasisSpec(eta=self.eta, mu=self.mu, L=self.L, N=self.N)
+
+
+_DEFAULTS = {field.name: field.default for cls in (PhysicalParams, RunConfig)
+             for field in dataclasses.fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -206,6 +232,11 @@ def _validate_config(raw: dict) -> RunConfig:
     for key in ("hw0", "a"):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
+    unread = [key for key in _KEYS if key in raw
+              and not _TASK_TABLE[task].reads(key)
+              and raw[key] != _DEFAULTS[key]]
+    if unread:
+        raise ConfigError(f"task {task!r} does not read {', '.join(unread)}")
 
     try:
         physical = PhysicalParams(
@@ -227,21 +258,17 @@ def _validate_config(raw: dict) -> RunConfig:
 
 
 def _check_sizes(cfg: RunConfig) -> None:
-    """The basis fits ``MAX_BASIS_SIZE``, N fits ``MAX_N`` and a 2D task
-    tracks between one (two for a sweep, which reports the gap) and all
+    """N fits ``MAX_N``, and a 2D task's basis fits ``MAX_BASIS_SIZE`` and
+    it tracks between one (two for a sweep, which reports the gap) and all
     4LN levels."""
-    task = _TASK_TABLE[cfg.task]
-    if task.is_1d:
-        size, what = 2 * cfg.N, "2N"
-    else:
-        size, what = cfg.spec.size, "4LN"
-    if size > MAX_BASIS_SIZE:
-        raise ConfigError(f"basis size {what} = {size} exceeds "
-                          f"{MAX_BASIS_SIZE}")
     if cfg.N > MAX_N:
         raise ConfigError(f"N = {cfg.N} exceeds {MAX_N}")
+    task = _TASK_TABLE[cfg.task]
     if task.is_1d:
         return
+    size = cfg.spec.size
+    if size > MAX_BASIS_SIZE:
+        raise ConfigError(f"basis size 4LN = {size} exceeds {MAX_BASIS_SIZE}")
     lowest = 2 if task.swept else 1
     if not lowest <= cfg.n_track <= size:
         raise ConfigError(f"task {cfg.task!r} needs n_track between "
@@ -249,22 +276,15 @@ def _check_sizes(cfg: RunConfig) -> None:
 
 
 def _check_grids(cfg: RunConfig) -> None:
-    """The grids the task reads are set and valid; no other grid is set,
-    so the ``# config:`` echo never claims a sweep that did not run."""
-    needed = [_GRID_OF[field] for field in _TASK_TABLE[cfg.task].swept]
-    if cfg.task == "contour-fit":
-        needed.append("targets")
+    """The grids the task reads are set and valid: ``stabilize`` reads
+    exactly one of mu_grid and eta_grid, every other task all of its
+    grids."""
+    needed = _TASK_TABLE[cfg.task].grids
     if cfg.task == "stabilize":
         if bool(cfg.mu_grid) == bool(cfg.eta_grid):
             raise ConfigError(
                 "task 'stabilize' requires exactly one of mu_grid, eta_grid")
-        needed.append("mu_grid" if cfg.mu_grid else "eta_grid")
-    unread = [name for name, kind in _KEYS.items()
-              if kind == "grid" and getattr(cfg, name)
-              and name not in needed]
-    if unread:
-        raise ConfigError(f"task {cfg.task!r} does not read "
-                          f"{', '.join(unread)}")
+        needed = ["mu_grid" if cfg.mu_grid else "eta_grid"]
     for name in needed:
         grid = getattr(cfg, name)
         if not grid:
@@ -344,9 +364,13 @@ def _exact(value) -> str:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back into parseable config text."""
+    """Render a RunConfig back into parseable config text, writing only
+    the keys its task reads."""
+    task = _TASK_TABLE[cfg.task]
     lines = []
     for key, kind in _KEYS.items():
+        if not task.reads(key):
+            continue
         value = getattr(cfg.physical if key in _PHYSICAL else cfg, key)
         if value is None or (kind == "grid" and not value):
             continue
@@ -637,12 +661,13 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
 
 _TASK_TABLE = {
     "solve": _Task(_run_solve),
-    "stabilize": _Task(_run_stabilize),
+    "stabilize": _Task(_run_stabilize, other_grids=("mu_grid", "eta_grid")),
     "sweep-bsl": _Task(_run_sweep, ("bSLa",)),
     "sweep-w0": _Task(_run_sweep, ("hw0", "bSLa")),
     "sweep-B0": _Task(_run_sweep, ("B0", "bSLa")),
     "quartic-gap": _Task(_run_quartic_gap, ("hw0", "a"), is_1d=True),
-    "contour-fit": _Task(_run_contour_fit, ("hw0", "a"), is_1d=True),
+    "contour-fit": _Task(_run_contour_fit, ("hw0", "a"), ("targets",),
+                         is_1d=True),
 }
 TASKS = tuple(_TASK_TABLE)
 

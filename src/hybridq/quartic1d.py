@@ -138,10 +138,9 @@ def classify_regimes(a_values, gaps) -> CurveRegimes:
                         floor=floor)
 
 
-def gap_surface(hw0_values, a_values, gamma: float = -1e-3,
-                b_over_a: float = 1.0, *, n_basis: int = 20,
-                m_ratio: float = M_RATIO) -> GapSurface:
-    """Tabulate the scaled gap over a (hw0, a) grid.
+def gap_surface(hw0_values, a_values, gamma: float, b_over_a: float = 1.0,
+                *, n_basis: int = 20, m_ratio: float = M_RATIO) -> GapSurface:
+    """Tabulate the scaled gap over a (hw0, a) grid at tilt ``gamma``.
 
     ``b_over_a`` scales the barrier length with a (the default b = a keeps
     the potential shape fixed); each point is a ``solve_1d``, so its basis

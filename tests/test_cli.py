@@ -437,7 +437,7 @@ def _small_solve(key: str, value: str) -> str:
      "bsl_grid = 0.5,1\n", "4LN = 16, not 1000"),
     ("task = solve\nhw0 = 30\na = 30\nL = 1e300\n", "basis size 4LN"),
     ("task = quartic-gap\nhw0 = 30\na = 30\nN = 4001\n"
-     "hw0_list = 20,30\na_grid = 20,30\n", "basis size 2N = 8002"),
+     "hw0_list = 20,30\na_grid = 20,30\n", "N = 4001 exceeds 400"),
     ("task = quartic-gap\nhw0 = 30\na = 30\nN = 4000\n"
      "hw0_list = 20,30\na_grid = 20,30\n", "N = 4000 exceeds 400"),
     ("task = solve\nhw0 = 30\na = 30\nL = 1\nN = 2000\n",
@@ -508,6 +508,89 @@ def test_bad_override_fails_before_any_point_runs(tmp_path, capsys, text,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+QUARTIC_1D = ("hw0 = 30\na = 30\nN = 8\nhw0_list = 20,30\n"
+              "a_grid = 20,30\n")
+TASKS_1D = {"quartic-gap": f"task = quartic-gap\n{QUARTIC_1D}",
+            "contour-fit": f"task = contour-fit\n{QUARTIC_1D}targets = 1e-2\n"}
+# the 2D settings at their defaults, and a value other than the default
+DEFAULTS_2D = "B0 = 0\nbSLa = 0\neta = 4\nmu = 0.7\nL = 20\nn_track = 8\n"
+SET_2D = {"B0": "0.5", "bSLa": "1", "eta": "99", "mu": "0.5", "L": "7",
+          "n_track": "5"}
+
+
+@pytest.mark.parametrize("key", SET_2D)
+@pytest.mark.parametrize("task", TASKS_1D)
+def test_1d_task_rejects_a_2d_setting(tmp_path, capsys, task, key):
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"{TASKS_1D[task]}{key} = {SET_2D[key]}\n")
+    code = cli.main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"task {task!r} does not read {key}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task", TASKS_1D)
+def test_1d_task_loads_the_2d_settings_at_their_defaults(task):
+    assert _load(TASKS_1D[task] + DEFAULTS_2D) == _load(TASKS_1D[task])
+
+
+def test_2d_task_reads_every_2d_setting():
+    text = "task = solve\nhw0 = 30\na = 30\n" + "".join(
+        f"{key} = {value}\n" for key, value in SET_2D.items())
+    cfg = _load(text)
+    assert (cfg.physical.B0, cfg.physical.bSLa, cfg.eta, cfg.mu, cfg.L,
+            cfg.n_track) == (0.5, 1.0, 99.0, 0.5, 7, 5)
+    assert cli.parse_config_lines(
+        cli.serialize_config(cfg).splitlines()) == cfg
+
+
+@pytest.mark.parametrize("task", TASKS_1D)
+def test_1d_echo_holds_only_the_keys_the_task_reads(tmp_path, task):
+    cfg = _load(TASKS_1D[task] + f"out_dir = {tmp_path}\n")
+    assert cli.run(cfg).status == 0
+    echoed = [line[len("# config: "):].split(" = ")[0] for line in
+              (tmp_path / f"{task}.csv").read_text().splitlines()
+              if line.startswith("# config: ")]
+    assert echoed == ["task", "hw0", "a", "b", "gamma", "m_ratio", "N",
+                      "hw0_list", "a_grid"] + ["targets"] * (
+                          task == "contour-fit")
+    summary = (tmp_path / f"{task}_summary.txt").read_text()
+    assert not [key for key in SET_2D if f"\n  {key} = " in summary]
+
+
+def test_1d_dataset_that_echoes_the_2d_settings_reads_back(tmp_path):
+    # the echo of a 1D dataset written when the 1D tasks still echoed the
+    # six 2D settings at their defaults
+    csv = tmp_path / "quartic-gap.csv"
+    csv.write_text(
+        "# scaled 1D gap (E1-E0)/hw0 vs well half-separation a\n"
+        + "".join(f"# config: {line}\n" for line in (
+            "task = quartic-gap", "hw0 = 30", "a = 30", "b = 30",
+            "gamma = 0", "B0 = 0", "bSLa = 0",
+            "m_ratio = 0.041000000000000002", "eta = 4",
+            "mu = 0.69999999999999996", "L = 20", "N = 8", "n_track = 8",
+            "hw0_list = 20,30", "a_grid = 20,30"))
+        + "a_nm,gap_hw0_20meV,gap_hw0_30meV,status\n"
+        "20,0.15181409624216191,0.054844201907030043,ok\n"
+        "30,0.0090640478900568255,0.00042066202932034003,ok\n")
+    assert cli.config_from_csv(csv) == _load(TASKS_1D["quartic-gap"])
+
+
+def test_cli_and_library_gap_surfaces_agree():
+    # two implementations of one surface, on a barrier b != a and a
+    # mass ratio off its default
+    cfg = _load("task = quartic-gap\nhw0 = 30\na = 30\nb = 21\n"
+                "gamma = -1e-3\nm_ratio = 0.067\nN = 10\n"
+                "hw0_list = 10,25,40\na_grid = 8:40:4\n")
+    surface, failures = cli._gap_surface(cfg, 1)
+    p = cfg.physical
+    library = hq.gap_surface(cfg.hw0_list, cfg.a_grid, gamma=p.gamma,
+                             b_over_a=p.b / p.a, n_basis=cfg.N,
+                             m_ratio=p.m_ratio)
+    assert failures == []
+    assert np.array_equal(surface.gaps, library.gaps)
 
 
 @pytest.mark.parametrize("name", ["runs#1", "runs\n1", "runs "],
@@ -680,9 +763,9 @@ def test_shipped_config_loads(path):
     cfg = cli.load_config(path)
     assert cfg.task in cli.TASKS
     overridden = cli.load_config(path, {"workers": 2, "out_dir": "runs/x",
-                                        "n_track": 5})
-    assert (overridden.workers, overridden.out_dir, overridden.n_track) \
-        == (2, "runs/x", 5)
+                                        "N": 10})
+    assert (overridden.workers, overridden.out_dir, overridden.N) \
+        == (2, "runs/x", 10)
     for config in (cfg, overridden):
         text = cli.serialize_config(config)
         assert cli.parse_config_lines(text.splitlines()) == config

@@ -39,11 +39,25 @@ def test_matches_finite_difference_oracle():
         np.testing.assert_allclose(ritz, fd, rtol=1e-3)
 
 
-def test_scaled_gap_depends_only_on_r_a():
-    # same r_a: (30 meV, 30 nm) vs (120 meV, 15 nm)
-    gap1 = np.diff(hq.solve_1d(30.0, 30.0, gamma=-1e-3, n_lowest=2))[0]
-    gap2 = np.diff(hq.solve_1d(120.0, 15.0, gamma=-1e-3, n_lowest=2))[0]
-    assert gap1 == pytest.approx(gap2, rel=1e-8)
+@pytest.mark.parametrize("point, twin", [
+    ((30.0, 30.0), (120.0, 15.0)),
+    ((10.0, 30.0), (40.0, 15.0)),
+    ((30.0, 20.0), (7.5, 40.0)),
+])
+def test_levels_depend_on_a_squared_hw0_alone(point, twin):
+    # with b = a and gamma fixed the scaled Hamiltonian reads only r_a,
+    # which is proportional to 1/(a^2 hw0); these pairs round to one r_a
+    assert np.array_equal(hq.solve_1d(*point, gamma=-1e-3),
+                          hq.solve_1d(*twin, gamma=-1e-3))
+
+
+def test_levels_at_a_rounded_r_a_agree_to_rounding():
+    # a^2 hw0 = 32000 at both points, but r_a differs by 2.4e-16 relative;
+    # the levels then differ by 1.1e-14 relative (measured)
+    levels = hq.solve_1d(20.0, 40.0, gamma=-1e-3)
+    twin = hq.solve_1d(45.0, 80.0 / 3.0, gamma=-1e-3)
+    assert not np.array_equal(levels, twin)
+    np.testing.assert_allclose(twin, levels, rtol=2e-14, atol=0)
 
 
 def test_classify_regimes_synthetic_exponential():
@@ -120,6 +134,12 @@ def test_gap_surface_monotone_until_floor():
     drops = np.diff(gaps)
     # nonincreasing until the tilt floor (tolerate floor-level jitter)
     assert np.all(drops <= max(1e-9, 0.02 * gaps.min()))
+
+
+def test_gap_surface_takes_no_default_tilt():
+    # the tilt default lives in PhysicalParams (0), which the CLI reads
+    with pytest.raises(TypeError, match="gamma"):
+        hq.gap_surface([30.0], [20.0, 30.0])
 
 
 def test_gap_surface_no_floor_without_tilt():
