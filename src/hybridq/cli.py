@@ -28,10 +28,11 @@ positive and grid points that are not a valid working point raise
 dataset.  The command line is
 ``hybridq --config FILE [--out DIR] [--workers N]``: the ``task`` key
 selects the run, and the options override ``out_dir`` and ``workers``
-(the worker pool size, default 1).  ``solver.parallel_map`` runs every
-grid point and contour target: one that raises a ``solver.POINT_ERRORS``
-exception is flagged in the summary, and a grid point also in the CSV,
-rather than aborting the run; any other exception propagates.
+(default 1): ``workers = N`` computes on N processes, the caller and N - 1
+started ones.  ``solver.parallel_map`` runs every grid point and contour
+target: one that raises a ``solver.POINT_ERRORS`` exception is flagged in
+the summary, and a grid point also in the CSV, rather than aborting the
+run; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -720,7 +721,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="output directory (overrides out_dir)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (overrides workers)")
+                        metavar="N",
+                        help="compute on N processes, this one and N - 1 "
+                             "started ones (overrides workers)")
     return parser
 
 

@@ -48,8 +48,11 @@ import dataclasses
 import functools
 import importlib
 import math
+import multiprocessing
+import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -528,27 +531,91 @@ def _point(func, item) -> tuple:
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def _child_share(receiver, sender, func, items) -> None:
+    """A started process's share of ``parallel_map``: its pairs, or the
+    exception that ended it with its traceback, sent over ``sender``.
+
+    The child closes its copy of the caller's end ``receiver`` first: a
+    send larger than the pipe buffer then fails, rather than blocks for
+    ever, once the caller is gone."""
+    receiver.close()
+    caller, ppid = multiprocessing.parent_process(), os.getppid()
+    pairs = []
+    try:
+        for item in items:
+            # no one reads the result of a caller that is gone: under fork
+            # and spawn the child is re-parented, under forkserver the
+            # caller's sentinel closes
+            if os.getppid() != ppid or not caller.is_alive():
+                return
+            pairs.append(_point(func, item))
+        message = pairs, None, None
+    except Exception as exc:
+        message = None, exc, traceback.format_exc()
+    sender.send(message)
+
+
 def parallel_map(func, items, workers: int) -> list:
     """One ``(result, error)`` pair per item, in the order of ``items``,
-    fanned out over a pool of ``min(workers, len(items))`` processes when
-    that is more than one.
+    computed on ``n = min(workers, len(items))`` processes: the caller and
+    ``n - 1`` started ones.
 
     The one failure rule of every grid point: the pair is ``(func(item),
     None)``, or ``(None, "<Type>: <message>")`` when ``func`` raises one of
-    the ``POINT_ERRORS``; any other exception propagates.  The rule runs in
-    the workers, which get ``func`` pickled by reference.
+    the ``POINT_ERRORS``; any other exception propagates with its own type.
 
-    Items go out in chunks of ``ceil(len(items) / (4 n))`` for ``n``
-    processes, ``multiprocessing.Pool.map``'s default.  A worker that dies,
-    for example by an OOM kill, raises ``BrokenProcessPool``, which is not
-    one of the ``POINT_ERRORS`` and so ends the run."""
-    point = functools.partial(_point, func)
-    if workers > 1 and len(items) > 1:
-        n = min(workers, len(items))
-        with ProcessPoolExecutor(n) as pool:
-            return list(pool.map(point, items,
-                                 chunksize=math.ceil(len(items) / (4 * n))))
-    return [point(item) for item in items]
+    With ``n > 1`` the caller computes the share ``items[0::n]`` while
+    process ``i`` of the default ``multiprocessing`` context computes
+    ``items[i::n]``, gets ``func`` pickled by reference under spawn, and
+    sends its pairs back over a one-way pipe.  The caller reads every pipe
+    before it joins any child, since a share larger than the pipe buffer
+    would otherwise block its child, and interleaves the shares into item
+    order.  A child that dies, for example by an OOM kill, leaves no result
+    on its pipe, which raises ``BrokenProcessPool``; that is not one of the
+    ``POINT_ERRORS`` and so ends the run.  No child outlives the call: when
+    the caller raises, it terminates and joins its children first, and a
+    child whose caller is gone stops before its next item or fails its
+    send."""
+    n = min(workers, len(items))
+    if n <= 1:
+        return [_point(func, item) for item in items]
+    children = []
+    try:
+        for i in range(1, n):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_child_share,
+                args=(receiver, sender, func, items[i::n]))
+            child.start()
+            children.append((child, receiver))
+            # with its write end only in the child, a dead child's pipe
+            # reads EOF
+            sender.close()
+        shares = [[_point(func, item) for item in items[::n]]]
+        for child, receiver in children:
+            try:
+                pairs, error, trace = receiver.recv()
+            except EOFError:
+                child.join()
+                raise BrokenProcessPool(
+                    f"worker process {child.pid} ended with exit code "
+                    f"{child.exitcode} before sending its results") from None
+            if error is not None:
+                raise error from RuntimeError(
+                    f"in worker process {child.pid}:\n{trace}")
+            shares.append(pairs)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    results = [None] * len(items)
+    for i, pairs in enumerate(shares):
+        results[i::n] = pairs
+    return results
 
 
 def _stabilize_point(args) -> list:

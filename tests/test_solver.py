@@ -2,10 +2,12 @@
 
 import ast
 import dataclasses
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -175,31 +177,32 @@ def test_levels_never_rise_as_the_y_ladder_grows(eta, mu, N, L, physics):
     assert np.all(upper <= lower + 1e-12 * np.abs(lower))
 
 
-def test_pool_never_larger_than_the_work(monkeypatch):
-    sizes = []
+def _pid(item):
+    return os.getpid()
 
-    class SerialExecutor:
-        """Records its size and maps in-process: no worker is started."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+@pytest.mark.parametrize("n_items, workers, n_started", [
+    (2, 8, 1), (3, 2, 1), (5, 3, 2), (1, 4, 0), (2, 1, 0)])
+def test_pool_never_larger_than_the_work(monkeypatch, n_items, workers,
+                                         n_started):
+    # min(workers, len(items)) processes compute, the caller among them
+    started, start = [], multiprocessing.process.BaseProcess.start
 
-        def __enter__(self):
-            return self
+    def counted(self):
+        started.append(self)
+        start(self)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items, chunksize=1):
-            return [func(item) for item in items]
-
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialExecutor)
-    assert solver.parallel_map(abs, [-1, -2], 8) == [(1, None), (2, None)]
-    assert solver.parallel_map(abs, [-1, -2, -3], 2) == [
-        (1, None), (2, None), (3, None)]
-    assert solver.parallel_map(abs, [-1], 4) == [(1, None)]
-    assert solver.parallel_map(abs, [-1, -2], 1) == [(1, None), (2, None)]
-    assert sizes == [2, 2]
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        counted)
+    pids = [pid for pid, _ in solver.parallel_map(_pid, list(range(n_items)),
+                                                  workers)]
+    assert len(started) == n_started
+    n = n_started + 1
+    # the caller computes the share items[0::n], child i the share items[i::n]
+    assert set(pids[::n]) == {os.getpid()}
+    assert len(set(pids)) == n
+    assert all(len(set(pids[i::n])) == 1 for i in range(n))
+    assert multiprocessing.active_children() == []
 
 
 def _fails_at_one_and_two(i):
@@ -218,31 +221,104 @@ def test_parallel_map_pairs_each_item_with_its_failure():
         solver.parallel_map(_fails_at_one_and_two, [0, 2], 1)
 
 
-DEAD_WORKER = """
-import os
-from hybridq import solver
+def test_two_workers_keep_the_item_order():
+    items = [0, 3, 4, 5, 6, 7, 8]
+    assert solver.parallel_map(_fails_at_one_and_two, items, 2) == [
+        (-i, None) for i in items]
+    assert multiprocessing.active_children() == []
 
-def item(i):
+
+def test_two_workers_record_failures_from_both_shares():
+    # indices 0 and 2 are the caller's share, index 1 the child's
+    assert solver.parallel_map(_fails_at_one_and_two, [1, 1, 0], 2) == [
+        (None, "ReducedBasisError: too few levels"),
+        (None, "ReducedBasisError: too few levels"), (0, None)]
+
+
+def _naps(i):
     if i == 2:
-        os._exit(1)
+        raise TypeError("broken")
+    time.sleep(i)
     return i
 
-solver.parallel_map(item, [0, 1, 2, 3], 2)
-"""
+
+@pytest.mark.parametrize("items", [[0, 2, 0], [2, 60, 0]],
+                         ids=["in-child", "in-caller"])
+def test_two_workers_reraise_a_bug_with_its_type(items):
+    # a TypeError in either share reaches the caller as a TypeError; a
+    # caller that raises terminates its child, here asleep for 60 s, so no
+    # process is left behind
+    start = time.monotonic()
+    with pytest.raises(TypeError, match="broken"):
+        solver.parallel_map(_naps, items, 2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
 
 
-def test_a_dead_worker_ends_the_run():
-    # a worker that dies mid-task, say by an OOM kill, must end the run
-    # with an error instead of leaving it waiting for the lost result
+def _run_python(script: str, *args: str, timeout: float):
+    """``script`` run with ``args`` in a fresh interpreter that imports
+    this hybridq."""
     path = [os.path.dirname(os.path.dirname(hq.__file__))]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    done = subprocess.run(
-        [sys.executable, "-c", DEAD_WORKER],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=timeout)
+
+
+LARGE_SHARES = """
+from hybridq import solver
+
+def megabytes(i):
+    return str(i) * (1 << 20)
+
+pairs = solver.parallel_map(megabytes, [1, 2, 3, 4, 5], 3)
+print([(len(result), result[0], error) for result, error in pairs])
+"""
+
+
+def test_shares_larger_than_the_pipe_buffer_come_back():
+    # each child blocks in its send until the caller reads its pipe, so a
+    # caller that joined a child before reading it would wait forever
+    done = _run_python(LARGE_SHARES, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str([(1 << 20, str(i), None)
+                                       for i in range(1, 6)])
+
+
+DEAD_WORKER = """
+import ast, os, sys, time
+from hybridq import solver
+
+def item(args):
+    dies, naps, size = args
+    time.sleep(naps)
+    if dies:
+        os._exit(1)
+    return "x" * size
+
+solver.parallel_map(item, ast.literal_eval(sys.argv[1]), 2)
+"""
+
+
+# items (dies, naps [s], result size); at 2 workers the caller computes the
+# even indices and the child the odd ones
+@pytest.mark.parametrize("items, message", [
+    ([(False, 0, 1), (True, 0, 1)] * 20, "BrokenProcessPool"),
+    ([(True, 0, 1), (False, 1, 1)] * 20, ""),
+    ([(True, 1, 1), (False, 0, 1 << 20)], "")],
+    ids=["child", "caller", "caller-after-child-finished"])
+def test_a_dead_worker_ends_the_run(items, message):
+    # a process that dies mid-task, say by an OOM kill, must end the run
+    # with an error instead of leaving it waiting for the lost result.  The
+    # captured output reaches EOF only when every process holding it has
+    # exited, so a child that outlived its dead caller, by running its 20
+    # one-second items or by waiting to send a result larger than the pipe
+    # buffer, would run past the timeout.
+    done = _run_python(DEAD_WORKER, repr(items), timeout=15)
     assert done.returncode != 0
-    assert "BrokenProcessPool" in done.stderr
+    assert message in done.stderr
 
 
 def _scipy_imports(path):
@@ -319,13 +395,7 @@ def test_the_library_cli_and_a_lanczos_solve_leave_sparse_linalg_unloaded():
     # the solve runs its own Lanczos: scipy.sparse.linalg (ARPACK) would
     # cost every process that solves in 2D a 22-37 ms import; the BLAS
     # thread functions are looked up by the first solve
-    path = [os.path.dirname(os.path.dirname(hq.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        capture_output=True, text=True, timeout=60)
+    done = _run_python(IMPORT_GUARD, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True", "0",
                                    "1", "256", "False"]

@@ -1,6 +1,6 @@
 """The benchmark's layer spans still reach every eigensolve, in the main
-process and in pool workers, and its eigenpair check accepts every 2D
-solve.
+process and in the processes ``parallel_map`` starts, and its eigenpair
+check accepts every 2D solve.
 
 ``perfbench/tracing.py`` wraps module attributes (``solver.solve``,
 ``solver._canonical_solve`` and the copy ``quartic1d`` imports, ...) and
@@ -32,7 +32,7 @@ print(json.dumps({"status": status, "counts": tracer.counts,
 def _traced_run(tmp_path, config: str) -> dict:
     """Run ``config`` through ``cli.run`` under the tracer, in a fresh
     interpreter, and return its status, counters and eigenpair problems,
-    and the eigenproblems that pool workers spooled."""
+    and the eigenproblems that started processes spooled."""
     spool = tmp_path / "spool"
     spool.mkdir()
     path = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
@@ -57,13 +57,16 @@ def test_tracer_counts_every_1d_eigensolve(tmp_path):
 
 
 def test_pool_workers_reach_the_tracer_spool(tmp_path):
-    # every point runs in a worker, which spools its totals after each task
+    # at 2 workers the caller solves points 0, 2 and 4 and counts them
+    # itself; the started process solves points 1, 3 and 5 and spools its
+    # totals after each task, so each eigensolve is counted exactly once
     config = ("task = quartic-gap\nhw0 = 30\na = 30\ngamma = -1e-3\n"
               "N = 22\nhw0_list = 20,30\na_grid = 30,40,45\nworkers = 2\n"
               f"out_dir = {tmp_path / 'out'}\n")
     result = _traced_run(tmp_path, config)
     assert result["status"] == 0
-    assert result["spooled"] == 6
+    assert result["spooled"] == 3
+    assert result["counts"].get("eigenproblems", 0) == 3
 
 
 def test_tracer_checks_every_2d_eigenpair_set(tmp_path):
