@@ -52,8 +52,10 @@ import multiprocessing
 import os
 import threading
 import traceback
+from collections.abc import Iterator
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.sharedctypes import Value
 
 import numpy as np
 import scipy.linalg
@@ -531,28 +533,47 @@ def _point(func, item) -> tuple:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _child_share(receiver, sender, func, items) -> None:
-    """A started process's share of ``parallel_map``: its pairs, or the
-    exception that ended it with its traceback, sent over ``sender``.
+def _claims(n_items: int, claimed) -> Iterator[int]:
+    """Indices this process claims from the shared counter ``claimed``, the
+    next unclaimed index, until all ``n_items`` are claimed."""
+    while True:
+        with claimed.get_lock():
+            i = claimed.value
+            claimed.value = i + 1
+        if i >= n_items:
+            return
+        yield i
+
+
+def _child_share(receiver, sender, func, items, claimed) -> None:
+    """A started process's share of ``parallel_map``: its ``(index, pair)``
+    list, or the exception that ended it with its traceback, sent over
+    ``sender``.
 
     The child closes its copy of the caller's end ``receiver`` first: a
     send larger than the pipe buffer then fails, rather than blocks for
     ever, once the caller is gone."""
     receiver.close()
     caller, ppid = multiprocessing.parent_process(), os.getppid()
-    pairs = []
+    share, error, trace = [], None, None
     try:
-        for item in items:
+        for i in _claims(len(items), claimed):
             # no one reads the result of a caller that is gone: under fork
             # and spawn the child is re-parented, under forkserver the
             # caller's sentinel closes
             if os.getppid() != ppid or not caller.is_alive():
                 return
-            pairs.append(_point(func, item))
-        message = pairs, None, None
+            share.append((i, _point(func, items[i])))
     except Exception as exc:
-        message = None, exc, traceback.format_exc()
-    sender.send(message)
+        share, error, trace = None, exc, traceback.format_exc()
+    try:
+        sender.send((share, error, trace))
+    except Exception as exc:
+        # a result or an exception that does not pickle reaches the caller
+        # as a RuntimeError that names it
+        lost = "the results" if error is None else repr(error)
+        sender.send((None, RuntimeError(f"{lost} could not be sent: {exc!r}"),
+                     trace or traceback.format_exc()))
 
 
 def parallel_map(func, items, workers: int) -> list:
@@ -564,37 +585,42 @@ def parallel_map(func, items, workers: int) -> list:
     None)``, or ``(None, "<Type>: <message>")`` when ``func`` raises one of
     the ``POINT_ERRORS``; any other exception propagates with its own type.
 
-    With ``n > 1`` the caller computes the share ``items[0::n]`` while
-    process ``i`` of the default ``multiprocessing`` context computes
-    ``items[i::n]``, gets ``func`` pickled by reference under spawn, and
-    sends its pairs back over a one-way pipe.  The caller reads every pipe
-    before it joins any child, since a share larger than the pipe buffer
-    would otherwise block its child, and interleaves the shares into item
-    order.  A child that dies, for example by an OOM kill, leaves no result
-    on its pipe, which raises ``BrokenProcessPool``; that is not one of the
-    ``POINT_ERRORS`` and so ends the run.  No child outlives the call: when
-    the caller raises, it terminates and joins its children first, and a
-    child whose caller is gone stops before its next item or fails its
-    send."""
+    With ``n > 1`` the caller starts ``n - 1`` processes of the default
+    ``multiprocessing`` context, which get ``func`` pickled by reference
+    under spawn.  Every process, the caller among them, claims the next
+    unclaimed item from a shared counter until none is left, so a process
+    that runs faster computes more items.  A child sends its pairs back
+    over a one-way pipe.  The caller reads every pipe before it joins any
+    child, since a share larger than the pipe buffer would otherwise block
+    its child, and puts each pair at its item's index.  A child that dies,
+    for example by an OOM kill, leaves no result on its pipe, which raises
+    ``BrokenProcessPool``; that is not one of the ``POINT_ERRORS`` and so
+    ends the run.  A result or exception of a child that does not pickle
+    raises a ``RuntimeError`` that names it.  No child outlives the call:
+    when the caller raises, it terminates and joins its children first,
+    and a child whose caller is gone stops before its next item or fails
+    its send."""
     n = min(workers, len(items))
     if n <= 1:
         return [_point(func, item) for item in items]
+    claimed = Value("q", 0)
     children = []
     try:
-        for i in range(1, n):
+        for _ in range(1, n):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
                 target=_child_share,
-                args=(receiver, sender, func, items[i::n]))
+                args=(receiver, sender, func, items, claimed))
             child.start()
             children.append((child, receiver))
             # with its write end only in the child, a dead child's pipe
             # reads EOF
             sender.close()
-        shares = [[_point(func, item) for item in items[::n]]]
+        shares = [[(i, _point(func, items[i]))
+                   for i in _claims(len(items), claimed)]]
         for child, receiver in children:
             try:
-                pairs, error, trace = receiver.recv()
+                share, error, trace = receiver.recv()
             except EOFError:
                 child.join()
                 raise BrokenProcessPool(
@@ -603,7 +629,7 @@ def parallel_map(func, items, workers: int) -> list:
             if error is not None:
                 raise error from RuntimeError(
                     f"in worker process {child.pid}:\n{trace}")
-            shares.append(pairs)
+            shares.append(share)
     except BaseException:
         for child, _ in children:
             child.terminate()
@@ -613,8 +639,9 @@ def parallel_map(func, items, workers: int) -> list:
             child.join()
             receiver.close()
     results = [None] * len(items)
-    for i, pairs in enumerate(shares):
-        results[i::n] = pairs
+    for share in shares:
+        for i, pair in share:
+            results[i] = pair
     return results
 
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -177,8 +178,25 @@ def test_levels_never_rise_as_the_y_ladder_grows(eta, mu, N, L, physics):
     assert np.all(upper <= lower + 1e-12 * np.abs(lower))
 
 
-def _pid(item):
-    return os.getpid()
+def _meet(item):
+    """``(value, pid)``, or a failure naming the pid, after waiting at
+    ``barrier`` if it is set.  A process that waits claims no other item,
+    so each process at an n-party barrier computes one of the n items that
+    wait there."""
+    value, barrier = item
+    if barrier is not None:
+        barrier.wait(timeout=30)
+    if value is None:
+        raise hq.ReducedBasisError(f"in {os.getpid()}")
+    return value, os.getpid()
+
+
+def _met(values, parties):
+    """``_meet`` items of ``values``, the first ``parties`` of which wait
+    at one barrier."""
+    barrier = multiprocessing.Barrier(parties)
+    return [(value, barrier if k < parties else None)
+            for k, value in enumerate(values)]
 
 
 @pytest.mark.parametrize("n_items, workers, n_started", [
@@ -194,14 +212,12 @@ def test_pool_never_larger_than_the_work(monkeypatch, n_items, workers,
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                         counted)
-    pids = [pid for pid, _ in solver.parallel_map(_pid, list(range(n_items)),
-                                                  workers)]
+    pairs = solver.parallel_map(
+        _meet, _met(range(n_items), n_started + 1), workers)
     assert len(started) == n_started
-    n = n_started + 1
-    # the caller computes the share items[0::n], child i the share items[i::n]
-    assert set(pids[::n]) == {os.getpid()}
-    assert len(set(pids)) == n
-    assert all(len(set(pids[i::n])) == 1 for i in range(n))
+    assert [value for (value, _), _ in pairs] == list(range(n_items))
+    assert {pid for (_, pid), _ in pairs} == {
+        os.getpid(), *(child.pid for child in started)}
     assert multiprocessing.active_children() == []
 
 
@@ -222,36 +238,73 @@ def test_parallel_map_pairs_each_item_with_its_failure():
 
 
 def test_two_workers_keep_the_item_order():
-    items = [0, 3, 4, 5, 6, 7, 8]
-    assert solver.parallel_map(_fails_at_one_and_two, items, 2) == [
-        (-i, None) for i in items]
+    values = [0, 3, 4, 5, 6, 7, 8]
+    pairs = solver.parallel_map(_meet, _met(values, 2), 2)
+    assert [value for (value, _), _ in pairs] == values
+    assert len({pid for (_, pid), _ in pairs}) == 2
     assert multiprocessing.active_children() == []
 
 
 def test_two_workers_record_failures_from_both_shares():
-    # indices 0 and 2 are the caller's share, index 1 the child's
-    assert solver.parallel_map(_fails_at_one_and_two, [1, 1, 0], 2) == [
-        (None, "ReducedBasisError: too few levels"),
-        (None, "ReducedBasisError: too few levels"), (0, None)]
+    # the two failing items meet at the barrier, one in each process
+    pairs = solver.parallel_map(_meet, _met([None, None, 0], 2), 2)
+    assert pairs[2][0][0] == 0 and pairs[2][1] is None
+    errors = {error for _, error in pairs[:2]}
+    assert len(errors) == 2
+    assert f"ReducedBasisError: in {os.getpid()}" in errors
+    assert all(error.startswith("ReducedBasisError: in ")
+               for error in errors)
 
 
-def _naps(i):
-    if i == 2:
+def _here() -> str:
+    return "child" if multiprocessing.parent_process() else "caller"
+
+
+def _bug_in(item):
+    # item: (barrier, where the item raises, nap [s] elsewhere)
+    barrier, where, nap = item
+    barrier.wait(timeout=30)
+    if _here() == where:
         raise TypeError("broken")
-    time.sleep(i)
-    return i
+    time.sleep(nap)
 
 
-@pytest.mark.parametrize("items", [[0, 2, 0], [2, 60, 0]],
+@pytest.mark.parametrize("where, nap", [("child", 0), ("caller", 60)],
                          ids=["in-child", "in-caller"])
-def test_two_workers_reraise_a_bug_with_its_type(items):
-    # a TypeError in either share reaches the caller as a TypeError; a
+def test_two_workers_reraise_a_bug_with_its_type(where, nap):
+    # a TypeError in either process reaches the caller as a TypeError; a
     # caller that raises terminates its child, here asleep for 60 s, so no
     # process is left behind
+    barrier = multiprocessing.Barrier(2)
     start = time.monotonic()
     with pytest.raises(TypeError, match="broken"):
-        solver.parallel_map(_naps, items, 2)
+        solver.parallel_map(_bug_in, [(barrier, where, nap)] * 2, 2)
     assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def _unpicklable(item):
+    barrier, raises = item
+    barrier.wait(timeout=30)
+    if _here() == "caller":
+        return None
+    if raises:
+        raise TypeError(threading.Lock())
+    return threading.Lock()
+
+
+@pytest.mark.parametrize("raises, lost", [
+    (True, "TypeError(<unlocked _thread.lock"), (False, "the results")],
+    ids=["exception", "result"])
+def test_two_workers_report_what_does_not_pickle(raises, lost):
+    # what the child cannot send reaches the caller as a RuntimeError that
+    # names it, not as a dead child
+    barrier = multiprocessing.Barrier(2)
+    with pytest.raises(RuntimeError) as error:
+        solver.parallel_map(_unpicklable, [(barrier, raises)] * 2, 2)
+    assert str(error.value).startswith(lost)
+    assert "could not be sent: TypeError(\"cannot pickle '_thread.lock'" \
+        in str(error.value)
     assert multiprocessing.active_children() == []
 
 
@@ -268,12 +321,19 @@ def _run_python(script: str, *args: str, timeout: float):
 
 
 LARGE_SHARES = """
+import multiprocessing
 from hybridq import solver
 
-def megabytes(i):
+def megabytes(item):
+    i, barrier = item
+    if barrier is not None:
+        barrier.wait(timeout=30)
     return str(i) * (1 << 20)
 
-pairs = solver.parallel_map(megabytes, [1, 2, 3, 4, 5], 3)
+# each of the three processes computes one of the items at the barrier
+barrier = multiprocessing.Barrier(3)
+pairs = solver.parallel_map(
+    megabytes, [(i, barrier if i <= 3 else None) for i in range(1, 6)], 3)
 print([(len(result), result[0], error) for result, error in pairs])
 """
 
@@ -288,35 +348,43 @@ def test_shares_larger_than_the_pipe_buffer_come_back():
 
 
 DEAD_WORKER = """
-import ast, os, sys, time
+import ast, multiprocessing, os, sys, time
 from hybridq import solver
 
-def item(args):
-    dies, naps, size = args
-    time.sleep(naps)
-    if dies:
-        os._exit(1)
-    return "x" * size
+# the process whose items exit, and the nap [s] and result size of an item
+# in the caller and in the child
+DIES, NAPS, SIZES, N_ITEMS = ast.literal_eval(sys.argv[1])
+BARRIER = multiprocessing.Barrier(2)
 
-solver.parallel_map(item, ast.literal_eval(sys.argv[1]), 2)
+def item(i):
+    here = "child" if multiprocessing.parent_process() else "caller"
+    if i < 2:   # one in each process
+        BARRIER.wait(timeout=30)
+    time.sleep(NAPS[here])
+    if here == DIES:
+        os._exit(1)
+    return "x" * SIZES[here]
+
+solver.parallel_map(item, list(range(N_ITEMS)), 2)
 """
 
 
-# items (dies, naps [s], result size); at 2 workers the caller computes the
-# even indices and the child the odd ones
-@pytest.mark.parametrize("items, message", [
-    ([(False, 0, 1), (True, 0, 1)] * 20, "BrokenProcessPool"),
-    ([(True, 0, 1), (False, 1, 1)] * 20, ""),
-    ([(True, 1, 1), (False, 0, 1 << 20)], "")],
+@pytest.mark.parametrize("case, message", [
+    (("child", {"caller": 0.05, "child": 0}, {"caller": 1, "child": 1}, 40),
+     "BrokenProcessPool"),
+    (("caller", {"caller": 0, "child": 1}, {"caller": 1, "child": 1}, 40),
+     ""),
+    (("caller", {"caller": 1, "child": 0}, {"caller": 1, "child": 1 << 20},
+      2), "")],
     ids=["child", "caller", "caller-after-child-finished"])
-def test_a_dead_worker_ends_the_run(items, message):
+def test_a_dead_worker_ends_the_run(case, message):
     # a process that dies mid-task, say by an OOM kill, must end the run
     # with an error instead of leaving it waiting for the lost result.  The
     # captured output reaches EOF only when every process holding it has
-    # exited, so a child that outlived its dead caller, by running its 20
+    # exited, so a child that outlived its dead caller, by running its
     # one-second items or by waiting to send a result larger than the pipe
     # buffer, would run past the timeout.
-    done = _run_python(DEAD_WORKER, repr(items), timeout=15)
+    done = _run_python(DEAD_WORKER, repr(case), timeout=15)
     assert done.returncode != 0
     assert message in done.stderr
 
