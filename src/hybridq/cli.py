@@ -22,17 +22,18 @@ that is not UTF-8, unknown keys, a key the task does not read set to
 anything but its default, malformed or non-finite numbers, ranges longer
 than ``MAX_GRID_POINTS``, an ``N`` above ``MAX_N``, a 2D basis larger than
 ``MAX_BASIS_SIZE``, an ``n_track`` the basis cannot hold, a worker count
-below 1, a ``mu_grid``, ``eta_grid`` or ``targets`` value that is not
-positive and grid points that are not a valid working point raise
-``ConfigError``, and ``main`` then exits with status 2 without writing a
-dataset.  The command line is
+outside 1 .. ``MAX_WORKERS``, a ``mu_grid``, ``eta_grid`` or ``targets``
+value that is not positive and grid points that are not a valid working
+point raise ``ConfigError``, and ``main`` then exits with status 2
+without writing a dataset.  The command line is
 ``hybridq --config FILE [--out DIR] [--workers N]``: the ``task`` key
 selects the run, and the options override ``out_dir`` and ``workers``
 (default 1): ``workers = N`` computes on N processes, the caller and N - 1
 started ones.  ``solver.parallel_map`` runs every grid point and contour
-target: one that raises a ``solver.POINT_ERRORS`` exception is flagged in
-the summary, and a grid point also in the CSV, rather than aborting the
-run; any other exception propagates.
+target: one that raises a ``solver.POINT_ERRORS`` exception is listed as
+``FAILED hw0 = 30, bSLa = 0.5: <Type>: <message>``, and a CSV row of one
+point reads ``failed: <Type>: <message>``, with ``;`` for ``,``; any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ MAX_BASIS_SIZE = 8000
 # took 2.8-4.0 s and 178 MiB for one 1D solve at N = 400, and 8.9 s and
 # 288 MiB for one z-table build at N = 600.  Shipped configs use N <= 22
 MAX_N = 400
+
+# largest worker count: 5000 would start one process (~49 MiB) per point
+MAX_WORKERS = 64
 
 _GRID_OF = {"bSLa": "bsl_grid", "hw0": "hw0_list", "B0": "B0_list",
             "a": "a_grid"}
@@ -250,8 +254,9 @@ def _validate_config(raw: dict) -> RunConfig:
         cfg.spec  # validates eta, mu, L, N
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigError(f"worker count {cfg.workers} must be at least 1")
+    if cfg.workers is not None and not 1 <= cfg.workers <= MAX_WORKERS:
+        raise ConfigError(f"worker count {cfg.workers} must be at least 1 "
+                          f"and at most {MAX_WORKERS}")
     _check_sizes(cfg)
     _check_grids(cfg)
     _grid_points(cfg)  # every working point is valid and scales
@@ -320,11 +325,15 @@ def _grid_points(cfg: RunConfig) -> list:
             point = dataclasses.replace(p, **changes)
             scale(point)
         except ValueError as exc:
-            where = ", ".join(f"{f} = {v:g}" for f, v in zip(fields, values))
-            raise ConfigError(
-                f"grid point {where}: {exc}" if where else str(exc)) from None
+            raise ConfigError(f"grid point {_label(fields, values)}: {exc}"
+                              if fields else str(exc)) from None
         points.append((values, point))
     return points
+
+
+def _label(fields, values) -> str:
+    """A grid point's name in every message: ``hw0 = 30, bSLa = 0.5``."""
+    return ", ".join(f"{f} = {v:g}" for f, v in zip(fields, values))
 
 
 def _text_lines(path) -> list:
@@ -435,15 +444,19 @@ def _solve_point(args):
     sol = solver.solve(problem, n_track)
     reports = [observables.state_report(sol, j, problem)
                for j in range(min(4, n_track))]
-    return {
-        "energies": sol.energies.tolist(),
-        "z": [r.z_mean for r in reports],
-        "sx": [r.sx_mean for r in reports],
-    }
+    return {"energies": sol.energies.tolist(),
+            "z": [r.z_mean for r in reports],
+            "sx": [r.sx_mean for r in reports]}
 
 
-def _nan_row(n: int) -> list:
-    return [float("nan")] * n
+def _failed_line(fields, values, error: str) -> str:
+    """``FAILED <label>: <error>``, or ``FAILED: <error>`` with no label."""
+    return f"FAILED {_label(fields, values)}".rstrip() + f": {error}"
+
+
+def _status(error) -> str:
+    """The status cell of a CSV row that is one grid point."""
+    return "ok" if error is None else f"failed: {error}"
 
 
 def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
@@ -457,11 +470,10 @@ def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
     notes = ("columns: index, energy [hw0], energy [meV], <z>/a, "
              "<sigma_x>, status",)
     if error is not None:
-        rows = [[*_nan_row(len(columns) - 1),
-                 f"failed: {error.replace(',', ';')}"]]
-        summary.append(f"FAILED: {error}")
+        rows = [[*[math.nan] * (len(columns) - 1), _status(error)]]
+        summary.append(_failed_line((), (), error))
         return _TaskOutput(columns, rows, notes, summary, plot, status=1)
-    pad = _nan_row(cfg.n_track)
+    pad = [math.nan] * cfg.n_track
     rows = [[float(j), energy, energy * hw0, z, sx, "ok"]
             for j, (energy, z, sx) in enumerate(zip(
                 res["energies"], res["z"] + pad, res["sx"] + pad))]
@@ -477,15 +489,12 @@ def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
 def _run_stabilize(cfg: RunConfig, workers: int) -> _TaskOutput:
     parameter = "mu" if cfg.mu_grid else "eta"
     grid = cfg.mu_grid or cfg.eta_grid
-    scaled = scale(cfg.physical)
-    table = solver.stabilize(scaled, cfg.spec, parameter, grid,
-                             cfg.n_track, workers=workers)
-    columns = [parameter] + [f"E{j}_hw0" for j in range(cfg.n_track)] \
-        + ["status"]
+    table = solver.stabilize(scale(cfg.physical), cfg.spec, parameter,
+                             grid, cfg.n_track, workers=workers)
+    columns = [parameter, *(f"E{j}_hw0" for j in range(cfg.n_track)), "status"]
     failed = dict(table.failures)
     rows = [[float(value), *table.energies[i].tolist(),
-             "failed" if i in failed else "ok"]
-            for i, value in enumerate(table.grid)]
+             _status(failed.get(i))] for i, value in enumerate(table.grid)]
     summary = [f"stabilization parameter: {parameter}",
                f"window tolerance: {solver.PLATEAU_TOLERANCE:g}"]
     summary += [
@@ -493,9 +502,8 @@ def _run_stabilize(cfg: RunConfig, workers: int) -> _TaskOutput:
         f" ({plateau.n_points} pts, rel variation "
         f"{plateau.rel_variation:.2e})"
         for plateau in table.plateaus if plateau is not None]
-    for index, message in table.failures:
-        summary.append(f"FAILED {parameter} = {table.grid[index]:g}: "
-                       f"{message}")
+    summary += [_failed_line((parameter,), (table.grid[i],), error)
+                for i, error in table.failures]
     plot = _plot_script(
         "stabilize", parameter, "E / hw0",
         f"plot for [i={columns.index('E0_hw0') + 1}:"
@@ -522,18 +530,15 @@ def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
                + ["status"])
     rows, failed = [], []
     for (lead, point), (res, error) in zip(points, results):
-        if error is not None:
-            where = ", ".join(f"{f} = {v:g}" for f, v in zip(fields, lead))
-            failed.append(f"FAILED {where}: {error}")
-            rows.append([*lead, *_nan_row(len(columns) - len(lead) - 1),
-                         f"failed: {error.replace(',', ';')}"])
-            continue
-        energies = res["energies"]
-        gap = energies[1] - energies[0]
-        z = (res["z"] + _nan_row(4))[:4]
-        sx = (res["sx"] + _nan_row(4))[:4]
-        rows.append([*lead, *energies, gap, gap * point.hw0 * 1e3,
-                     *z, *sx, "ok"])
+        cells = nans = [math.nan] * (len(columns) - len(lead) - 1)
+        if error is None:
+            energies = res["energies"]
+            gap = energies[1] - energies[0]
+            cells = [*energies, gap, gap * point.hw0 * 1e3,
+                     *(res["z"] + nans)[:4], *(res["sx"] + nans)[:4]]
+        else:
+            failed.append(_failed_line(fields, lead, error))
+        rows.append([*lead, *cells, _status(error)])
 
     outer = getattr(cfg, _GRID_OF[fields[0]])
 
@@ -581,7 +586,7 @@ def _quartic_point(args):
 
 def _gap_surface(cfg: RunConfig, workers: int):
     """The 1D gap surface over hw0_list x a_grid, with its failed points
-    as (hw0, a, message)."""
+    as ((hw0, a), error) pairs."""
     points = _grid_points(cfg)
     tasks = [(p.hw0, p.a, p.b, p.gamma, cfg.N, p.m_ratio)
              for _, p in points]
@@ -589,22 +594,18 @@ def _gap_surface(cfg: RunConfig, workers: int):
     # a failed point's gap, None, becomes NaN
     gaps = np.array([gap for gap, _ in results], dtype=float).reshape(
         len(cfg.hw0_list), len(cfg.a_grid))
-    failures = [(*values, err) for (values, _), (_, err)
+    failures = [(values, err) for (values, _), (_, err)
                 in zip(points, results) if err is not None]
     surface = quartic1d.GapSurface(np.asarray(cfg.hw0_list),
                                    np.asarray(cfg.a_grid), gaps)
     return surface, failures
 
 
-def _failure_lines(failures) -> list:
-    return [f"FAILED hw0={hw0:g} a={a:g}: {err}" for hw0, a, err in failures]
-
-
 def _run_quartic_gap(cfg: RunConfig, workers: int) -> _TaskOutput:
     surface, failures = _gap_surface(cfg, workers)
     columns = ["a_nm"] + [f"gap_hw0_{_exact(w)}meV" for w in cfg.hw0_list] \
         + ["status"]
-    failed_a = {a for _, a, _ in failures}
+    failed_a = {a for (_, a), _ in failures}
     rows = [[float(a), *surface.gaps[:, j].tolist(),
              "failed" if a in failed_a else "ok"]
             for j, a in enumerate(cfg.a_grid)]
@@ -616,7 +617,7 @@ def _run_quartic_gap(cfg: RunConfig, workers: int) -> _TaskOutput:
                  if (span := getattr(regimes, name)) is not None]
         summary.append(f"hw0 = {hw0:g} meV: " + ("; ".join(parts) or
                                                  "no regime identified"))
-    summary += _failure_lines(failures)
+    summary += [_failed_line(("hw0", "a"), *failure) for failure in failures]
     plot = _plot_script(
         "quartic-gap", "a  [nm]", "(E1-E0) / hw0", "set logscale y",
         "plot " + " , ".join(
@@ -630,7 +631,7 @@ def _run_quartic_gap(cfg: RunConfig, workers: int) -> _TaskOutput:
 
 def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
     surface, failures = _gap_surface(cfg, workers)
-    failed_hw0 = {hw0 for hw0, _, _ in failures}
+    failed_hw0 = {hw0 for (hw0, _), _ in failures}
     columns = ["target_gap", "hw0_meV", "a_nm", "status"]
     fits = solver.parallel_map(
         functools.partial(quartic1d.contour_fit, surface), cfg.targets, 1)
@@ -642,13 +643,13 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
         for hw0, a in zip(fit.hw0_values, fit.a_values):
             rows.append([float(target), float(hw0), float(a), "ok"])
         for hw0 in fit.skipped_hw0:
-            rows.append([float(target), float(hw0), float("nan"),
+            rows.append([float(target), float(hw0), math.nan,
                          "failed" if hw0 in failed_hw0 else "unreachable"])
         summary.append(
             f"target {target:g}: a = {fit.amplitude:.4f} * hw0^"
             f"{fit.exponent:+.4f} (R^2 = {fit.r_squared:.6f}; "
             f"{len(fit.skipped_hw0)} hw0 column(s) skipped)")
-    summary += _failure_lines(failures)
+    summary += [_failed_line(("hw0", "a"), *failure) for failure in failures]
     plot = _plot_script(
         "contour-fit", "hw0  [meV]", "a  [nm]", "set logscale xy",
         "plot " + " , ".join(
@@ -691,7 +692,8 @@ def run(cfg: RunConfig) -> RunResult:
         handle.write(",".join(result.columns) + "\n")
         for row in result.rows:
             handle.write(",".join(
-                v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+                v.replace(",", ";") if isinstance(v, str) else _fmt(v)
+                for v in row) + "\n")
     plt_path = out / f"{cfg.task}.plt"
     plt_path.write_text(result.plot, encoding="utf-8")
     summary_path = out / f"{cfg.task}_summary.txt"

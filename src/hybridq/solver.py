@@ -55,6 +55,7 @@ import traceback
 from collections.abc import Iterator
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from multiprocessing.sharedctypes import Value
 
 import numpy as np
@@ -343,7 +344,6 @@ def _banded_lowest(d: np.ndarray, y: np.ndarray, t: np.ndarray,
             return vals[:n], vecs[:, :n]
         failure = (f"failed the inertia count: {count} eigenvalues below "
                    f"tau = {tau:.6g} where Lanczos found {m}")
-    # no commas: a CLI dataset writes them as semicolons
     raise UncertifiedSpectrumError(
         f"two Lanczos runs for {n} levels (sigma = {sigma:.6g}) failed; "
         f"the last ({k} levels) {failure}")
@@ -567,13 +567,16 @@ def _child_share(receiver, sender, func, items, claimed) -> None:
     except Exception as exc:
         share, error, trace = None, exc, traceback.format_exc()
     try:
-        sender.send((share, error, trace))
+        reply = ForkingPickler.dumps((share, error, trace))
+        ForkingPickler.loads(reply)  # as the caller's recv will
     except Exception as exc:
-        # a result or an exception that does not pickle reaches the caller
-        # as a RuntimeError that names it
+        # a result or an exception that does not pickle or load back
+        # reaches the caller as a RuntimeError that names it
         lost = "the results" if error is None else repr(error)
-        sender.send((None, RuntimeError(f"{lost} could not be sent: {exc!r}"),
-                     trace or traceback.format_exc()))
+        reply = ForkingPickler.dumps((None, RuntimeError(
+            f"{lost} could not be sent: {exc!r}"),
+            trace or traceback.format_exc()))
+    sender.send_bytes(reply)
 
 
 def parallel_map(func, items, workers: int) -> list:
@@ -595,11 +598,11 @@ def parallel_map(func, items, workers: int) -> list:
     its child, and puts each pair at its item's index.  A child that dies,
     for example by an OOM kill, leaves no result on its pipe, which raises
     ``BrokenProcessPool``; that is not one of the ``POINT_ERRORS`` and so
-    ends the run.  A result or exception of a child that does not pickle
-    raises a ``RuntimeError`` that names it.  No child outlives the call:
-    when the caller raises, it terminates and joins its children first,
-    and a child whose caller is gone stops before its next item or fails
-    its send."""
+    ends the run.  A result or exception of a child that does not pickle,
+    or does not load back, raises a ``RuntimeError`` that names it.  No
+    child outlives the call: when the caller raises, it terminates and
+    joins its children first, and a child whose caller is gone stops
+    before its next item or fails its send."""
     n = min(workers, len(items))
     if n <= 1:
         return [_point(func, item) for item in items]
@@ -700,14 +703,9 @@ def stabilize(scaled: ScaledParams, spec: BasisSpec, parameter: str,
 
     tasks = [(scaled, dataclasses.replace(spec, **{parameter: float(v)}),
               n_track) for v in grid]
-    energies = np.full((len(grid), n_track), np.nan)
-    failures = []
     results = parallel_map(_stabilize_point, tasks, workers)
-    for index, (vals, err) in enumerate(results):
-        if err is None:
-            energies[index] = vals
-        else:
-            failures.append((index, err))
+    energies = np.array([vals or [np.nan] * n_track for vals, _ in results])
+    failures = [(index, err) for index, (_, err) in enumerate(results) if err]
 
     plateaus = tuple(_widest_plateau(grid, energies[:, lev], lev,
                                      PLATEAU_TOLERANCE)

@@ -3,6 +3,7 @@
 import dataclasses
 import glob
 import itertools
+import multiprocessing
 import os
 import re
 
@@ -287,7 +288,7 @@ def test_contour_fit_lists_failed_points(tmp_path):
     # at hw0 = 1e-14 meV, a = 0.5 nm the two well functions coincide
     base = ("hw0 = 30\na = 30\ngamma = -1e-3\nN = 16\n"
             "hw0_list = 1e-14,20,30\na_grid = 0.5,16,18,20,22,24,26,28,30\n")
-    failed = "FAILED hw0=1e-14 a=0.5: DegenerateBasisError"
+    failed = "FAILED hw0 = 1e-14, a = 0.5: DegenerateBasisError"
     for task, extra in (("quartic-gap", ""),
                         ("contour-fit", "targets = 1e-2\n")):
         out = tmp_path / task
@@ -645,9 +646,46 @@ def test_stabilize_flags_an_overflowing_grid_point(tmp_path):
                 f"out_dir = {tmp_path}\n")
     assert cli.run(cfg).status == 0
     names, rows = _read_csv(tmp_path / "stabilize.csv")
-    assert [row[names.index("status")] for row in rows] == ["ok", "failed"]
+    assert [row[names.index("status")] for row in rows] == [
+        "ok", "failed: DegenerateBasisError: the 'dy2' table overflows at "
+              "basis width mu = 1e+300"]
     summary = (tmp_path / "stabilize_summary.txt").read_text()
     assert "FAILED mu = 1e+300: DegenerateBasisError" in summary
+
+
+# at eta = 1e-9, and at hw0 = 1e-14 meV, a = 0.5 nm in 1D, the odd well
+# combination has no normalization
+WELLS_COINCIDE = ("DegenerateBasisError: well combination (n=0, p=-1) has "
+                  "no normalization; the two well functions are "
+                  "(numerically) identical")
+WELLS_COINCIDE_CELL = ("failed: DegenerateBasisError: well combination "
+                       "(n=0; p=-1) has no normalization; the two well "
+                       "functions are (numerically) identical")
+
+
+@pytest.mark.parametrize("text, heads, statuses", [
+    (MINIMAL + "eta = 1e-9\nL = 2\nN = 8\n", ["FAILED:"],
+     [WELLS_COINCIDE_CELL]),
+    (f"task = sweep-bsl\n{SMALL_2D}eta = 1e-9\nbsl_grid = 0.5,1\n",
+     ["FAILED bSLa = 0.5:", "FAILED bSLa = 1:"], [WELLS_COINCIDE_CELL] * 2),
+    (f"task = stabilize\n{SMALL_2D}eta_grid = 1e-9,4\n",
+     ["FAILED eta = 1e-09:"], [WELLS_COINCIDE_CELL, "ok"]),
+    # a row per a aggregates the hw0 values, so it reads failed or ok
+    ("task = quartic-gap\nhw0 = 30\na = 30\nN = 8\nhw0_list = 1e-14,20\n"
+     "a_grid = 0.5,16\n", ["FAILED hw0 = 1e-14, a = 0.5:"], ["failed", "ok"]),
+], ids=["solve", "sweep-bsl", "stabilize", "quartic-gap"])
+def test_every_task_records_a_failed_point_the_same_way(tmp_path, text,
+                                                        heads, statuses):
+    # one label, one FAILED line and, in a row of one point, one status
+    # cell, whose commas the CSV writes as semicolons
+    cfg = _load(text + f"out_dir = {tmp_path}\n")
+    cli.run(cfg)
+    summary = (tmp_path / f"{cfg.task}_summary.txt").read_text()
+    assert [line.strip() for line in summary.splitlines()
+            if "FAILED" in line] == [f"{head} {WELLS_COINCIDE}"
+                                     for head in heads]
+    names, rows = _read_csv(tmp_path / f"{cfg.task}.csv")
+    assert [row[names.index("status")] for row in rows] == statuses
 
 
 def test_sweep_lists_every_failed_point(tmp_path):
@@ -769,6 +807,33 @@ def test_shipped_config_loads(path):
     for config in (cfg, overridden):
         text = cli.serialize_config(config)
         assert cli.parse_config_lines(text.splitlines()) == config
+
+
+@pytest.mark.parametrize("how", ["key", "option"])
+def test_too_many_workers_fail_before_any_process_starts(tmp_path, capsys,
+                                                         monkeypatch, how):
+    # 5000 workers on the 513 points of quartic-gap.cfg would start 512
+    # processes
+    def refuse(self):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    shipped = os.path.join(ROOT, "configs", "quartic-gap.cfg")
+    message = ("worker count 5000 must be at least 1 and at most "
+               f"{cli.MAX_WORKERS}")
+    with pytest.raises(hq.ConfigError, match=message):
+        cli.load_config(shipped, {"workers": 5000})
+    assert cli.load_config(shipped, {"workers": cli.MAX_WORKERS}).workers \
+        == cli.MAX_WORKERS
+    config = tmp_path / "cfg.txt"
+    with open(shipped, encoding="utf-8") as handle:
+        config.write_text(handle.read() + "workers = 5000\n" * (how == "key"))
+    option = ["--workers", "5000"] * (how == "option")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out),
+                     *option]) == 2
+    assert f"hybridq: error: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 def _readme_section(title: str) -> str:

@@ -283,28 +283,52 @@ def test_two_workers_reraise_a_bug_with_its_type(where, nap):
     assert multiprocessing.active_children() == []
 
 
-def _unpicklable(item):
-    barrier, raises = item
+class _Odd(Exception):
+    """Pickles as ``_Odd(a)``, which does not load back: ``__init__`` takes
+    two arguments but passes one on."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+# what the child returns, or raises (a lock inside a TypeError): a lock
+# does not pickle, an _Odd does not load back
+_UNSENDABLE = {"lock": threading.Lock, "odd": lambda: _Odd(1, 2)}
+
+
+def _unsendable(item):
+    barrier, kind, raises = item
     barrier.wait(timeout=30)
     if _here() == "caller":
         return None
+    value = _UNSENDABLE[kind]()
     if raises:
-        raise TypeError(threading.Lock())
-    return threading.Lock()
+        raise value if isinstance(value, Exception) else TypeError(value)
+    return value
 
 
-@pytest.mark.parametrize("raises, lost", [
-    (True, "TypeError(<unlocked _thread.lock"), (False, "the results")],
-    ids=["exception", "result"])
-def test_two_workers_report_what_does_not_pickle(raises, lost):
-    # what the child cannot send reaches the caller as a RuntimeError that
-    # names it, not as a dead child
+LOCK = "TypeError(\"cannot pickle '_thread.lock' object\")"
+ODD = ("TypeError(\"_Odd.__init__() missing 1 required positional argument: "
+       "'b'\")")
+
+
+@pytest.mark.parametrize("kind, raises, lost, why", [
+    ("lock", True, "TypeError(<unlocked _thread.lock", LOCK),
+    ("lock", False, "the results", LOCK),
+    ("odd", True, "_Odd(1)", ODD),
+    ("odd", False, "the results", ODD),
+], ids=["exception", "result", "exception-that-does-not-load",
+        "result-that-does-not-load"])
+def test_two_workers_report_what_does_not_pickle(kind, raises, lost, why):
+    # what the child cannot send, or the caller could not load, reaches the
+    # caller as a RuntimeError that names it, not as a dead child or an
+    # error of the caller's recv
     barrier = multiprocessing.Barrier(2)
     with pytest.raises(RuntimeError) as error:
-        solver.parallel_map(_unpicklable, [(barrier, raises)] * 2, 2)
+        solver.parallel_map(_unsendable, [(barrier, kind, raises)] * 2, 2)
     assert str(error.value).startswith(lost)
-    assert "could not be sent: TypeError(\"cannot pickle '_thread.lock'" \
-        in str(error.value)
+    assert f"could not be sent: {why}" in str(error.value)
+    assert "Traceback" in str(error.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
