@@ -4,8 +4,8 @@ Every term of the scaled Hamiltonian, as ``ScaledParams.terms`` declares
 it, is (spin factor) x (z-table) x (y-table): a 2 x 2 spin matrix, a
 2N x 2N z-table and an L x L y-table.  In the nonorthogonal z-basis the
 Zeeman term -(r_c/2) sigma_z x "1" x "1" carries the overlap pattern S_z.
-The y-ladder chi_k = i^k phi_k (``basis``) makes every y-table real, the
-one of -i d/dy' included, so every factor and H itself are real.  The
+The y-ladder chi_k = i^k exp(-i q y') phi_k (``basis``) makes every
+y-table real, -i d/dy' included, so every factor and H are real.  The
 overlap is I_spin x S_z x I_y, since the y-ladder is orthonormal.
 The flat basis index follows the same order, (s, p, n, k) with k fastest
 (``basis``), so every dense matrix is the ``np.kron`` of its factors.

@@ -2,9 +2,10 @@
 
 The spatial basis is a product of harmonic-oscillator-like functions:
 
-* along y': ``chi_k(y') = i^k phi_k(y')``, k = 0..L-1, with
+* along y': ``chi_k(y') = i^k exp(-i q y') phi_k(y')``, k = 0..L-1, with
   ``phi_k(y') = N_k H_k(mu y') exp(-mu^2 y'^2 / 2)`` the orthonormal
-  oscillator ladder centered at the origin.  The phase i^k makes every
+  oscillator ladder centered at the origin, and q = r_c beta / r_a.  The
+  gauge phase shows only in ``model.ScaledParams.terms``; i^k makes every
   y-table real, the one of the Hermitian operator -i d/dy' included, so
   the whole Hamiltonian is real symmetric;
 * along z': even/odd combinations of single-well functions centered at the
@@ -46,15 +47,15 @@ from .errors import DegenerateBasisError
 # The 1D operator kinds the Hamiltonian is built from.  The z kinds act on
 # the double-well direction, the y kinds on the transverse oscillator
 # direction; "-idy" is the operator -i d/dy'.
-Z_KINDS = ("1", "z", "z2", "z4", "quartic", "dz2")
+Z_KINDS = ("1", "z", "z2", "quartic", "dz2")
 Y_KINDS = ("1", "y2", "-idy", "dy2")
 
-# Band growth of the widest z operator is 4 (z^4 and (z^2-1)^2); intermediate
+# Band growth of the widest z operator, (z^2-1)^2, is 4; intermediate
 # matrix products need a little extra headroom so truncation never touches
 # kept rows.
 _PAD = 8
 # Half-bandwidth of each z operator in its oscillator ladder.
-_Z_BAND = {"1": 0, "z": 1, "z2": 2, "z4": 4, "quartic": 4, "dz2": 2}
+_Z_BAND = {"1": 0, "z": 1, "z2": 2, "quartic": 4, "dz2": 2}
 _BAND = max(_Z_BAND.values())
 
 
@@ -228,9 +229,6 @@ def _z_operators(kind: str, eta: float, z: np.ndarray) -> np.ndarray:
         op = z
     elif kind == "z2":
         op = z @ z
-    elif kind == "z4":
-        z2 = z @ z
-        op = z2 @ z2
     elif kind == "dz2":
         d = eta * _ladder_derivative(z.shape[-1])    # the same at both
         op = d @ d

@@ -79,11 +79,12 @@ class ScaledParams:
         kinds are those of ``basis``, the spin factors "1", "x" and "z":
 
             H = -(r_a/2) (d2/dz'2 + d2/dy'2) + ab_ratio/(8 r_a) (z'^2-1)^2
-                - gamma z' + r_c^2/(8 r_a) (y'^2 + 4 beta^2 z'^4)
-                + r_c beta (z'^2 (-i d/dy') - z' sigma_x) - (r_c/2) sigma_z
+                - gamma z' + r_c^2/(8 r_a) (y'^2 + 4 beta^2 (z'^2-1)^2)
+                + r_c beta ((z'^2-1) (-i d/dy') - z' sigma_x) - r_c sigma_z/2
 
-        The y'^2 and sigma_z terms are left out at r_c = 0, the z'^4,
-        slanting and sigma_x terms unless r_c > 0 and beta > 0.
+        in the y-ladder chi_k = i^k exp(-i q y') phi_k, q = r_c beta / r_a
+        (``basis``).  The y'^2 and sigma_z terms are left out at r_c = 0,
+        the slanting and sigma_x terms unless r_c > 0 and beta > 0.
         """
         return tuple(term[:4] for term in self._every_term() if term[4])
 
@@ -96,9 +97,10 @@ class ScaledParams:
                 (self.ab_ratio / (8.0 * r_a), "quartic", "1", "1", True),
                 (-self.gamma, "z", "1", "1", True),
                 (r_c * r_c / (8.0 * r_a), "1", "y2", "1", r_c > 0),
-                (r_c * r_c * beta * beta / (2.0 * r_a), "z4", "1", "1",
-                 slanting),
+                (r_c * r_c * beta * beta / (2.0 * r_a), "quartic", "1",
+                 "1", slanting),
                 (r_c * beta, "z2", "-idy", "1", slanting),
+                (-(r_c * beta), "1", "-idy", "1", slanting),
                 (-(r_c * beta), "z", "1", "x", slanting),
                 (-(0.5 * r_c), "1", "1", "z", r_c > 0))
 

@@ -84,9 +84,9 @@ DROP_FRACTION_2D = 1e-12
 
 # the first Lanczos run for k levels stops after 2 k + LANCZOS_SLACK steps,
 # the retry after twice as many.  The k levels, k - 1 of them to eps and
-# the last to EXTRA_LEVEL_TOLERANCE, needed at most 2 k + 57 steps (k = 2,
-# 5, 9, 17, 33, 41; the bSLa, mu, hw0 and B0 ranges of the shipped configs
-# at L = N = 20, and L = N = 8, 10, 14)
+# the last to EXTRA_LEVEL_TOLERANCE, needed at most 2 k + 64 steps (k = 5,
+# 9, 33, 41; the shipped configs and criterion 1b's mu grid at L = N = 20,
+# and bSLa sweeps at L = N = 8, 10, 14)
 LANCZOS_SLACK = 80
 
 # a Lanczos convergence check (dstevd) costs under one step at 9 levels
@@ -122,7 +122,7 @@ class EigenSolution:
 
     ``energies`` ascend and are in units of hw0; ``coefficients`` holds the
     real S-orthonormal eigenvectors as columns, in the flat (s, p, n, k)
-    order of the y-ladder chi_k = i^k phi_k (``basis``).
+    order of the y-ladder chi_k = i^k exp(-i q y') phi_k (``basis``).
     ``s_condition`` is the condition number of the z-overlap S_z, which
     the full overlap shares; inf when rounding leaves its smallest
     eigenvalue at or below zero.  ``n_dropped`` counts the z-overlap

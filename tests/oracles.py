@@ -7,7 +7,8 @@ Nothing here shares code with the implementation paths it checks:
   polynomials pointwise (no ladder algebra, no overlap recurrences).
   Nodes, weights, normalization and the weighted sums are all in extended
   precision so the oracle itself stays accurate to ~1e-13 on the largest
-  elements.  ``quad_element_y`` works in the paper's ladder phi_k;
+  elements.  ``quad_element_z`` also takes "z4", z'^4, which no table
+  of ``basis`` holds.  ``quad_element_y`` works in the paper's ladder phi_k;
   ``quad_element_chi`` multiplies it by the complex phase of the ladder
   chi_k = i^k phi_k that ``basis`` tabulates.
 * ``fraction_displaced_overlap``: the displaced-oscillator overlap table in
@@ -26,8 +27,12 @@ Nothing here shares code with the implementation paths it checks:
   ``z_spatial``, the reference for ``observables.state_report``, which
   reads the 2N x 2N z-tables instead.
 * ``orthonormal_hamiltonian``: the dense reduced Hamiltonian, built with
-  ``np.kron`` from the same reduced factors, the reference for the band
-  storage and the banded solve of ``solver.solve``.
+  ``np.kron`` from the same reduced factors, its terms written out by
+  hand, the reference for the band storage and the banded solve of
+  ``solver.solve``.
+* ``PaperLadderParams``: ``ScaledParams`` whose terms are the paper's
+  Hamiltonian in the y-ladder i^k phi_k, without the gauge phase of
+  ``basis``, the reference that the gauge moves no converged level.
 * ``kept_subspace_energies``: the dense pencil (V^H H V, V^H S V) on the
   subspace V = I_spin x X x I_y that ``solver.solve`` keeps, solved by
   ``scipy.linalg.eigh``, the reference for the Kronecker-factor reduction
@@ -41,7 +46,9 @@ Nothing here shares code with the implementation paths it checks:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +60,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from hybridq import basis
 from hybridq.errors import DegenerateBasisError
+from hybridq.model import ScaledParams
 
 
 def fraction_displaced_overlap(delta: float, size: int) -> np.ndarray:
@@ -115,9 +123,6 @@ def _z_operator(kind: str, eta: float, center: float,
         return z
     if kind == "z2":
         return z @ z
-    if kind == "z4":
-        z2 = z @ z
-        return z2 @ z2
     if kind == "dz2":
         d = eta * basis._ladder_derivative(size)
         return d @ d
@@ -366,15 +371,52 @@ def orthonormal_hamiltonian(problem, transform: np.ndarray) -> np.ndarray:
     if r_c > 0:
         y_part += (r_c * r_c / (8.0 * r_a)) * ty["y2"]
         if beta > 0:
-            z_part += (r_c * r_c * beta * beta / (2.0 * r_a)) * z("z4")
+            # (r_a/2) (-i d/dy' + r_c beta (z'^2 - 1) / r_a)^2, less its
+            # kinetic part: the slanting field about the wells
+            z_part += (r_c * r_c * beta * beta / (2.0 * r_a)) * z("quartic")
     eye_z, eye_y = np.eye(len(z_part)), np.eye(len(y_part))
     h0 = np.kron(z_part, eye_y) + np.kron(eye_z, y_part)
     if r_c > 0 and beta > 0:
-        h0 += (r_c * beta) * np.kron(z("z2"), ty["-idy"])
+        h0 += (r_c * beta) * np.kron(z("z2") - eye_z, ty["-idy"])
 
     h1 = -(r_c * beta) * np.kron(z_moment, eye_y)
     h2 = -(0.5 * r_c) * np.eye(len(h0))
     return np.block([[h0 + h2, h1], [h1, h0 - h2]])
+
+
+@dataclass(frozen=True)
+class PaperLadderParams(ScaledParams):
+    """``ScaledParams`` whose ``terms`` are the paper's Hamiltonian in the
+    y-ladder i^k phi_k, gauge origin z' = 0:
+
+        r_c beta z'^2 (-i d/dy') + r_c^2 beta^2/(2 r_a) z'^4
+
+    in place of the two gauge-adapted slanting terms.  No z-table holds
+    z'^4, so it is rebuilt as (z'^2 - 1)^2 + 2 z'^2 - 1.
+    """
+
+    @property
+    def terms(self) -> tuple:
+        r_a, r_c, beta = self.r_a, self.r_c, self.beta
+        c4 = r_c * r_c * beta * beta / (2.0 * r_a)
+        terms = [(-(0.5 * r_a), "dz2", "1", "1"),
+                 (-(0.5 * r_a), "1", "dy2", "1"),
+                 (self.ab_ratio / (8.0 * r_a), "quartic", "1", "1"),
+                 (-self.gamma, "z", "1", "1")]
+        if r_c > 0:
+            terms.append((r_c * r_c / (8.0 * r_a), "1", "y2", "1"))
+        if r_c > 0 and beta > 0:
+            terms += [(c4, "quartic", "1", "1"), (2.0 * c4, "z2", "1", "1"),
+                      (-c4, "1", "1", "1"),
+                      (r_c * beta, "z2", "-idy", "1"),
+                      (-(r_c * beta), "z", "1", "x")]
+        if r_c > 0:
+            terms.append((-(0.5 * r_c), "1", "1", "z"))
+        return tuple(terms)
+
+    @classmethod
+    def of(cls, scaled: ScaledParams) -> "PaperLadderParams":
+        return cls(**dataclasses.asdict(scaled))
 
 
 def orthonormal_order(r: int, L: int) -> np.ndarray:

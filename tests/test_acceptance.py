@@ -32,13 +32,6 @@ def test_criterion_1_ground_state_stabilization(stabilization_table):
                    "mu in [0.5, 1.0] (bound 2e-5)")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Unattainable at L = N = 20 with a 1e-4 window tolerance: only "
-           "~12 of the lowest 40 index-tracked eigenvalues are flat over "
-           "mu in (0.55, 0.70); flat physical states are crossed by "
-           "drifting unconverged states, and the count grows with basis "
-           "size (17 at L=24, 24 at L=28).  See the decisions ledger.")
 def test_criterion_1_thirty_stabilized_levels(stabilization_table):
     variations = np.array([stabilization_table.variation(lev, 0.55, 0.70)
                            for lev in range(40)])

@@ -154,8 +154,11 @@ def test_spatial_factorization_against_elements():
             value += (scaled.ab_ratio / (8 * r_a)) * z("quartic") * delta_y
             value += -scaled.gamma * z("z") * delta_y
             value += (r_c ** 2 / (8 * r_a)) * z_overlap * y("y2", k_a, k_b)
-            value += (r_c ** 2 * beta ** 2 / (2 * r_a)) * z("z4") * delta_y
-            value += r_c * beta * z("z2") * y("-idy", k_a, k_b)
+            # the slanting field about the wells z' = +-1: the gauge
+            # phase exp(-i q y') of the y-ladder, q = r_c beta / r_a
+            value += (r_c ** 2 * beta ** 2 / (2 * r_a)) * z("quartic") \
+                * delta_y
+            value += r_c * beta * (z("z2") - z_overlap) * y("-idy", k_a, k_b)
             value += -0.5 * r_c * s_a * z_overlap * delta_y
         else:
             value += -r_c * beta * z("z") * delta_y

@@ -84,7 +84,8 @@ def test_scaled_params_validation():
 FIG4 = hq.PhysicalParams(hw0=30.0, a=30.0, gamma=-1e-3, B0=0.5, bSLa=2.0)
 SEPARABLE_KINDS = [("dz2", "1", "1"), ("1", "dy2", "1"),
                    ("quartic", "1", "1"), ("z", "1", "1")]
-SLANTING_KINDS = [("z4", "1", "1"), ("z2", "-idy", "1"), ("z", "1", "x")]
+SLANTING_KINDS = [("quartic", "1", "1"), ("z2", "-idy", "1"),
+                  ("1", "-idy", "1"), ("z", "1", "x")]
 
 
 def kinds_of(scaled):
@@ -98,14 +99,14 @@ def test_terms_at_the_working_point():
     coefficients = [term[0] for term in s.terms]
     expected = [-s.r_a / 2, -s.r_a / 2, s.ab_ratio / (8 * s.r_a), -s.gamma,
                 s.r_c ** 2 / (8 * s.r_a), (s.r_c * s.beta) ** 2 / (2 * s.r_a),
-                s.r_c * s.beta, -s.r_c * s.beta, -s.r_c / 2]
+                s.r_c * s.beta, -s.r_c * s.beta, -s.r_c * s.beta, -s.r_c / 2]
     assert coefficients == pytest.approx(expected, rel=1e-15)
 
 
 def test_terms_without_the_slanting_field_separate_in_spin():
     kinds = kinds_of(hq.scale(dataclasses.replace(FIG4, bSLa=0.0)))
     assert kinds == SEPARABLE_KINDS + [("1", "y2", "1"), ("1", "1", "z")]
-    assert not {"z4", "-idy", "x"} & {kind for term in kinds for kind in term}
+    assert not {"-idy", "x"} & {kind for term in kinds for kind in term}
 
 
 def test_terms_without_a_field_are_spin_free():
@@ -115,11 +116,12 @@ def test_terms_without_a_field_are_spin_free():
 
 
 def test_a_vanishing_term_is_kept_by_its_condition():
-    # r_c beta > 0, but the z'^4 coefficient (r_c beta)^2 underflows to 0
+    # r_c beta > 0, but the coefficient (r_c beta)^2 of the slanting
+    # field's quartic term underflows to 0
     s = hq.scale(dataclasses.replace(FIG4, bSLa=5e-324))
-    assert len(s.terms) == 9
+    assert len(s.terms) == 10
     assert set(SLANTING_KINDS) <= set(kinds_of(s))
-    assert s.terms[5][:2] == (0.0, "z4")
+    assert s.terms[5][:2] == (0.0, "quartic")
 
 
 @pytest.mark.parametrize("B0", [5e-324, 1e-310])
