@@ -2,7 +2,8 @@
 
 One electron in a quartic double well with a uniform Zeeman field and a
 constant-gradient transverse field, solved by the Ritz method in a
-Hermite-Gaussian well-pair basis.
+Hermite-Gaussian well-pair basis; the 1D double well alone in one
+orthonormal oscillator ladder.
 """
 
 from .assembly import SpectralProblem, assemble

@@ -75,8 +75,8 @@ _PHYSICAL = tuple(f.name for f in dataclasses.fields(PhysicalParams))
 # step from building a huge grid
 MAX_GRID_POINTS = 100_000
 
-# largest 2D variational basis 4LN a run may ask for; a 1D task's 2N
-# functions stay far below it under MAX_N.  It bounds the arrays of the
+# largest 2D variational basis 4LN a run may ask for; a 1D task's 4N
+# ladder functions stay below it under MAX_N.  It bounds the arrays of the
 # solve, which grow as its square at most (8000^2 doubles take 512 MB); the
 # exact z-tables behind them cost far more per function and have their own
 # bound, MAX_N
@@ -84,8 +84,9 @@ MAX_BASIS_SIZE = 8000
 
 # largest z-ladder length N.  The integer overlap recurrence of the exact
 # z-tables grows much faster than the arrays: one process on a 2-vCPU VM
-# took 2.8-4.0 s and 178 MiB for one 1D solve at N = 400, and 8.9 s and
-# 288 MiB for one z-table build at N = 600.  Shipped configs use N <= 22
+# took 8.9 s and 288 MiB for one z-table build at N = 600.  A 1D solve at
+# N = 400 (1600 ladder functions) took 0.86 s and 278 MiB, 0.37 s once its
+# ladder was cached.  Shipped configs use N <= 22
 MAX_N = 400
 
 # largest worker count: 5000 would start one process (~49 MiB) per point
@@ -96,7 +97,7 @@ _GRID_OF = {"bSLa": "bsl_grid", "hw0": "hw0_list", "B0": "B0_list",
 _COLUMN_OF = {"bSLa": "bSLa_T", "hw0": "hw0", "B0": "B0_T"}
 
 # the settings of the 2D problem: a 1D solve has no field, y-ladder or level
-# count, and takes its own basis width eta = 1/sqrt(r_a) per point
+# count, and takes its own ladder width per point
 _KEYS_2D = ("B0", "bSLa", "eta", "mu", "L", "n_track")
 
 
@@ -105,7 +106,7 @@ class _Task:
     """One row of ``_TASK_TABLE``: the runner of a task, the
     PhysicalParams fields it sweeps (outer first; a run visits the
     product of their grids, outer-major), the other grids it reads and
-    whether it is 1D (2N z-functions alone)."""
+    whether it is 1D (4N ladder functions alone)."""
 
     runner: Callable
     swept: tuple = ()

@@ -1,12 +1,17 @@
 """Spinless 1D quartic double-well: spectra, gap surfaces, contour fits.
 
 The low part of this spectrum sets where the full 2D device has a useful
-qubit gap.  ``solve_1d`` is a Ritz solve in the z'-direction well-pair basis
-alone (2N functions, no transverse direction, no spin).  ``gap_surface``
-tabulates the scaled gap (E1-E0)/hw0 over (hw0, a), and the surface
-classifies each curve into its three decay regimes when they are first
-read; ``contour_fit`` extracts iso-gap lines a(hw0) and fits the power law
-a = A hw0^e.
+qubit gap.  ``solve_1d`` is a Ritz solve in the z' direction alone (no
+transverse direction, no spin), in the scaled oscillator basis of
+anharmonic-oscillator studies (Banerjee et al., Proc. R. Soc. Lond. A 360,
+575 (1978)): 4N orthonormal functions of one oscillator ladder centered
+between the wells, whose width follows r_a.  Every term is a polynomial in
+its ladder operators, so the levels need no overlap, and each comes with
+its exact full-space residual, which decides whether the point is
+resolved.  ``gap_surface`` tabulates the scaled gap (E1-E0)/hw0 over
+(hw0, a), and the surface classifies each curve into its three decay
+regimes when they are first read; ``contour_fit`` extracts iso-gap lines
+a(hw0) and fits the power law a = A hw0^e.
 """
 
 from __future__ import annotations
@@ -19,13 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as basis_mod
-from .errors import ReducedBasisError, UnreachableTargetError
+from . import solver
+from .errors import (ReducedBasisError, UncertifiedSpectrumError,
+                     UnreachableTargetError)
 from .model import M_RATIO, PhysicalParams, scale
-from .solver import _canonical_solve
 
 # log-log slope thresholds separating the decay regimes of a gap curve
 FLOOR_SLOPE = 0.2
 ALGEBRAIC_SLOPE = 1.5
+
+# ``solve_1d`` takes LADDER_PER_N ladder functions per config N, of width
+# s = LADDER_WIDTH (2 r_a)^(1/3); 88 functions at the shipped N = 22
+LADDER_PER_N = 4
+LADDER_WIDTH = 0.55
+# the highest power of the ladder operators in a 1D term, that of z'^4
+_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -79,32 +92,81 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
     """Lowest eigenvalues (units hw0) of the 1D double well.
 
     Its Hamiltonian is the terms of ``ScaledParams.terms`` with y kind and
-    spin factor "1", in the z' well-pair basis of ``basis`` with ``n_basis``
-    functions per parity (at least 1), of width eta = a / ell0 =
-    1/sqrt(r_a), the inverse single-well oscillator length in scaled units;
-    its tables are the cached z-tables at (eta, n_basis) that a 2D basis of
-    that width shares.  The solve is the canonical orthogonalization of
-    ``solver._canonical_solve``: where the wells merge and the two well
-    ladders become redundant, the near-null overlap directions are dropped
-    and the levels come from the regular subspace.  As in ``solver.solve``,
-    ``n_lowest`` outside 1 to the kept levels is a ``ReducedBasisError``.
+    spin factor "1", in the first n = ``LADDER_PER_N`` * ``n_basis``
+    functions (``n_basis`` at least 1) of one orthonormal oscillator ladder
+    u_k(z'/s), centered between the wells, of width s = ``LADDER_WIDTH``
+    (2 r_a)^(1/3), where the kinetic and the quartic term balance.  With
+    W the position and D the derivative in the ladder (``_ladder``), the
+    z kinds are "1" = I, "z" = s W, "z2" = s^2 W^2, "quartic" =
+    s^4 W^4 - 2 s^2 W^2 + I and "dz2" = D^2 / s^2, so no overlap is
+    needed.  Every kind is a polynomial of degree at most 4 in the ladder
+    operators, so H maps the first n functions into the first n + 4, and
+    the full-space residual of a Ritz vector c_j is exactly
+    r_j = ||H[n:n+4, n-4:n] c_j[n-4:]||.  The point fails with an
+    ``UncertifiedSpectrumError`` when H or an r_j is not finite, or when
+    r_0 + r_1, plus the rounding of each level, bounded by n eps ||h||_1
+    for the n x n block h, reaches the gap E_1 - E_0: then the two lowest
+    levels are not resolved apart.  The rounding decides only at extreme
+    widths.  The rule reads two levels, whatever ``n_lowest``.  As in
+    ``solver.solve``, ``n_lowest`` outside 1 to n is a
+    ``ReducedBasisError``.  The linear algebra runs on one BLAS thread,
+    and the caller's thread counts are restored on return.
     """
     params = PhysicalParams(hw0=hw0, a=a, b=b, gamma=gamma, m_ratio=m_ratio)
     scaled = scale(params)
     if n_basis < 1:
         raise ValueError("n_basis must be at least 1")
-    eta = 1.0 / math.sqrt(scaled.r_a)
-
-    def table(kind: str) -> np.ndarray:
-        return basis_mod.z_element_table(kind, eta, n_basis)
-
-    h = functools.reduce(np.add, [coef * table(kind) for coef, kind, y, spin
-                                  in scaled.terms if y == spin == "1"])
-    levels = _canonical_solve(h, table("1"))
-    if not 1 <= n_lowest <= len(levels):
+    n = LADDER_PER_N * n_basis
+    if not 1 <= n_lowest <= n:
         raise ReducedBasisError(f"n_lowest must be between 1 and the "
-                                f"reduced basis size {len(levels)}")
+                                f"ladder size {n}")
+    s = LADDER_WIDTH * (2.0 * scaled.r_a) ** (1.0 / 3.0)
+    s2 = s * s
+    # each z kind as weights of the stacked I, W, W^2, W^4 and D^2
+    kinds = {"1": (1.0, 0.0, 0.0, 0.0, 0.0), "z": (0.0, s, 0.0, 0.0, 0.0),
+             "z2": (0.0, 0.0, s2, 0.0, 0.0),
+             "quartic": (1.0, 0.0, -2.0 * s2, s2 * s2, 0.0),
+             "dz2": (0.0, 0.0, 0.0, 0.0, 1.0 / s2)}
+    weights = sum(coef * np.array(kinds[kind]) for coef, kind, y, spin
+                  in scaled.terms if y == spin == "1")
+    # an extreme width overflows h, which is checked before the solve
+    with solver._one_blas_thread(), np.errstate(over="ignore",
+                                                invalid="ignore"):
+        h = np.tensordot(weights, _ladder(n), axes=1)
+        if not np.isfinite(h).all():
+            raise UncertifiedSpectrumError(
+                f"the 1D Hamiltonian overflows at ladder width s = {s:g}")
+        levels, vecs = solver._lowest_pairs(h[:n], max(n_lowest, 2))
+        residuals = np.linalg.norm(
+            h[n:, n - _DEGREE:] @ vecs[n - _DEGREE:], axis=0)
+    # LAPACK bounds the rounding of each level by p(n) eps ||h||_2, p a
+    # modestly growing function; n eps ||h||_1 is a safe form of it
+    rounding = n * np.finfo(float).eps * np.abs(h[:n]).sum(axis=0).max()
+    spread = residuals[0] + residuals[1] + 2.0 * rounding
+    if not np.isfinite(residuals).all() or spread >= levels[1] - levels[0]:
+        raise UncertifiedSpectrumError(
+            f"the {n}-function ladder does not resolve the gap: "
+            f"r0 + r1 = {residuals[0] + residuals[1]:.3g} and rounding "
+            f"{2.0 * rounding:.3g} against E1 - E0 = "
+            f"{levels[1] - levels[0]:.3g}")
     return levels[:n_lowest]
+
+
+@functools.lru_cache(maxsize=4)
+def _ladder(n: int) -> np.ndarray:
+    """I, W, W^2, W^4 and D^2 of the oscillator ladder u_k(w), stacked, in
+    the columns k < n and the n + ``_DEGREE`` rows they reach; read-only.
+
+    Built from the ladders of ``basis`` padded by ``_DEGREE``, where every
+    product that lands in those columns is complete."""
+    size = n + _DEGREE
+    w = basis_mod._ladder_position(size)
+    d = basis_mod._ladder_derivative(size)
+    w2 = w @ w
+    ops = np.stack([op[:, :n] for op in (np.eye(size), w, w2, w2 @ w2,
+                                          d @ d)])
+    ops.setflags(write=False)
+    return ops
 
 
 def classify_regimes(a_values, gaps) -> CurveRegimes:

@@ -1,10 +1,10 @@
 """Generalized eigensolver and stabilization sweeps.
 
-The 2D ``solve`` and the 1D ``_canonical_solve`` reduce H c = E S c by one
-rule, Loewdin canonical orthogonalization (Adv. Quantum Chem. 5, 185
-(1970)): ``_orthonormalizer`` keeps the overlap eigendirections above a
-relative floor, so a redundant basis loses its near-null directions instead
-of failing.  ``solve`` applies it to the 2N x 2N z-overlap and holds the
+The 2D ``solve`` reduces H c = E S c by Loewdin canonical
+orthogonalization (Adv. Quantum Chem. 5, 185 (1970)): ``_orthonormalizer``
+keeps the overlap eigendirections above a relative floor, so a redundant
+basis loses its near-null directions instead of failing.  ``solve``
+applies it to the 2N x 2N z-overlap and holds the
 real symmetric reduced Hamiltonian as Kronecker factors in the (k, s, j)
 order (``assembly.reduced_terms``), block pentadiagonal in the y-index k
 with lower bandwidth 4r.  Its lowest levels come from shift-invert Lanczos
@@ -29,12 +29,16 @@ band.  Without the slanting field h separates into y and spin-resolved z
 factors.  The eigenvectors are mapped back to real S-orthonormal
 eigenvectors of the original basis with ascending eigenvalues; asking for
 more than the reduced basis holds is a ``ReducedBasisError``.  Both errors
-are ``POINT_ERRORS``.  numpy does the arithmetic; scipy calls LAPACK, as
-dpbtrf, dpbtrs, dstevd, dsytrf, dsytri and the wrappers ``eig_banded`` and
-``eigh`` of ``scipy.linalg``, each library on its own OpenBLAS.  The band
-work is many small BLAS calls, which run faster on one thread than on two,
-so ``solve`` sets both to one thread while it runs and restores the
-caller's counts on exit.
+are ``POINT_ERRORS``.  The 1D ``quartic1d.solve_1d`` needs no reduction:
+its ladder is orthonormal, and ``_lowest_pairs`` diagonalizes it.  numpy
+does the arithmetic; scipy calls LAPACK, as dpbtrf, dpbtrs, dstevd,
+dsytrf, dsytri and the wrappers ``eig_banded`` and ``eigh`` of
+``scipy.linalg``, each library on its own OpenBLAS.  The band work and a
+1D point are many small BLAS calls, which run faster on one thread than
+on two, so ``solve`` and ``solve_1d`` set both to one thread while they
+run and restore the caller's counts on exit.  ``parallel_map`` holds one
+such scope around all the items of each of its processes, so a grid
+restores the counts once, not per point.
 ``stabilize`` re-assembles and re-solves over a grid of one nonlinear
 variational parameter and summarizes per-level plateaus, the practical
 convergence check of the Ritz method.
@@ -74,11 +78,10 @@ from .model import ScaledParams
 TIE_THRESHOLD = 1e-12
 
 # relative overlap-eigenvalue floors below which ``_orthonormalizer`` drops
-# a direction.  Neither can take the other's value (measured): at 1e-12 in
-# 1D, 228 of the 513 shipped quartic-gap points change, the gap by up to
-# 2.8e-6 and the sixth level by up to 3.6e-4 relative; at 1e-10 in 2D, the
-# working point (eta = 4, L = N = 20) drops its 8.9e-11 direction and 32
-# levels move by 7.7e-12 relative.
+# a direction: in ``solve``, and in ``_canonical_solve``, which nothing in
+# the package calls.  At 1e-10 in 2D, the working point (eta = 4,
+# L = N = 20) drops its 8.9e-11 direction and 32 levels move by 7.7e-12
+# relative (measured).
 DROP_FRACTION_1D = 1e-10
 DROP_FRACTION_2D = 1e-12
 
@@ -185,10 +188,19 @@ def _orthonormalizer(s_vals: np.ndarray, s_vecs: np.ndarray,
     return s_vecs[:, keep] / np.sqrt(s_vals[keep])
 
 
+def _lowest_pairs(h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` lowest eigenpairs of the real symmetric ``h``, from its
+    lower triangle: ascending eigenvalues and orthonormal eigenvectors as
+    columns, by LAPACK dsyevr."""
+    return scipy.linalg.eigh(h, subset_by_index=[0, n - 1])
+
+
 def _canonical_solve(H: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of H c = E S c in the regular subspace of S:
     one standard eigensolve of X^T H X, with X from ``_orthonormalizer``
-    at ``DROP_FRACTION_1D``.
+    at ``DROP_FRACTION_1D``.  No other code of the package calls it or
+    reads that floor: both stay only while ``perfbench/tracing.py`` wraps
+    this name, and go when the benchmark stops doing so.
 
     Both eigensolves stay on scipy's ``eigh`` (LAPACK dsyevr): with
     numpy's (dsyevd), the 2,025 points of the shipped quartic-gap hw0 list
@@ -557,13 +569,14 @@ def _child_share(receiver, sender, func, items, claimed) -> None:
     caller, ppid = multiprocessing.parent_process(), os.getppid()
     share, error, trace = [], None, None
     try:
-        for i in _claims(len(items), claimed):
-            # no one reads the result of a caller that is gone: under fork
-            # and spawn the child is re-parented, under forkserver the
-            # caller's sentinel closes
-            if os.getppid() != ppid or not caller.is_alive():
-                return
-            share.append((i, _point(func, items[i])))
+        with _one_blas_thread():
+            for i in _claims(len(items), claimed):
+                # no one reads the result of a caller that is gone: under
+                # fork and spawn the child is re-parented, under
+                # forkserver the caller's sentinel closes
+                if os.getppid() != ppid or not caller.is_alive():
+                    return
+                share.append((i, _point(func, items[i])))
     except Exception as exc:
         share, error, trace = None, exc, traceback.format_exc()
     try:
@@ -602,50 +615,59 @@ def parallel_map(func, items, workers: int) -> list:
     or does not load back, raises a ``RuntimeError`` that names it.  No
     child outlives the call: when the caller raises, it terminates and
     joins its children first, and a child whose caller is gone stops
-    before its next item or fails its send."""
-    n = min(workers, len(items))
-    if n <= 1:
-        return [_point(func, item) for item in items]
-    claimed = Value("q", 0)
-    children = []
-    try:
-        for _ in range(1, n):
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
-                target=_child_share,
-                args=(receiver, sender, func, items, claimed))
-            child.start()
-            children.append((child, receiver))
-            # with its write end only in the child, a dead child's pipe
-            # reads EOF
-            sender.close()
-        shares = [[(i, _point(func, items[i]))
-                   for i in _claims(len(items), claimed)]]
-        for child, receiver in children:
-            try:
-                share, error, trace = receiver.recv()
-            except EOFError:
+    before its next item or fails its send.
+
+    Each process computes all its items on one BLAS thread per library,
+    in one ``_one_blas_thread`` scope: the caller's thread counts are
+    restored once, on return.  With a scope per item, which restores two
+    threads after each one, the 513 1D points of ``quartic-gap.cfg`` took
+    0.38-0.58 ms of wall time each on two processes and two cores, against
+    0.20-0.21 ms with one scope per process."""
+    with _one_blas_thread():
+        n = min(workers, len(items))
+        if n <= 1:
+            return [_point(func, item) for item in items]
+        claimed = Value("q", 0)
+        children = []
+        try:
+            for _ in range(1, n):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(
+                    target=_child_share,
+                    args=(receiver, sender, func, items, claimed))
+                child.start()
+                children.append((child, receiver))
+                # with its write end only in the child, a dead child's pipe
+                # reads EOF
+                sender.close()
+            shares = [[(i, _point(func, items[i]))
+                       for i in _claims(len(items), claimed)]]
+            for child, receiver in children:
+                try:
+                    share, error, trace = receiver.recv()
+                except EOFError:
+                    child.join()
+                    raise BrokenProcessPool(
+                        f"worker process {child.pid} ended with exit code "
+                        f"{child.exitcode} before sending its results"
+                    ) from None
+                if error is not None:
+                    raise error from RuntimeError(
+                        f"in worker process {child.pid}:\n{trace}")
+                shares.append(share)
+        except BaseException:
+            for child, _ in children:
+                child.terminate()
+            raise
+        finally:
+            for child, receiver in children:
                 child.join()
-                raise BrokenProcessPool(
-                    f"worker process {child.pid} ended with exit code "
-                    f"{child.exitcode} before sending its results") from None
-            if error is not None:
-                raise error from RuntimeError(
-                    f"in worker process {child.pid}:\n{trace}")
-            shares.append(share)
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, receiver in children:
-            child.join()
-            receiver.close()
-    results = [None] * len(items)
-    for share in shares:
-        for i, pair in share:
-            results[i] = pair
-    return results
+                receiver.close()
+        results = [None] * len(items)
+        for share in shares:
+            for i, pair in share:
+                results[i] = pair
+        return results
 
 
 def _stabilize_point(args) -> list:

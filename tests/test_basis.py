@@ -166,10 +166,12 @@ def test_one_assemble_runs_the_recurrence_once(monkeypatch):
     assert calls == [(8.25, 12, 12 + basis._BAND)]
 
 
-def test_one_solve_1d_runs_the_recurrence_once(monkeypatch):
+def test_solve_1d_runs_no_recurrence_and_builds_no_z_table(monkeypatch):
+    # the 1D ladder is orthonormal and its operators are closed forms
     calls = _count_recurrences(monkeypatch)
     hq.solve_1d(30.0, 31.5, gamma=-1e-3, n_basis=22)
-    assert len(calls) == 1
+    assert calls == []
+    assert basis.z_element_table.cache_info().misses == 0
 
 
 def test_each_kind_built_is_one_table_cache_miss():

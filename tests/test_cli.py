@@ -285,10 +285,11 @@ def test_run_quartic_and_contour(tmp_path):
 
 
 def test_contour_fit_lists_failed_points(tmp_path):
-    # at hw0 = 1e-14 meV, a = 0.5 nm the two well functions coincide
-    base = ("hw0 = 30\na = 30\ngamma = -1e-3\nN = 16\n"
-            "hw0_list = 1e-14,20,30\na_grid = 0.5,16,18,20,22,24,26,28,30\n")
-    failed = "FAILED hw0 = 1e-14, a = 0.5: DegenerateBasisError"
+    # at hw0 = 100 meV, a = 200 nm the 88 ladder functions do not resolve
+    # the gap of the far-apart wells; every other point passes
+    base = ("hw0 = 30\na = 30\ngamma = -1e-3\nN = 22\nhw0_list = 10,15,100\n"
+            "a_grid = 16,18,20,22,24,26,28,30,200\n")
+    failed = "FAILED hw0 = 100, a = 200: UncertifiedSpectrumError"
     for task, extra in (("quartic-gap", ""),
                         ("contour-fit", "targets = 1e-2\n")):
         out = tmp_path / task
@@ -297,7 +298,7 @@ def test_contour_fit_lists_failed_points(tmp_path):
         assert failed in (out / f"{task}_summary.txt").read_text()
     names, rows = _read_csv(tmp_path / "contour-fit" / "contour-fit.csv")
     assert [row[names.index("status")] for row in rows
-            if float(row[names.index("hw0_meV")]) == 1e-14] == ["failed"]
+            if float(row[names.index("hw0_meV")]) == 100] == ["failed"]
 
 
 def test_contour_fit_flags_an_unreachable_target(tmp_path):
@@ -583,7 +584,7 @@ def test_cli_and_library_gap_surfaces_agree():
     # two implementations of one surface, on a barrier b != a and a
     # mass ratio off its default
     cfg = _load("task = quartic-gap\nhw0 = 30\na = 30\nb = 21\n"
-                "gamma = -1e-3\nm_ratio = 0.067\nN = 10\n"
+                "gamma = -1e-3\nm_ratio = 0.067\nN = 22\n"
                 "hw0_list = 10,25,40\na_grid = 8:40:4\n")
     surface, failures = cli._gap_surface(cfg, 1)
     p = cfg.physical
@@ -653,37 +654,46 @@ def test_stabilize_flags_an_overflowing_grid_point(tmp_path):
     assert "FAILED mu = 1e+300: DegenerateBasisError" in summary
 
 
-# at eta = 1e-9, and at hw0 = 1e-14 meV, a = 0.5 nm in 1D, the odd well
-# combination has no normalization
+# at eta = 1e-9 the odd well combination has no normalization
 WELLS_COINCIDE = ("DegenerateBasisError: well combination (n=0, p=-1) has "
                   "no normalization; the two well functions are "
                   "(numerically) identical")
 WELLS_COINCIDE_CELL = ("failed: DegenerateBasisError: well combination "
                        "(n=0; p=-1) has no normalization; the two well "
                        "functions are (numerically) identical")
+# at hw0 = 100 meV, a = 200 nm the 1D ladder does not resolve the gap
+UNRESOLVED_GAP = (r"UncertifiedSpectrumError: the 88-function ladder does "
+                  r"not resolve the gap: r0 \+ r1 = \S+ and rounding \S+ "
+                  r"against E1 - E0 = \S+")
 
 
-@pytest.mark.parametrize("text, heads, statuses", [
+@pytest.mark.parametrize("text, heads, message, statuses", [
     (MINIMAL + "eta = 1e-9\nL = 2\nN = 8\n", ["FAILED:"],
-     [WELLS_COINCIDE_CELL]),
+     re.escape(WELLS_COINCIDE), [WELLS_COINCIDE_CELL]),
     (f"task = sweep-bsl\n{SMALL_2D}eta = 1e-9\nbsl_grid = 0.5,1\n",
-     ["FAILED bSLa = 0.5:", "FAILED bSLa = 1:"], [WELLS_COINCIDE_CELL] * 2),
+     ["FAILED bSLa = 0.5:", "FAILED bSLa = 1:"], re.escape(WELLS_COINCIDE),
+     [WELLS_COINCIDE_CELL] * 2),
     (f"task = stabilize\n{SMALL_2D}eta_grid = 1e-9,4\n",
-     ["FAILED eta = 1e-09:"], [WELLS_COINCIDE_CELL, "ok"]),
+     ["FAILED eta = 1e-09:"], re.escape(WELLS_COINCIDE),
+     [WELLS_COINCIDE_CELL, "ok"]),
     # a row per a aggregates the hw0 values, so it reads failed or ok
-    ("task = quartic-gap\nhw0 = 30\na = 30\nN = 8\nhw0_list = 1e-14,20\n"
-     "a_grid = 0.5,16\n", ["FAILED hw0 = 1e-14, a = 0.5:"], ["failed", "ok"]),
+    ("task = quartic-gap\nhw0 = 30\na = 30\ngamma = -1e-3\nN = 22\n"
+     "hw0_list = 10,100\na_grid = 16,200\n", ["FAILED hw0 = 100, a = 200:"],
+     UNRESOLVED_GAP, ["ok", "failed"]),
 ], ids=["solve", "sweep-bsl", "stabilize", "quartic-gap"])
 def test_every_task_records_a_failed_point_the_same_way(tmp_path, text,
-                                                        heads, statuses):
+                                                        heads, message,
+                                                        statuses):
     # one label, one FAILED line and, in a row of one point, one status
     # cell, whose commas the CSV writes as semicolons
     cfg = _load(text + f"out_dir = {tmp_path}\n")
     cli.run(cfg)
     summary = (tmp_path / f"{cfg.task}_summary.txt").read_text()
-    assert [line.strip() for line in summary.splitlines()
-            if "FAILED" in line] == [f"{head} {WELLS_COINCIDE}"
-                                     for head in heads]
+    lines = [line.strip() for line in summary.splitlines()
+             if "FAILED" in line]
+    assert len(lines) == len(heads)
+    for line, head in zip(lines, heads):
+        assert re.fullmatch(f"{re.escape(head)} {message}", line), line
     names, rows = _read_csv(tmp_path / f"{cfg.task}.csv")
     assert [row[names.index("status")] for row in rows] == statuses
 

@@ -38,10 +38,10 @@ _TOLERANCES = (
     # 2D qubit gap E1 - E0: two levels of ~0.45 within 1e-12 each move a
     # gap of ~2e-3 by up to ~5e-10 of itself
     (r"gap_(hw0|ueV)", 1e-9, 0.0),
-    # 1D well-pair gaps: the nearly singular overlap amplifies rounding
-    # (another LAPACK driver moved them by up to 1.5e-10), so they get a
-    # margin over that until the 1D basis is replaced
-    (r"gap_hw0_.*meV", 1e-8, 0.0),
+    # 1D gaps: the orthonormal ladder's levels are exact up to the
+    # eigensolver's rounding, about eps ||H||_2 (||H||_2 = 86-1664 over the
+    # shipped points), at most 3e-11 of the gap (2e-3 at 40 meV, 26 nm)
+    (r"gap_hw0_.*meV", 1e-10, 0.0),
     # <z'>/a and <sigma_x> lie in [-1, 1]; an eigenvector moves by the
     # level error over the spacing, ~1e-12 / 2e-3
     (r"z\d|sx\d|z_over_a|sigma_x", 0.0, 1e-9),

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import hybridq as hq
-from hybridq import basis, solver
+from hybridq import basis
 import oracles
 
 
@@ -53,11 +52,15 @@ def test_levels_depend_on_a_squared_hw0_alone(point, twin):
 
 def test_levels_at_a_rounded_r_a_agree_to_rounding():
     # a^2 hw0 = 32000 at both points, but r_a differs by 2.4e-16 relative;
-    # the levels then differ by 1.1e-14 relative (measured)
+    # a dense eigensolve of h moves each level by about eps ||h||_2, so
+    # that is the a-priori bound on each level's change (8.8e-14 relative
+    # for E_0 at the default 80 functions)
     levels = hq.solve_1d(20.0, 40.0, gamma=-1e-3)
     twin = hq.solve_1d(45.0, 80.0 / 3.0, gamma=-1e-3)
     assert not np.array_equal(levels, twin)
-    np.testing.assert_allclose(twin, levels, rtol=2e-14, atol=0)
+    norm = np.linalg.norm(_ladder_hamiltonian(20.0, 40.0, 80)[:80], 2)
+    bound = np.finfo(float).eps * norm
+    assert np.all(np.abs(twin - levels) <= bound)
 
 
 def test_classify_regimes_synthetic_exponential():
@@ -117,12 +120,13 @@ def test_solve_1d_rejects_an_empty_basis():
 
 
 def test_solve_1d_answers_a_level_request_as_solve_does():
-    # at a = 0.5 nm the wells merge and 3 z-levels per parity keep 5 of
-    # the 6 overlap directions: 5 levels are there, 6, 0 and -1 are not
-    levels = hq.solve_1d(30.0, 0.5, n_basis=3, n_lowest=5)
-    assert len(levels) == 5
-    for n_lowest in (6, 0, -1):
-        with pytest.raises(hq.ReducedBasisError, match="between 1 and"):
+    # n_basis = 3 gives a ladder of 12 functions: 12 levels are there, 13,
+    # 0 and -1 are not
+    levels = hq.solve_1d(30.0, 0.5, n_basis=3, n_lowest=12)
+    assert len(levels) == 12
+    for n_lowest in (13, 0, -1):
+        with pytest.raises(hq.ReducedBasisError,
+                           match="between 1 and the ladder size 12"):
             hq.solve_1d(30.0, 0.5, n_basis=3, n_lowest=n_lowest)
     assert issubclass(hq.ReducedBasisError, ValueError)
 
@@ -237,37 +241,70 @@ def test_contour_fit_rejects_nonpositive_target():
         hq.contour_fit(_step_surface(7.0, 1e-3), -1.0)
 
 
-def _quartic_tables(hw0: float, a: float, n_basis: int):
-    """Dense 1D Hamiltonian and overlap of ``solve_1d``, written out here
-    independently of the program's assembly."""
-    scaled = hq.scale(hq.PhysicalParams(hw0=hw0, a=a, gamma=-1e-3))
-    eta = 1.0 / np.sqrt(scaled.r_a)
-    t = {kind: basis.z_element_table(kind, eta, n_basis)
-         for kind in ("1", "dz2", "quartic", "z")}
-    h = (-0.5 * scaled.r_a * t["dz2"]
-         + scaled.ab_ratio / (8.0 * scaled.r_a) * t["quartic"]
-         + 1e-3 * t["z"])
-    return h, t["1"]
+def _ladder_hamiltonian(hw0: float, a: float, n: int,
+                        gamma: float = -1e-3) -> np.ndarray:
+    """Rows n + 4 and columns n of the 1D Hamiltonian in the oscillator
+    ladder u_k(z'/s) of ``solve_1d``, written out here from the ladder
+    elements, independently of the program's operator kinds."""
+    scaled = hq.scale(hq.PhysicalParams(hw0=hw0, a=a, gamma=gamma))
+    s = 0.55 * (2.0 * scaled.r_a) ** (1.0 / 3.0)
+    size = n + 8
+    off = np.sqrt(np.arange(1, size) / 2.0)
+    z = s * (np.diag(off, 1) + np.diag(off, -1))         # z' = s w
+    dz = (np.diag(off, 1) - np.diag(off, -1)) / s         # d/dz'
+    q = z @ z - np.eye(size)
+    h = (-0.5 * scaled.r_a * dz @ dz
+         + scaled.ab_ratio / (8.0 * scaled.r_a) * q @ q - gamma * z)
+    return h[:n + 4, :n]
 
 
-# (hw0, a) at N = 22 in each class of the relative smallest z-overlap
-# eigenvalue: below the 2D drop floor (merged wells), between the 2D and
-# the 1D floor (dropped in 1D only), and above the 1D floor (every
-# direction kept)
+# (hw0, a) at N = 22 in each class of the relative smallest eigenvalue of
+# the well-pair z-overlap that the 1D solve once used: merged wells,
+# between the 2D and the 1D drop floor, and every direction kept
 OVERLAP_CLASSES = [(30.0, 20.0, 0.0, 1e-12), (30.0, 33.0, 1e-12, 1e-10),
                    (30.0, 45.0, 1e-10, 1.0)]
 
 
 @pytest.mark.parametrize("hw0, a, lo, hi", OVERLAP_CLASSES,
                          ids=["merged", "between", "regular"])
-def test_solve_1d_matches_generalized_reference(hw0, a, lo, hi):
-    h, S = _quartic_tables(hw0, a, 22)
-    s_vals, s_vecs = np.linalg.eigh(S)
+def test_solve_1d_matches_a_ladder_twice_as_long(hw0, a, lo, hi):
+    s_vals = np.linalg.eigvalsh(
+        basis.z_element_table("1", 1.0 / np.sqrt(
+            hq.scale(hq.PhysicalParams(hw0=hw0, a=a)).r_a), 22))
     assert lo <= s_vals[0] / s_vals[-1] < hi
-    kept = s_vecs[:, s_vals > solver.DROP_FRACTION_1D * s_vals[-1]]
-    reference = scipy.linalg.eigh(kept.T @ h @ kept, kept.T @ S @ kept,
-                                  eigvals_only=True)
-    # the default six lowest levels; the top of a redundant basis's
-    # spectrum is not reproducible to 1e-12 between two reductions
+    reference = np.linalg.eigvalsh(_ladder_hamiltonian(hw0, a, 176)[:176])
     levels = hq.solve_1d(hw0, a, gamma=-1e-3, n_basis=22)
     np.testing.assert_allclose(levels, reference[:6], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("hw0, a, fails", [
+    (100.0, 200.0, True), (50.0, 120.0, True), (10.0, 200.0, False),
+    (30.0, 30.0, False)])
+def test_a_point_fails_where_the_residuals_exceed_the_gap(hw0, a, fails):
+    # the exact full-space residual of each Ritz vector, here from the
+    # rows beyond the ladder: the point fails where r_0 + r_1 > E_1 - E_0
+    # (1.45 and 14.8 times the gap at the failing points, 0.0024 and
+    # 2.6e-11 at the others)
+    h = _ladder_hamiltonian(hw0, a, 88)
+    vals, vecs = np.linalg.eigh(h[:88])
+    r = np.linalg.norm(h[88:] @ vecs[:, :2], axis=0)
+    assert (r[0] + r[1] > vals[1] - vals[0]) == fails
+    if fails:
+        with pytest.raises(hq.UncertifiedSpectrumError,
+                           match="88-function ladder does not resolve"):
+            hq.solve_1d(hw0, a, gamma=-1e-3, n_basis=22)
+    else:
+        levels = hq.solve_1d(hw0, a, gamma=-1e-3, n_basis=22)
+        np.testing.assert_allclose(levels, vals[:6], rtol=1e-12)
+
+
+@pytest.mark.parametrize("hw0, a, message", [
+    # r_a = 1.9e303: s^4 overflows
+    (1e-100, 1e-100, "overflows at ladder width"),
+    # r_a = 1.9e-307: the constant 6.7e305 swamps the levels, whose
+    # computed gap, 3.9e290, is rounding
+    (1e150, 1e80, r"r0 \+ r1 = 0 and rounding"),
+])
+def test_a_point_at_an_extreme_width_fails(hw0, a, message):
+    with pytest.raises(hq.UncertifiedSpectrumError, match=message):
+        hq.solve_1d(hw0, a, n_lowest=2)

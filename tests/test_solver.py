@@ -371,6 +371,52 @@ def test_shares_larger_than_the_pipe_buffer_come_back():
                                        for i in range(1, 6)])
 
 
+# a module the processes of BLAS_SCOPE import by name, as spawn needs
+BLAS_PROBE = """
+import os
+from hybridq import solver
+
+def counts(barrier):
+    # each process computes one of the two items that meet at the barrier
+    barrier.wait(timeout=30)
+    return [get() for get, _ in solver._blas_thread_functions()], os.getpid()
+"""
+
+# sets the caller's OpenBLAS counts to 2, then prints the counts that each
+# of the two processes of a parallel_map reads, the number of processes
+# and the caller's counts after the map
+BLAS_SCOPE = """
+import multiprocessing, sys
+sys.path.insert(0, sys.argv[2])
+import blas_probe
+from hybridq import solver
+
+multiprocessing.set_start_method(sys.argv[1])
+functions = solver._blas_thread_functions()
+for _, set_ in functions:
+    set_(2)
+pairs = solver.parallel_map(blas_probe.counts,
+                            [multiprocessing.Barrier(2)] * 2, 2)
+print(([counts for (counts, _), _ in pairs],
+       len({pid for (_, pid), _ in pairs}), [get() for get, _ in functions]))
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_two_workers_compute_on_one_blas_thread(tmp_path, method):
+    # the caller and the started process compute in one one-thread scope
+    # each (a spawned child inherits none); the caller's counts come back
+    # once the map returns
+    (tmp_path / "blas_probe.py").write_text(BLAS_PROBE)
+    done = _run_python(BLAS_SCOPE, method, str(tmp_path), timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts, n_processes, after = ast.literal_eval(done.stdout.strip())
+    libraries = len(after)
+    assert counts == [[1] * libraries] * 2
+    assert n_processes == 2
+    assert after == [2] * libraries
+
+
 DEAD_WORKER = """
 import ast, multiprocessing, os, sys, time
 from hybridq import solver
