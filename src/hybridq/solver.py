@@ -56,11 +56,9 @@ import multiprocessing
 import os
 import threading
 import traceback
-from collections.abc import Iterator
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing.reduction import ForkingPickler
-from multiprocessing.sharedctypes import Value
 
 import numpy as np
 import scipy.linalg
@@ -545,42 +543,30 @@ def _point(func, item) -> tuple:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _claims(n_items: int, claimed) -> Iterator[int]:
-    """Indices this process claims from the shared counter ``claimed``, the
-    next unclaimed index, until all ``n_items`` are claimed."""
-    while True:
-        with claimed.get_lock():
-            i = claimed.value
-            claimed.value = i + 1
-        if i >= n_items:
-            return
-        yield i
-
-
-def _child_share(receiver, sender, func, items, claimed) -> None:
-    """A started process's share of ``parallel_map``: its ``(index, pair)``
-    list, or the exception that ended it with its traceback, sent over
-    ``sender``.
+def _child_share(receiver, sender, func, share) -> None:
+    """A started process's ``share`` of ``parallel_map``: its pairs in
+    share order, or the exception that ended it with its traceback, sent
+    over ``sender``.
 
     The child closes its copy of the caller's end ``receiver`` first: a
     send larger than the pipe buffer then fails, rather than blocks for
     ever, once the caller is gone."""
     receiver.close()
     caller, ppid = multiprocessing.parent_process(), os.getppid()
-    share, error, trace = [], None, None
+    pairs, error, trace = [], None, None
     try:
         with _one_blas_thread():
-            for i in _claims(len(items), claimed):
+            for item in share:
                 # no one reads the result of a caller that is gone: under
                 # fork and spawn the child is re-parented, under
                 # forkserver the caller's sentinel closes
                 if os.getppid() != ppid or not caller.is_alive():
                     return
-                share.append((i, _point(func, items[i])))
+                pairs.append(_point(func, item))
     except Exception as exc:
-        share, error, trace = None, exc, traceback.format_exc()
+        pairs, error, trace = None, exc, traceback.format_exc()
     try:
-        reply = ForkingPickler.dumps((share, error, trace))
+        reply = ForkingPickler.dumps((pairs, error, trace))
         ForkingPickler.loads(reply)  # as the caller's recv will
     except Exception as exc:
         # a result or an exception that does not pickle or load back
@@ -603,13 +589,14 @@ def parallel_map(func, items, workers: int) -> list:
 
     With ``n > 1`` the caller starts ``n - 1`` processes of the default
     ``multiprocessing`` context, which get ``func`` pickled by reference
-    under spawn.  Every process, the caller among them, claims the next
-    unclaimed item from a shared counter until none is left, so a process
-    that runs faster computes more items.  A child sends its pairs back
-    over a one-way pipe.  The caller reads every pipe before it joins any
-    child, since a share larger than the pipe buffer would otherwise block
-    its child, and puts each pair at its item's index.  A child that dies,
-    for example by an OOM kill, leaves no result on its pipe, which raises
+    under spawn.  Process ``k``, the caller being process 0, computes the
+    strided share ``items[k::n]``, so a run of costly neighbouring grid
+    points is split between all processes.  A child gets only its share
+    and sends its pairs back in share order over a one-way pipe.  The
+    caller reads every pipe before it joins any child, since a share
+    larger than the pipe buffer would otherwise block its child, and puts
+    share ``k`` at ``results[k::n]``.  A child that dies, for example by
+    an OOM kill, leaves no result on its pipe, which raises
     ``BrokenProcessPool``; that is not one of the ``POINT_ERRORS`` and so
     ends the run.  A result or exception of a child that does not pickle,
     or does not load back, raises a ``RuntimeError`` that names it.  No
@@ -627,24 +614,22 @@ def parallel_map(func, items, workers: int) -> list:
         n = min(workers, len(items))
         if n <= 1:
             return [_point(func, item) for item in items]
-        claimed = Value("q", 0)
-        children = []
+        results, children = [None] * len(items), []
         try:
-            for _ in range(1, n):
+            for k in range(1, n):
                 receiver, sender = multiprocessing.Pipe(duplex=False)
                 child = multiprocessing.Process(
                     target=_child_share,
-                    args=(receiver, sender, func, items, claimed))
+                    args=(receiver, sender, func, items[k::n]))
                 child.start()
                 children.append((child, receiver))
                 # with its write end only in the child, a dead child's pipe
                 # reads EOF
                 sender.close()
-            shares = [[(i, _point(func, items[i]))
-                       for i in _claims(len(items), claimed)]]
-            for child, receiver in children:
+            results[::n] = [_point(func, item) for item in items[::n]]
+            for k, (child, receiver) in enumerate(children, 1):
                 try:
-                    share, error, trace = receiver.recv()
+                    pairs, error, trace = receiver.recv()
                 except EOFError:
                     child.join()
                     raise BrokenProcessPool(
@@ -654,7 +639,7 @@ def parallel_map(func, items, workers: int) -> list:
                 if error is not None:
                     raise error from RuntimeError(
                         f"in worker process {child.pid}:\n{trace}")
-                shares.append(share)
+                results[k::n] = pairs
         except BaseException:
             for child, _ in children:
                 child.terminate()
@@ -663,10 +648,6 @@ def parallel_map(func, items, workers: int) -> list:
             for child, receiver in children:
                 child.join()
                 receiver.close()
-        results = [None] * len(items)
-        for share in shares:
-            for i, pair in share:
-                results[i] = pair
         return results
 
 

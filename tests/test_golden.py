@@ -3,7 +3,8 @@
 ``tests/golden/<config>/`` holds the ``.csv``, ``.plt`` and
 ``_summary.txt`` files that ``configs/<config>.cfg`` writes at one
 worker.  A change that moves a shipped number therefore shows as a diff
-of these files.  To regenerate them, from the repository root:
+of these files.  Each config is also run at two workers, against the
+same files.  To regenerate them, from the repository root:
 
     for c in configs/*.cfg; do
         PYTHONPATH=src python -m hybridq.cli --config "$c" \\
@@ -101,11 +102,15 @@ def test_every_column_of_the_golden_csvs_is_known():
                 (path, column)
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
-def test_shipped_config_reproduces_its_golden_files(path, tmp_path):
+# every config at one worker, then at two, where the points are split
+# between two processes; the one-worker cases keep the config as their id
+@pytest.mark.parametrize("path, workers", [
+    pytest.param(path, workers, id=os.path.basename(path) + suffix)
+    for workers, suffix in ((1, ""), (2, "-2-workers")) for path in CONFIGS])
+def test_shipped_config_reproduces_its_golden_files(path, workers, tmp_path):
     name = os.path.splitext(os.path.basename(path))[0]
     result = cli.run(cli.load_config(path, {"out_dir": str(tmp_path),
-                                            "workers": 1}))
+                                            "workers": workers}))
     assert result.status == 0
     golden = sorted(os.listdir(os.path.join(GOLDEN, name)))
     assert sorted(os.path.basename(f) for f in result.files) == golden

@@ -180,9 +180,9 @@ def test_levels_never_rise_as_the_y_ladder_grows(eta, mu, N, L, physics):
 
 def _meet(item):
     """``(value, pid)``, or a failure naming the pid, after waiting at
-    ``barrier`` if it is set.  A process that waits claims no other item,
-    so each process at an n-party barrier computes one of the n items that
-    wait there."""
+    ``barrier`` if it is set.  Process k of n computes items k, k + n, ...,
+    so each process at an n-party barrier computes one of the first n
+    items, which wait there."""
     value, barrier = item
     if barrier is not None:
         barrier.wait(timeout=30)
@@ -242,6 +242,24 @@ def test_two_workers_keep_the_item_order():
     pairs = solver.parallel_map(_meet, _met(values, 2), 2)
     assert [value for (value, _), _ in pairs] == values
     assert len({pid for (_, pid), _ in pairs}) == 2
+    assert multiprocessing.active_children() == []
+
+
+def _nap_at_one(item):
+    """``_meet``, then a nap of 0.5 s on the item of value 1."""
+    met = _meet(item)
+    if item[0] == 1:
+        time.sleep(0.5)
+    return met
+
+
+def test_two_workers_compute_fixed_strided_shares():
+    # the caller computes items 0, 2 and 4, the child 1, 3 and 5, even
+    # though the child naps on item 1 while the caller is done at once
+    pairs = solver.parallel_map(_nap_at_one, _met(range(6), 2), 2)
+    pids = [pid for (_, pid), _ in pairs]
+    assert pids[0::2] == [os.getpid()] * 3
+    assert pids[1::2] == [pids[1]] * 3 and pids[1] != os.getpid()
     assert multiprocessing.active_children() == []
 
 
@@ -513,7 +531,8 @@ def counts():
     return found
 before = counts()
 import hybridq, hybridq.cli
-print('scipy.sparse.linalg' in sys.modules, counts() == before,
+print('scipy.sparse.linalg' in sys.modules,
+      'multiprocessing.sharedctypes' in sys.modules, counts() == before,
       hybridq.solver._blas_thread_functions.cache_info().currsize)
 # a 2D solve on the Lanczos path: reduced size 256 at L = N = 8
 solver, lanczos, calls = hybridq.solver, hybridq.solver._lanczos, []
@@ -531,11 +550,13 @@ print(len(calls), calls[0][0].shape[1], 'scipy.sparse.linalg' in sys.modules)
 
 def test_the_library_cli_and_a_lanczos_solve_leave_sparse_linalg_unloaded():
     # the solve runs its own Lanczos: scipy.sparse.linalg (ARPACK) would
-    # cost every process that solves in 2D a 22-37 ms import; the BLAS
-    # thread functions are looked up by the first solve
+    # cost every process that solves in 2D a 22-37 ms import; parallel_map
+    # shares no memory between its processes, so nothing imports
+    # multiprocessing.sharedctypes; the BLAS thread functions are looked
+    # up by the first solve
     done = _run_python(IMPORT_GUARD, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True", "0",
+    assert done.stdout.split() == ["False", "False", "True", "0",
                                    "1", "256", "False"]
 
 

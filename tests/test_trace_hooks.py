@@ -66,8 +66,8 @@ def test_tracer_times_every_1d_task(tmp_path):
 
 
 def test_pool_workers_reach_the_tracer_spool(tmp_path):
-    # at 2 workers the caller and the started process claim the 52 points
-    # between them; the caller counts its 1D solves itself and the
+    # at 2 workers the caller and the started process compute 26 of the
+    # 52 points each; the caller counts its 1D solves itself and the
     # started process spools its totals after each task, so each solve
     # is counted exactly once
     config = ("task = quartic-gap\nhw0 = 30\na = 30\ngamma = -1e-3\n"
