@@ -54,9 +54,7 @@ Y_KINDS = ("1", "y2", "-idy", "dy2")
 # matrix products need a little extra headroom so truncation never touches
 # kept rows.
 _PAD = 8
-# Half-bandwidth of each z operator in its oscillator ladder.
-_Z_BAND = {"1": 0, "z": 1, "z2": 2, "quartic": 4, "dz2": 2}
-_BAND = max(_Z_BAND.values())
+_BAND = 4
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ class _WellPair:
     """What every z-table of one (eta, N) reads; see ``_well_pair``."""
 
     z: np.ndarray        # [c] z' in the padded ladder at center c = +1, -1
-    windows: np.ndarray  # ``_windows`` of the slabs of X and X.T
+    cross: np.ndarray    # the slabs of X and X.T, stacked, in long double
     norms: np.ndarray    # [p, q, n, m] C_n^p C_m^q
 
 
@@ -191,14 +189,15 @@ def _well_pair(eta: float, N: int) -> _WellPair:
     their nonzero entries in the rows k < N + _BAND, so the cross-well
     products read only the slab of rows n < N and columns k < N + _BAND of
     X and of X.T, and only that slab of X is computed.  X.T's slab is X's,
-    negated where n + k is odd.  An entry whose integer is 0 is +0 in X.T
-    and may be -0 here, which adds nothing to a sum that starts at +0.
-    C_n^p comes from the diagonal of X; a pair with no norm raises
+    negated where n + k is odd; both are kept in long double, which the
+    products run in.  An entry whose integer is 0 is +0 in X.T and may be
+    -0 here, which adds nothing to a sum that starts at +0.  C_n^p comes
+    from the diagonal of X; a pair with no norm raises
     ``DegenerateBasisError``.
     """
     X = _displaced_overlap(2.0 * eta, N, N + _BAND)
     odd = np.add.outer(np.arange(N), np.arange(N + _BAND)) % 2 == 1
-    windows = _windows(np.stack([X, np.where(odd, -X, X)]))
+    cross = np.stack([X, np.where(odd, -X, X)]).astype(np.longdouble)
 
     # C_n^p = [2 (1 + p <psi_n^+|psi_n^->)]^(-1/2), so <psi_n^p|psi_n^p> = 1
     args = 2.0 * (1.0 + np.outer(_SIGNS, np.diagonal(X)))
@@ -215,7 +214,7 @@ def _well_pair(eta: float, N: int) -> _WellPair:
 
     eye = np.eye(N + _PAD)
     z = _SIGNS[:, None, None] * eye + _ladder_position(N + _PAD) / eta
-    return _WellPair(z=z, windows=windows,
+    return _WellPair(z=z, cross=cross,
                      norms=c[:, None, :, None] * c[None, :, None, :])
 
 
@@ -236,43 +235,6 @@ def _z_operators(kind: str, eta: float, z: np.ndarray) -> np.ndarray:
         q = z @ z - eye
         op = q @ q
     return np.broadcast_to(op, z.shape)
-
-
-def _windows(cross: np.ndarray) -> np.ndarray:
-    """Band windows of the stacked slabs ``cross`` (2 x N x (N + _BAND)):
-    [i, m, n, j] = cross[i, n, m + j - _BAND] in long double, +0 where
-    that column is negative."""
-    N = cross.shape[1]
-    padded = np.zeros((2, N, N + 2 * _BAND), np.longdouble)
-    padded[:, :, _BAND:] = cross
-    m = np.arange(N)[:, None]
-    return padded[:, :, m + np.arange(2 * _BAND + 1)].transpose(0, 2, 1, 3)
-
-
-def _cross_blocks(windows: np.ndarray, ops: np.ndarray,
-                  band: int) -> np.ndarray:
-    """X_i @ ops[i, :N + _BAND, :N], i = 0, 1, summed in long double and
-    rounded to float, for the slabs X_i of ``windows`` (see ``_windows``)
-    and operators with ``band`` diagonals on each side.
-
-    Entry (n, m) is one long double dot product of the 2 band + 1 terms
-    X_i[n, k] ops[i, k, m] at k = m - band .. m + band, a zero term where
-    k < 0.  numpy's long double matmul, which is not BLAS, sums each entry
-    sequentially in ascending k from +0, and the terms outside the band
-    are zeros, which leave such a sum unchanged.  So the result is the full
-    product bit for bit where long double rounds each product and each sum
-    once, as the 80-bit x87 type of x86-64 does; ``tests/test_basis.py``
-    checks that on the running platform.
-    """
-    N = windows.shape[1]
-    taps = windows[..., _BAND - band:_BAND + band + 1]
-    col = np.zeros((2, N + 2 * band, N), np.longdouble)
-    col[:, band:] = ops[:, :N + band, :N]       # row k + band is op row k
-    m = np.arange(N)[:, None]
-    # [i, m, j] = ops[i, k, m] at k = m + j - band
-    weights = col[:, m + np.arange(2 * band + 1), m]
-    return (taps @ weights[..., None])[..., 0].transpose(0, 2, 1) \
-        .astype(float)
 
 
 def _y_operator(kind: str, mu: float, size: int) -> np.ndarray:
@@ -303,8 +265,10 @@ def z_element_table(kind: str, eta: float, N: int) -> np.ndarray:
     (eta, N) shares.  The operator is banded in each well's padded
     oscillator ladder; its N x N corner holds the same-well elements.  The
     cross-well ones are the N x N block of X op, X the displaced overlap
-    table at 2 eta (X.T from -1 to +1), summed over the band in extended
-    precision, since they cancel strongly.  A pair with no norm raises
+    table at 2 eta (X.T from -1 to +1), one long double matmul rounded to
+    float, since they cancel strongly.  numpy's long double matmul is not
+    BLAS: it sums each entry sequentially from +0, so the zero terms
+    outside the operator's band change no bit.  A pair with no norm raises
     ``DegenerateBasisError``.  Every kind is symmetric; the table is
     mirrored from its upper triangle so that it is exactly symmetric.  The
     returned array is read-only (cached).  An extreme eta that overflows
@@ -316,7 +280,8 @@ def z_element_table(kind: str, eta: float, N: int) -> np.ndarray:
     ops = _z_operators(kind, eta, pair.z)
     ee, oo = ops[:, :N, :N]
     # the bra at +1 meets the ket at -1, and the bra at -1 the ket at +1
-    eo, oe = _cross_blocks(pair.windows, ops[::-1], _Z_BAND[kind])
+    eo, oe = (pair.cross @ ops[::-1, :N + _BAND, :N].astype(np.longdouble)
+              ).astype(float)
     p, q = _SIGNS[:, None, None, None], _SIGNS[None, :, None, None]
     blocks = pair.norms * (ee + q * eo + p * oe + (p * q) * oo)
     table = blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)

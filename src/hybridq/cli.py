@@ -82,11 +82,13 @@ MAX_GRID_POINTS = 100_000
 # bound, MAX_N
 MAX_BASIS_SIZE = 8000
 
-# largest z-ladder length N.  The integer overlap recurrence of the exact
-# z-tables grows much faster than the arrays: one process on a 2-vCPU VM
-# took 8.9 s and 288 MiB for one z-table build at N = 600.  A 1D solve at
-# N = 400 (1600 ladder functions) took 0.86 s and 278 MiB, 0.37 s once its
-# ladder was cached.  Shipped configs use N <= 22
+# largest z-ladder length N.  The exact z-tables grow much faster than the
+# arrays: on a 2-vCPU VM the five kinds of one (eta, N) took 4.0-6.4 s and
+# 136 MiB peak RSS at N = 400, 16-18 s and 256 MiB at N = 600, most of it
+# in their long double products (the overlap recurrence took 1.0-1.6 s and
+# 5.7-5.8 s).  A 1D solve at N = 400 (1600 ladder functions) took 1.0 s
+# and 278 MiB, 0.4 s once its ladder was cached.  Shipped configs use
+# N <= 22
 MAX_N = 400
 
 # largest worker count: 5000 would start one process (~49 MiB) per point

@@ -580,19 +580,20 @@ def _child_share(receiver, sender, func, share) -> None:
 
 def parallel_map(func, items, workers: int) -> list:
     """One ``(result, error)`` pair per item, in the order of ``items``,
-    computed on ``n = min(workers, len(items))`` processes: the caller and
-    ``n - 1`` started ones.
+    computed on ``n = max(1, min(workers, len(items)))`` processes: the
+    caller and ``n - 1`` started ones.
 
     The one failure rule of every grid point: the pair is ``(func(item),
     None)``, or ``(None, "<Type>: <message>")`` when ``func`` raises one of
     the ``POINT_ERRORS``; any other exception propagates with its own type.
 
-    With ``n > 1`` the caller starts ``n - 1`` processes of the default
-    ``multiprocessing`` context, which get ``func`` pickled by reference
-    under spawn.  Process ``k``, the caller being process 0, computes the
-    strided share ``items[k::n]``, so a run of costly neighbouring grid
-    points is split between all processes.  A child gets only its share
-    and sends its pairs back in share order over a one-way pipe.  The
+    The caller starts ``n - 1`` processes of the default
+    ``multiprocessing`` context, none at ``n = 1``; they get ``func``
+    pickled by reference under spawn.  Process ``k``, the caller being
+    process 0, computes the strided share ``items[k::n]``, so a run of
+    costly neighbouring grid points is split between all processes.  A
+    child gets only its share and sends its pairs back in share order over
+    a one-way pipe.  The
     caller reads every pipe before it joins any child, since a share
     larger than the pipe buffer would otherwise block its child, and puts
     share ``k`` at ``results[k::n]``.  A child that dies, for example by
@@ -611,9 +612,7 @@ def parallel_map(func, items, workers: int) -> list:
     0.38-0.58 ms of wall time each on two processes and two cores, against
     0.20-0.21 ms with one scope per process."""
     with _one_blas_thread():
-        n = min(workers, len(items))
-        if n <= 1:
-            return [_point(func, item) for item in items]
+        n = max(1, min(workers, len(items)))
         results, children = [None] * len(items), []
         try:
             for k in range(1, n):

@@ -114,33 +114,13 @@ def _assert_matches_the_block_reference(kind, eta, N):
 @example(kind="quartic", eta=1e-4, N=30)    # nearly coincident wells
 @example(kind="quartic", eta=20.0, N=30)    # decoupled wells
 @example(kind="dz2", eta=SHIPPED_DELTA / 2, N=1)
+@example(kind="quartic", eta=4.0, N=60)     # well beyond the drawn N
 @settings(max_examples=25, deadline=None)
 def test_z_element_table_matches_the_block_reference_at_any_width(kind, eta,
                                                                   N):
     # eta spans the widths of every shipped config and beyond, from
     # merged wells to fully decoupled ones
     _assert_matches_the_block_reference(kind, eta, N)
-
-
-def test_banded_products_are_the_long_double_matmul():
-    # _cross_blocks sums only an operator's band and claims the bits of
-    # numpy's long double matmul.  That holds where numpy sums a long
-    # double product sequentially, without BLAS, rounding each product and
-    # each sum once: the 80-bit x87 long double of x86-64.  On a platform
-    # where it does not, this test fails instead of the tables drifting.
-    rng = np.random.default_rng(5)
-    ld = np.longdouble
-    for N in (1, 3, 22):
-        slab = rng.standard_normal((2, N, N + basis._BAND))
-        pair = basis._well_pair(1.7, N)
-        for kind in basis.Z_KINDS:
-            ops = basis._z_operators(kind, 1.7, pair.z)
-            got = basis._cross_blocks(basis._windows(slab), ops,
-                                      basis._Z_BAND[kind])
-            for i in range(2):
-                want = slab[i].astype(ld) @ \
-                    ops[i, :N + basis._BAND, :N].astype(ld)
-                _assert_bitwise_equal(got[i], want.astype(float))
 
 
 def _count_recurrences(monkeypatch) -> list:

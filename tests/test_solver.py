@@ -232,6 +232,7 @@ def _fails_at_one_and_two(i):
 def test_parallel_map_pairs_each_item_with_its_failure():
     assert solver.parallel_map(_fails_at_one_and_two, [0, 1, 3], 1) == [
         (0, None), (None, "ReducedBasisError: too few levels"), (-3, None)]
+    assert solver.parallel_map(_fails_at_one_and_two, [], 2) == []
     # any other exception is a bug and ends the map
     with pytest.raises(TypeError, match="broken"):
         solver.parallel_map(_fails_at_one_and_two, [0, 2], 1)
