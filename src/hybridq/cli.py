@@ -29,11 +29,11 @@ without writing a dataset.  The command line is
 ``hybridq --config FILE [--out DIR] [--workers N]``: the ``task`` key
 selects the run, and the options override ``out_dir`` and ``workers``
 (default 1): ``workers = N`` computes on N processes, the caller and N - 1
-started ones.  ``solver.parallel_map`` runs every grid point and contour
-target: one that raises a ``solver.POINT_ERRORS`` exception is listed as
-``FAILED hw0 = 30, bSLa = 0.5: <Type>: <message>``, and a CSV row of one
-point reads ``failed: <Type>: <message>``, with ``;`` for ``,``; any other
-exception propagates.
+started ones.  ``parallel.parallel_map`` runs every grid point and
+contour target: one that raises a ``parallel.POINT_ERRORS`` exception is
+listed as ``FAILED hw0 = 30, bSLa = 0.5: <Type>: <message>``, and a CSV
+row of one point reads ``failed: <Type>: <message>``, with ``;`` for
+``,``; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import assembly, observables, quartic1d, solver
+from . import assembly, observables, parallel, quartic1d, solver
 from .basis import BasisSpec
 from .errors import ConfigError, HybridQError
 from .model import PhysicalParams, scale
@@ -463,7 +463,7 @@ def _status(error) -> str:
 
 
 def _run_solve(cfg: RunConfig, workers: int) -> _TaskOutput:
-    [(res, error)] = solver.parallel_map(
+    [(res, error)] = parallel.parallel_map(
         _solve_point, [(cfg.physical, cfg.spec, cfg.n_track)], 1)
     hw0 = cfg.physical.hw0
     columns = ["state", "E_hw0", "E_meV", "z_over_a", "sigma_x", "status"]
@@ -524,7 +524,7 @@ def _run_sweep(cfg: RunConfig, workers: int) -> _TaskOutput:
     fields = _TASK_TABLE[cfg.task].swept
     points = _grid_points(cfg)
     tasks = [(point, cfg.spec, cfg.n_track) for _, point in points]
-    results = solver.parallel_map(_solve_point, tasks, workers)
+    results = parallel.parallel_map(_solve_point, tasks, workers)
     columns = ([_COLUMN_OF[field] for field in fields]
                + [f"E{j}_hw0" for j in range(cfg.n_track)]
                + ["gap_hw0", "gap_ueV"]
@@ -593,7 +593,7 @@ def _gap_surface(cfg: RunConfig, workers: int):
     points = _grid_points(cfg)
     tasks = [(p.hw0, p.a, p.b, p.gamma, cfg.N, p.m_ratio)
              for _, p in points]
-    results = solver.parallel_map(_quartic_point, tasks, workers)
+    results = parallel.parallel_map(_quartic_point, tasks, workers)
     # a failed point's gap, None, becomes NaN
     gaps = np.array([gap for gap, _ in results], dtype=float).reshape(
         len(cfg.hw0_list), len(cfg.a_grid))
@@ -636,7 +636,7 @@ def _run_contour_fit(cfg: RunConfig, workers: int) -> _TaskOutput:
     surface, failures = _gap_surface(cfg, workers)
     failed_hw0 = {hw0 for (hw0, _), _ in failures}
     columns = ["target_gap", "hw0_meV", "a_nm", "status"]
-    fits = solver.parallel_map(
+    fits = parallel.parallel_map(
         functools.partial(quartic1d.contour_fit, surface), cfg.targets, 1)
     rows, summary = [], []
     for target, (fit, error) in zip(cfg.targets, fits):

@@ -8,10 +8,11 @@ anharmonic-oscillator studies (Banerjee et al., Proc. R. Soc. Lond. A 360,
 between the wells, whose width follows r_a.  Every term is a polynomial in
 its ladder operators, so the levels need no overlap, and each comes with
 its exact full-space residual, which decides whether the point is
-resolved.  ``gap_surface`` tabulates the scaled gap (E1-E0)/hw0 over
-(hw0, a), and the surface classifies each curve into its three decay
-regimes when they are first read; ``contour_fit`` extracts iso-gap lines
-a(hw0) and fits the power law a = A hw0^e.
+resolved; it runs on one BLAS thread (``parallel.one_blas_thread``).
+``gap_surface`` tabulates the scaled gap (E1-E0)/hw0 over (hw0, a), and
+the surface classifies each curve into its three decay regimes when they
+are first read; ``contour_fit`` extracts iso-gap lines a(hw0) and fits
+the power law a = A hw0^e.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as basis_mod
-from . import solver
+from . import parallel, solver
 from .errors import (ReducedBasisError, UncertifiedSpectrumError,
                      UnreachableTargetError)
 from .model import M_RATIO, PhysicalParams, scale
@@ -130,8 +131,8 @@ def solve_1d(hw0: float, a: float, b: float | None = None,
     weights = sum(coef * np.array(kinds[kind]) for coef, kind, y, spin
                   in scaled.terms if y == spin == "1")
     # an extreme width overflows h, which is checked before the solve
-    with solver._one_blas_thread(), np.errstate(over="ignore",
-                                                invalid="ignore"):
+    with parallel.one_blas_thread(), np.errstate(over="ignore",
+                                                 invalid="ignore"):
         h = np.tensordot(weights, _ladder(n), axes=1)
         if not np.isfinite(h).all():
             raise UncertifiedSpectrumError(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hybridq as hq
-from hybridq import cli, solver
+from hybridq import cli, parallel, solver
 
 MINIMAL = """\
 task = solve
@@ -614,13 +614,13 @@ def test_overrides_reach_the_run(tmp_path, monkeypatch):
     config = tmp_path / "cfg.txt"
     config.write_text(f"task = sweep-bsl\n{SMALL_2D}bsl_grid = 0.5,1\n"
                       f"workers = 2\nout_dir = {tmp_path / 'file'}\n")
-    real, pools = solver.parallel_map, []
+    real, pools = parallel.parallel_map, []
 
     def spy(func, items, workers):
         pools.append(workers)
         return real(func, items, workers)
 
-    monkeypatch.setattr(solver, "parallel_map", spy)
+    monkeypatch.setattr(parallel, "parallel_map", spy)
     out = tmp_path / "out"
     assert cli.main(["--config", str(config), "--out", str(out),
                      "--workers", "1"]) == 0

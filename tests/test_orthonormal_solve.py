@@ -31,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridq as hq
-from hybridq import assembly, solver
+from hybridq import assembly, parallel, solver
 from conftest import FIG4_PHYSICAL, FIG4_SPEC, small_spec
 
 import oracles
@@ -648,7 +648,7 @@ def test_one_blas_thread_gives_the_default_threads_result(
         monkeypatch, physics, n_lowest):
     problem = hq.assemble(hq.scale(WORKING[physics]), FIG4_SPEC)
     sol = hq.solve(problem, n_lowest)
-    monkeypatch.setattr(solver, "_one_blas_thread", contextlib.nullcontext)
+    monkeypatch.setattr(parallel, "one_blas_thread", contextlib.nullcontext)
     threaded = hq.solve(problem, n_lowest)
     # bit-identical, not merely within the 1e-12 a reordered sum would allow
     assert np.array_equal(sol.energies, threaded.energies)
@@ -704,16 +704,29 @@ def test_solve_without_thread_functions_leaves_the_counts(monkeypatch,
                                                           blas_threads):
     problem = hq.assemble(hq.scale(BASE), small_spec(L=4, N=4))
     reference = hq.solve(problem, 6).energies
-    monkeypatch.setattr(solver, "_OPENBLAS", (
+    monkeypatch.setattr(parallel, "_OPENBLAS", (
         ("numpy._core._multiarray_umath", "no_such_%s_num_threads"),
         ("no_such_module", "scipy_openblas_%s_num_threads")))
-    solver._blas_thread_functions.cache_clear()
+    parallel._blas_thread_functions.cache_clear()
     try:
-        assert solver._blas_thread_functions() == ()
+        assert parallel._blas_thread_functions() == ()
         inside = _record_threads(monkeypatch, blas_threads)
         energies = hq.solve(problem, 6).energies
     finally:
-        solver._blas_thread_functions.cache_clear()
+        parallel._blas_thread_functions.cache_clear()
     assert inside == [[PROBE_THREADS] * 2]
     assert blas_threads() == [PROBE_THREADS] * 2
     assert np.array_equal(energies, reference)
+
+
+def test_the_scope_sets_no_library_already_on_one_thread(monkeypatch):
+    # a set call in a forked child starts OpenBLAS's thread pool again, and
+    # its threads compete with the computing processes: on a 2-vCPU VM the
+    # gap1d benchmark ran at about 800 instead of 1,400 points/s when each
+    # child's fresh scope set its counts
+    at_one, at_three = [], []
+    monkeypatch.setattr(parallel, "_blas_thread_functions", lambda: (
+        (lambda: 1, at_one.append), (lambda: 3, at_three.append)))
+    with parallel.one_blas_thread():
+        assert at_three == [1]
+    assert at_one == [] and at_three == [1, 3]

@@ -1,10 +1,12 @@
 """Generalized eigensolver contract and stabilization machinery."""
 
 import ast
+import contextlib
 import dataclasses
 import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridq as hq
-from hybridq import basis, solver
+from hybridq import basis, parallel, solver
 from conftest import FIG4_PHYSICAL, FIG4_SPEC, small_spec
 
 import oracles
@@ -212,7 +214,7 @@ def test_pool_never_larger_than_the_work(monkeypatch, n_items, workers,
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                         counted)
-    pairs = solver.parallel_map(
+    pairs = parallel.parallel_map(
         _meet, _met(range(n_items), n_started + 1), workers)
     assert len(started) == n_started
     assert [value for (value, _), _ in pairs] == list(range(n_items))
@@ -230,17 +232,17 @@ def _fails_at_one_and_two(i):
 
 
 def test_parallel_map_pairs_each_item_with_its_failure():
-    assert solver.parallel_map(_fails_at_one_and_two, [0, 1, 3], 1) == [
+    assert parallel.parallel_map(_fails_at_one_and_two, [0, 1, 3], 1) == [
         (0, None), (None, "ReducedBasisError: too few levels"), (-3, None)]
-    assert solver.parallel_map(_fails_at_one_and_two, [], 2) == []
+    assert parallel.parallel_map(_fails_at_one_and_two, [], 2) == []
     # any other exception is a bug and ends the map
     with pytest.raises(TypeError, match="broken"):
-        solver.parallel_map(_fails_at_one_and_two, [0, 2], 1)
+        parallel.parallel_map(_fails_at_one_and_two, [0, 2], 1)
 
 
 def test_two_workers_keep_the_item_order():
     values = [0, 3, 4, 5, 6, 7, 8]
-    pairs = solver.parallel_map(_meet, _met(values, 2), 2)
+    pairs = parallel.parallel_map(_meet, _met(values, 2), 2)
     assert [value for (value, _), _ in pairs] == values
     assert len({pid for (_, pid), _ in pairs}) == 2
     assert multiprocessing.active_children() == []
@@ -257,7 +259,7 @@ def _nap_at_one(item):
 def test_two_workers_compute_fixed_strided_shares():
     # the caller computes items 0, 2 and 4, the child 1, 3 and 5, even
     # though the child naps on item 1 while the caller is done at once
-    pairs = solver.parallel_map(_nap_at_one, _met(range(6), 2), 2)
+    pairs = parallel.parallel_map(_nap_at_one, _met(range(6), 2), 2)
     pids = [pid for (_, pid), _ in pairs]
     assert pids[0::2] == [os.getpid()] * 3
     assert pids[1::2] == [pids[1]] * 3 and pids[1] != os.getpid()
@@ -266,7 +268,7 @@ def test_two_workers_compute_fixed_strided_shares():
 
 def test_two_workers_record_failures_from_both_shares():
     # the two failing items meet at the barrier, one in each process
-    pairs = solver.parallel_map(_meet, _met([None, None, 0], 2), 2)
+    pairs = parallel.parallel_map(_meet, _met([None, None, 0], 2), 2)
     assert pairs[2][0][0] == 0 and pairs[2][1] is None
     errors = {error for _, error in pairs[:2]}
     assert len(errors) == 2
@@ -297,7 +299,7 @@ def test_two_workers_reraise_a_bug_with_its_type(where, nap):
     barrier = multiprocessing.Barrier(2)
     start = time.monotonic()
     with pytest.raises(TypeError, match="broken"):
-        solver.parallel_map(_bug_in, [(barrier, where, nap)] * 2, 2)
+        parallel.parallel_map(_bug_in, [(barrier, where, nap)] * 2, 2)
     assert time.monotonic() - start < 30
     assert multiprocessing.active_children() == []
 
@@ -344,7 +346,7 @@ def test_two_workers_report_what_does_not_pickle(kind, raises, lost, why):
     # error of the caller's recv
     barrier = multiprocessing.Barrier(2)
     with pytest.raises(RuntimeError) as error:
-        solver.parallel_map(_unsendable, [(barrier, kind, raises)] * 2, 2)
+        parallel.parallel_map(_unsendable, [(barrier, kind, raises)] * 2, 2)
     assert str(error.value).startswith(lost)
     assert f"could not be sent: {why}" in str(error.value)
     assert "Traceback" in str(error.value.__cause__)
@@ -353,19 +355,31 @@ def test_two_workers_report_what_does_not_pickle(kind, raises, lost, why):
 
 def _run_python(script: str, *args: str, timeout: float):
     """``script`` run with ``args`` in a fresh interpreter that imports
-    this hybridq."""
+    this hybridq, in a session of its own: past ``timeout`` every process
+    of the session is killed, so none is left running, and
+    ``TimeoutExpired`` is raised."""
     path = [os.path.dirname(os.path.dirname(hq.__file__))]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        capture_output=True, text=True, timeout=timeout)
+    with subprocess.Popen(
+            [sys.executable, "-c", script, *args],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True) as process:
+        try:
+            stdout, stderr = process.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            raise
+    return subprocess.CompletedProcess(process.args, process.returncode,
+                                       stdout, stderr)
 
 
 LARGE_SHARES = """
 import multiprocessing
-from hybridq import solver
+from hybridq import parallel
 
 def megabytes(item):
     i, barrier = item
@@ -375,7 +389,7 @@ def megabytes(item):
 
 # each of the three processes computes one of the items at the barrier
 barrier = multiprocessing.Barrier(3)
-pairs = solver.parallel_map(
+pairs = parallel.parallel_map(
     megabytes, [(i, barrier if i <= 3 else None) for i in range(1, 6)], 3)
 print([(len(result), result[0], error) for result, error in pairs])
 """
@@ -393,12 +407,12 @@ def test_shares_larger_than_the_pipe_buffer_come_back():
 # a module the processes of BLAS_SCOPE import by name, as spawn needs
 BLAS_PROBE = """
 import os
-from hybridq import solver
+from hybridq import parallel
 
 def counts(barrier):
     # each process computes one of the two items that meet at the barrier
     barrier.wait(timeout=30)
-    return [get() for get, _ in solver._blas_thread_functions()], os.getpid()
+    return [get() for get, _ in parallel._blas_thread_functions()], os.getpid()
 """
 
 # sets the caller's OpenBLAS counts to 2, then prints the counts that each
@@ -408,14 +422,14 @@ BLAS_SCOPE = """
 import multiprocessing, sys
 sys.path.insert(0, sys.argv[2])
 import blas_probe
-from hybridq import solver
+from hybridq import parallel
 
 multiprocessing.set_start_method(sys.argv[1])
-functions = solver._blas_thread_functions()
+functions = parallel._blas_thread_functions()
 for _, set_ in functions:
     set_(2)
-pairs = solver.parallel_map(blas_probe.counts,
-                            [multiprocessing.Barrier(2)] * 2, 2)
+pairs = parallel.parallel_map(blas_probe.counts,
+                              [multiprocessing.Barrier(2)] * 2, 2)
 print(([counts for (counts, _), _ in pairs],
        len({pid for (_, pid), _ in pairs}), [get() for get, _ in functions]))
 """
@@ -436,9 +450,48 @@ def test_two_workers_compute_on_one_blas_thread(tmp_path, method):
     assert after == [2] * libraries
 
 
+# forks while a helper thread holds the BLAS scope's lock, then prints the
+# pairs of a two-process map
+FORK_IN_SCOPE = """
+import multiprocessing, threading
+from hybridq import parallel
+
+multiprocessing.set_start_method("fork")
+start = multiprocessing.Process.start
+
+def start_while_held(self):
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with parallel._blas_lock:
+            held.set()
+            release.wait()
+    helper = threading.Thread(target=hold)
+    helper.start()
+    held.wait()
+    try:
+        start(self)
+    finally:
+        release.set()
+        helper.join()
+
+multiprocessing.Process.start = start_while_held
+print(parallel.parallel_map(abs, [-1, -2, -3, -4], 2))
+"""
+
+
+def test_a_fork_while_another_thread_is_in_the_blas_scope_does_not_hang():
+    # the child inherits the scope's lock held by a thread it does not
+    # have; unless the fork hands it a fresh scope, it blocks on that lock
+    # for ever and the caller in its recv
+    done = _run_python(FORK_IN_SCOPE, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str([(i, None) for i in range(1, 5)])
+
+
 DEAD_WORKER = """
 import ast, multiprocessing, os, sys, time
-from hybridq import solver
+from hybridq import parallel
 
 # the process whose items exit, and the nap [s] and result size of an item
 # in the caller and in the child
@@ -454,7 +507,7 @@ def item(i):
         os._exit(1)
     return "x" * SIZES[here]
 
-solver.parallel_map(item, list(range(N_ITEMS)), 2)
+parallel.parallel_map(item, list(range(N_ITEMS)), 2)
 """
 
 
@@ -478,8 +531,9 @@ def test_a_dead_worker_ends_the_run(case, message):
     assert message in done.stderr
 
 
-def _scipy_imports(path):
-    """The scipy modules and names that one source file imports."""
+def _imports(path, *packages):
+    """The modules and names of ``packages`` that one source file of
+    hybridq imports."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -489,18 +543,30 @@ def _scipy_imports(path):
         else:
             continue
         yield from (name for name in names
-                    if name == "scipy" or name.startswith("scipy."))
+                    if name.partition(".")[0] in packages)
+
+
+def _importers(*packages) -> dict:
+    """What each source file of hybridq imports of ``packages``, for the
+    files that import any of them."""
+    found = {path.name: list(_imports(path, *packages)) for path in
+             pathlib.Path(hq.__file__).parent.glob("*.py")}
+    return {name: names for name, names in found.items() if names}
 
 
 def test_only_the_solver_imports_scipy_and_none_of_its_blas():
     # numpy does all the arithmetic; scipy is kept for LAPACK drivers,
     # all called from solver.py
-    imports = {path.name: list(_scipy_imports(path)) for path in
-               pathlib.Path(hq.__file__).parent.glob("*.py")}
-    assert [name for name, found in imports.items() if found] == [
-        "solver.py"]
+    imports = _importers("scipy")
+    assert list(imports) == ["solver.py"]
     assert not [name for found in imports.values() for name in found
                 if name.startswith("scipy.linalg.blas")]
+
+
+def test_only_parallel_starts_processes_and_threads_or_loads_libraries():
+    # the process fan-out and the BLAS-thread scope live in one module
+    assert list(_importers("multiprocessing", "ctypes", "threading")) == [
+        "parallel.py"]
 
 
 def test_only_parallel_map_applies_the_point_failure_rule():
@@ -511,7 +577,7 @@ def test_only_parallel_map_applies_the_point_failure_rule():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ExceptHandler) and node.type is not None
         and "POINT_ERRORS" in ast.unparse(node.type)]
-    assert handlers == ["solver.py"]
+    assert handlers == ["parallel.py"]
 
 
 # reads the OpenBLAS thread counts of numpy and scipy, where it finds them,
@@ -534,7 +600,7 @@ before = counts()
 import hybridq, hybridq.cli
 print('scipy.sparse.linalg' in sys.modules,
       'multiprocessing.sharedctypes' in sys.modules, counts() == before,
-      hybridq.solver._blas_thread_functions.cache_info().currsize)
+      hybridq.parallel._blas_thread_functions.cache_info().currsize)
 # a 2D solve on the Lanczos path: reduced size 256 at L = N = 8
 solver, lanczos, calls = hybridq.solver, hybridq.solver._lanczos, []
 def spy(*args):
@@ -611,8 +677,8 @@ def test_stabilize_workers_agree_with_serial():
     spec = small_spec(L=4, N=4)
     grid = [0.6, 0.7, 0.8]
     serial = hq.stabilize(scaled, spec, "mu", grid, 6, workers=1)
-    parallel = hq.stabilize(scaled, spec, "mu", grid, 6, workers=2)
-    np.testing.assert_array_equal(serial.energies, parallel.energies)
+    pooled = hq.stabilize(scaled, spec, "mu", grid, 6, workers=2)
+    np.testing.assert_array_equal(serial.energies, pooled.energies)
 
 
 def _table_builds(run) -> tuple[int, int]:
